@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,8 +24,8 @@ import numpy as np
 from .cumulative import (
     GROW_LEFT,
     GROW_RIGHT,
-    EntropySpectrum,
     EventSignature,
+    SpectrumTable,
     WindowSequenceSpec,
     detect_events,
     spectra_for_series,
@@ -100,7 +99,7 @@ class RunConfig:
     min_persistence: int = 2
     baseline: int = 8
     out_dir: str = "out"
-    jobs: int = 4
+    jobs: int = 4  # accepted for existing configs; instruments run serially
 
 
 _CONFIG_KEYS = {
@@ -304,13 +303,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("error: compare requires anchor_date in the config", file=sys.stderr)
         return EXIT_INPUT
 
-    workers = max(1, min(config.jobs, len(config.instruments)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(
-            pool.map(
-                lambda entry: _try_call(_compare_row, config, entry), config.instruments
-            )
-        )
+    outcomes = [_try_call(_compare_row, config, entry) for entry in config.instruments]
 
     lines = [
         "instrument,entropy_before,entropy_after,entropy_pct_diff,"
@@ -330,24 +323,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_INPUT if failures == len(config.instruments) else EXIT_OK
 
 
-def _spectrum_lines(
-    spectra: list[EntropySpectrum], frequency: Frequency
-) -> tuple[list[str], list[str]]:
+def _spectrum_lines(table: SpectrumTable, frequency: Frequency) -> tuple[list[str], list[str]]:
+    unit = "D" if frequency is Frequency.DAILY else "s"
+    anchors = np.datetime_as_string(table.anchor_timestamps, unit=unit).tolist()
+    cells = [f"{k},{n}," for k, n in enumerate((table.ends[0] - table.starts[0]).tolist())]
     rows = ["sequence_index,anchor_timestamp,k,window_len,H"]
-    for sp in spectra:
-        anchor = format_timestamp(sp.anchor_timestamp, frequency)
-        for k, (window, h) in enumerate(zip(sp.windows, sp.values)):
-            rows.append(f"{sp.sequence_index},{anchor},{k},{len(window)},{h:.6f}")
+    for j, (anchor, values) in enumerate(zip(anchors, table.values.tolist())):
+        head = f"{j},{anchor.replace('T', ' ')},"
+        rows += [f"{head}{cell}{h:.6f}" for cell, h in zip(cells, values)]
 
-    months: dict[str, list[float]] = {}
-    for sp in spectra:
-        key = str(sp.anchor_timestamp.astype("datetime64[M]"))
-        months.setdefault(key, []).append(sp.peak)
+    # Anchors ascend, so each month's sequences are contiguous.
+    peaks = table.peaks
+    months, firsts, counts = np.unique(
+        table.anchor_timestamps.astype("datetime64[M]"), return_index=True, return_counts=True
+    )
     monthly = ["month,mean_peak_entropy,max_peak_entropy,sequences"]
-    for month, peaks in months.items():
-        monthly.append(
-            f"{month},{float(np.mean(peaks)):.6f},{max(peaks):.6f},{len(peaks)}"
-        )
+    for month, first, count in zip(
+        np.datetime_as_string(months).tolist(), firsts.tolist(), counts.tolist()
+    ):
+        group = peaks[first : first + count]
+        monthly.append(f"{month},{float(np.mean(group)):.6f},{group.max():.6f},{count}")
     return rows, monthly
 
 
@@ -385,50 +380,46 @@ def _spectrum_outputs(config: RunConfig, entry: InstrumentEntry, from_date=None,
     returns = _restrict_dates(_load_returns(config, entry), from_date, to_date)
     seq_spec = _resolve_sequence(config, returns)
     binning = _spectrum_binning(config, returns, seq_spec.base_length)
-    spectra = spectra_for_series(returns, seq_spec, binning)
+    table = spectra_for_series(returns, seq_spec, binning)
     events = detect_events(
-        spectra,
+        table,
         threshold=config.theta,
         min_persistence=config.min_persistence,
         baseline=config.baseline,
     )
-    rows, monthly = _spectrum_lines(spectra, returns.frequency)
-    return rows, monthly, _event_lines(events, returns.frequency), len(spectra), len(events)
+    rows, monthly = _spectrum_lines(table, returns.frequency)
+    return rows, monthly, _event_lines(events, returns.frequency), len(table), len(events)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    """Write the outputs of every instrument that succeeds and report each
+    failure. The exit code is that of the first failure: 3 when its series
+    is too short for the geometry or the detector baseline, 2 otherwise."""
     config = load_config(args.config)
     _apply_overrides(config, args)
     if not config.instruments:
         print("error: config lists no instruments", file=sys.stderr)
         return EXIT_INPUT
 
-    workers = max(1, min(config.jobs, len(config.instruments)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(
-            pool.map(
-                lambda entry: _try_call(
-                    _spectrum_outputs, config, entry,
-                    from_date=args.from_date, to_date=args.to_date,
-                ),
-                config.instruments,
-            )
-        )
-
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, (result, error) in zip(config.instruments, outcomes):
+    exit_code = EXIT_OK
+    for entry in config.instruments:
+        result, error = _try_call(
+            _spectrum_outputs, config, entry, from_date=args.from_date, to_date=args.to_date
+        )
         if error is not None:
             print(f"{entry.instrument_id}: error: {error}", file=sys.stderr)
-            if isinstance(error, (SeriesTooShort, InsufficientBaseline)):
-                return EXIT_INSUFFICIENT
-            return EXIT_INPUT
+            if exit_code == EXIT_OK:
+                insufficient = isinstance(error, (SeriesTooShort, InsufficientBaseline))
+                exit_code = EXIT_INSUFFICIENT if insufficient else EXIT_INPUT
+            continue
         rows, monthly, events, n_sequences, n_events = result
         _write(out_dir / f"{entry.instrument_id}_spectrum.csv", rows)
         _write(out_dir / f"{entry.instrument_id}_monthly.csv", monthly)
         _write(out_dir / f"{entry.instrument_id}_events.csv", events)
         print(f"{entry.instrument_id}: sequences={n_sequences} events={n_events}")
-    return EXIT_OK
+    return exit_code
 
 
 def _pmf_lines(dist: BinnedDistribution) -> list[str]:

@@ -19,12 +19,13 @@ are separated by at least one baseline width.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .entropy import BinningSpec, window_entropy
+from .entropy import BinningSpec, bin_indices, window_entropy
 from .errors import InsufficientBaseline, SeriesTooShort
 from .returns import ReturnSeries, WindowSlice
 
@@ -33,6 +34,12 @@ DEFAULT_DISPERSION_FLOOR_FRACTION = 0.05
 
 GROW_RIGHT = "grow-right"
 GROW_LEFT = "grow-left"
+
+# Sequences per block of the fixed-range table and of the detector's
+# baseline statistics. Working memory grows with the block, never with the
+# series: a block holds block * (steps + 1) * n_bins window counts and a
+# prefix-count matrix over its (block - 1) * stride + span observations.
+BLOCK_SEQUENCES = 4096
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,14 @@ class WindowSequenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class EntropySpectrum:
-    """Entropy values H_0..H_m of one window sequence."""
+    """Entropy values H_0..H_m of one window sequence; window k is the
+    half-open index range [starts[k], ends[k])."""
 
     sequence_index: int
     anchor_timestamp: np.datetime64
     values: np.ndarray
-    windows: tuple[WindowSlice, ...]
+    starts: np.ndarray
+    ends: np.ndarray
     binning: BinningSpec
 
     @property
@@ -84,11 +93,46 @@ class EntropySpectrum:
 
     @property
     def span_start(self) -> int:
-        return min(w.start_index for w in self.windows)
+        return int(self.starts.min())
 
     @property
     def span_end(self) -> int:
-        return max(w.end_index for w in self.windows)
+        return int(self.ends.max())
+
+
+@dataclass(frozen=True, eq=False)
+class SpectrumTable:
+    """Spectra of every sequence of one series: ``values[j, k]`` is the
+    entropy of window k of sequence j, the half-open index range
+    [starts[j, k], ends[j, k]). ``len``, indexing and iteration yield
+    EntropySpectrum views of single rows, in anchor order."""
+
+    values: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    anchor_timestamps: np.ndarray
+    binning: BinningSpec
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index) -> EntropySpectrum:
+        j = operator.index(index)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"sequence index {index} out of range for {len(self)} sequences")
+        return EntropySpectrum(
+            j, self.anchor_timestamps[j], self.values[j], self.starts[j], self.ends[j],
+            self.binning,
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def peaks(self) -> np.ndarray:
+        return self.values.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -104,8 +148,11 @@ class EventSignature:
     persistence: int
 
 
-def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[WindowSlice]]:
-    """All window sequences that fit in a series of the given length.
+def window_bounds(series_length: int, spec: WindowSequenceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of every window of every sequence that fits in a series of the
+    given length: int64 arrays ``starts`` and ``ends`` of shape
+    (sequences, steps + 1), window k of sequence j being [starts[j, k],
+    ends[j, k]).
 
     Sequence j is anchored at index j*stride; its windows are strictly
     nested. Raises SeriesTooShort when even one sequence does not fit, or
@@ -124,19 +171,25 @@ def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[W
             f"requested {count}"
         )
 
-    sequences = []
-    for j in range(count):
-        anchor = j * spec.stride
-        windows = []
-        for k in range(spec.steps + 1):
-            length = spec.base_length + k * spec.increment
-            if spec.anchor_mode == GROW_RIGHT:
-                windows.append(WindowSlice(anchor, anchor + length))
-            else:
-                right = anchor + span
-                windows.append(WindowSlice(right - length, right))
-        sequences.append(windows)
-    return sequences
+    anchors = np.arange(count, dtype=np.int64)[:, None] * spec.stride
+    lengths = spec.base_length + np.arange(spec.steps + 1, dtype=np.int64) * spec.increment
+    if spec.anchor_mode == GROW_RIGHT:
+        starts = np.repeat(anchors, spec.steps + 1, axis=1)
+        ends = anchors + lengths
+    else:
+        ends = np.repeat(anchors + span, spec.steps + 1, axis=1)
+        starts = ends - lengths
+    return starts, ends
+
+
+def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[WindowSlice]]:
+    """The windows of ``window_bounds`` as one list of WindowSlice per
+    sequence."""
+    starts, ends = window_bounds(series_length, spec)
+    return [
+        [WindowSlice(a, b) for a, b in zip(row_starts, row_ends)]
+        for row_starts, row_ends in zip(starts.tolist(), ends.tolist())
+    ]
 
 
 def spectrum(
@@ -148,67 +201,89 @@ def spectrum(
     """Entropy of every window in one sequence. The bin count is fixed
     across the sequence by construction (one BinningSpec)."""
     values = np.array([window_entropy(returns, w, binning) for w in sequence])
-    anchor = min(w.start_index for w in sequence)
+    starts = np.array([w.start_index for w in sequence], dtype=np.int64)
+    ends = np.array([w.end_index for w in sequence], dtype=np.int64)
     return EntropySpectrum(
-        sequence_index, returns.timestamps[anchor], values, tuple(sequence), binning
+        sequence_index, returns.timestamps[starts.min()], values, starts, ends, binning
     )
 
 
-def _fixed_range_spectra(
-    returns: ReturnSeries, sequences: list[list[WindowSlice]], binning: BinningSpec
-) -> list[EntropySpectrum]:
-    """Single-pass evaluation for a fixed bin range: every value's bin index
-    is computed once, each window then only counts its slice. Counts are
-    exact integers, so results match per-window rebinning bit for bit."""
-    n = binning.n_bins
-    idx = np.floor((returns.values - binning.lo) / (binning.hi - binning.lo) * n).astype(
-        np.int64
-    )
-    np.clip(idx, 0, n - 1, out=idx)
-    out = []
-    for j, seq in enumerate(sequences):
-        values = np.empty(len(seq))
-        for k, w in enumerate(seq):
-            counts = np.bincount(idx[w.start_index : w.end_index], minlength=n)
-            p = counts[counts > 0] / len(w)
-            values[k] = -(p * np.log(p)).sum()
-        values[values == 0.0] = 0.0  # normalize -0.0
-        anchor = min(w.start_index for w in seq)
-        out.append(
-            EntropySpectrum(j, returns.timestamps[anchor], values, tuple(seq), binning)
-        )
+def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Shannon entropy over the last axis of a count array, p = counts /
+    totals (0 ln 0 = 0)."""
+    p = counts / totals[..., None]
+    log_p = np.log(p, out=np.zeros_like(p), where=counts > 0)
+    return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
+
+
+def _fixed_range_values(
+    returns: ReturnSeries, starts: np.ndarray, ends: np.ndarray, binning: BinningSpec
+) -> np.ndarray:
+    """Window entropies under a fixed bin range, from prefix counts (an
+    integral histogram). Every value's bin index is computed once. For each
+    block of sequences, row i of the prefix-count matrix C holds the bin
+    counts of the block's first i values, so window [a, b) counts C[b] - C[a]
+    for all of the block's windows at once. Counts are exact integers;
+    entropies agree with per-window rebinning to rounding."""
+    n_bins = binning.n_bins
+    idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
+    totals = ends[0] - starts[0]
+    out = np.empty(starts.shape)
+    for lo in range(0, len(starts), BLOCK_SEQUENCES):
+        block_starts = starts[lo : lo + BLOCK_SEQUENCES]
+        block_ends = ends[lo : lo + BLOCK_SEQUENCES]
+        first, last = int(block_starts.min()), int(block_ends.max())
+        prefix = np.zeros((last - first + 1, n_bins), dtype=np.int32)
+        prefix[np.arange(1, last - first + 1), idx[first:last]] = 1
+        np.cumsum(prefix, axis=0, out=prefix)
+        counts = prefix[block_ends - first] - prefix[block_starts - first]
+        out[lo : lo + BLOCK_SEQUENCES] = _entropy_from_counts(counts, totals)
     return out
 
 
 def spectra_for_series(
-    returns: ReturnSeries,
-    seq_spec: WindowSequenceSpec,
-    binning: BinningSpec,
-    max_workers: int | None = None,
-) -> list[EntropySpectrum]:
-    """Spectra of all sequences, in anchor order.
+    returns: ReturnSeries, seq_spec: WindowSequenceSpec, binning: BinningSpec
+) -> SpectrumTable:
+    """Spectra of all sequences, in anchor order, as one table.
 
-    A fixed bin range takes a vectorized single-pass route. Otherwise
-    sequences are evaluated window by window; they are independent given
-    the immutable series, so with ``max_workers`` > 1 they run concurrently
-    and merge back in deterministic anchor order.
+    A fixed bin range takes the prefix-count route. A per-window range
+    rebins every window with ``window_entropy``.
     """
-    sequences = build_sequences(len(returns), seq_spec)
+    starts, ends = window_bounds(len(returns), seq_spec)
     if binning.is_fixed:
-        return _fixed_range_spectra(returns, sequences, binning)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(
-                    lambda arg: spectrum(returns, arg[1], binning, sequence_index=arg[0]),
-                    enumerate(sequences),
-                )
-            )
-    return [spectrum(returns, seq, binning, sequence_index=j) for j, seq in enumerate(sequences)]
+        values = _fixed_range_values(returns, starts, ends, binning)
+    else:
+        values = np.empty(starts.shape)
+        for j, (row_starts, row_ends) in enumerate(zip(starts.tolist(), ends.tolist())):
+            values[j] = [
+                window_entropy(returns, WindowSlice(a, b), binning)
+                for a, b in zip(row_starts, row_ends)
+            ]
+    anchors = returns.timestamps[starts.min(axis=1)]
+    return SpectrumTable(values, starts, ends, anchors, binning)
+
+
+def _flags(
+    peaks: np.ndarray, threshold: float, baseline: int, dispersion_floor: float
+) -> np.ndarray:
+    """Whether each sequence's peak exceeds the median of the previous
+    ``baseline`` peaks by more than ``threshold`` times their floored,
+    sigma-scaled MAD. The first ``baseline`` sequences are never flagged."""
+    n = len(peaks)
+    flagged = np.zeros(n, dtype=bool)
+    trailing = sliding_window_view(peaks, baseline)  # row i: peaks[i : i + baseline]
+    for lo in range(baseline, n, BLOCK_SEQUENCES):
+        hi = min(lo + BLOCK_SEQUENCES, n)
+        window = trailing[lo - baseline : hi - baseline]
+        med = np.median(window, axis=1)
+        mad = MAD_TO_SIGMA * np.median(np.abs(window - med[:, None]), axis=1)
+        dispersion = np.maximum(mad, dispersion_floor)
+        flagged[lo:hi] = peaks[lo:hi] - med > threshold * dispersion
+    return flagged
 
 
 def detect_events(
-    spectra: list[EntropySpectrum],
+    spectra: SpectrumTable,
     threshold: float = 3.0,
     min_persistence: int = 2,
     baseline: int = 8,
@@ -234,19 +309,12 @@ def detect_events(
         )
     if dispersion_floor is None:
         dispersion_floor = DEFAULT_DISPERSION_FLOOR_FRACTION * math.log(
-            max(spectra[0].binning.n_bins, 2)
+            max(spectra.binning.n_bins, 2)
         )
 
-    peaks = np.array([sp.peak for sp in spectra])
+    peaks = spectra.peaks
     n = len(peaks)
-    flagged = np.zeros(n, dtype=bool)
-    for j in range(baseline, n):
-        window = peaks[j - baseline : j]
-        med = float(np.median(window))
-        mad = MAD_TO_SIGMA * float(np.median(np.abs(window - med)))
-        dispersion = max(mad, dispersion_floor)
-        if peaks[j] - med > threshold * dispersion:
-            flagged[j] = True
+    flagged = _flags(peaks, threshold, baseline, dispersion_floor).tolist()
 
     events: list[EventSignature] = []
     j = 0
@@ -260,12 +328,11 @@ def detect_events(
         if run < min_persistence:
             j += run
             continue
-        onset = spectra[j]
-        diffs = np.diff(onset.values)
+        diffs = np.diff(spectra.values[j])
         events.append(
             EventSignature(
                 onset_index=j,
-                onset_timestamp=onset.anchor_timestamp,
+                onset_timestamp=spectra.anchor_timestamps[j],
                 peak_value=float(peaks[j : j + run].max()),
                 ramp_slope=float(diffs.max()) if len(diffs) else 0.0,
                 persistence=run,

@@ -93,6 +93,14 @@ class BinnedDistribution:
         return np.linspace(self.lo, self.hi, self.n_bins + 1)
 
 
+def bin_indices(values: np.ndarray, n_bins: int, lo: float, hi: float) -> np.ndarray:
+    """Bin index of every value over ``n_bins`` evenly spaced bins on
+    [lo, hi]; values outside the range are clamped into the end bins."""
+    idx = np.floor((values - lo) / (hi - lo) * n_bins).astype(np.int64)
+    np.clip(idx, 0, n_bins - 1, out=idx)
+    return idx
+
+
 def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:
     """Assign values to evenly spaced bins and normalize counts to masses.
 
@@ -117,9 +125,7 @@ def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:
             return BinnedDistribution(spec, lo, hi, np.array([1.0]), int(vals.size))
 
     n = spec.n_bins
-    idx = np.floor((vals - lo) / (hi - lo) * n).astype(np.int64)
-    np.clip(idx, 0, n - 1, out=idx)
-    counts = np.bincount(idx, minlength=n)
+    counts = np.bincount(bin_indices(vals, n, lo, hi), minlength=n)
     masses = counts / vals.size
     return BinnedDistribution(spec, lo, hi, masses, int(vals.size), clamped)
 
@@ -152,6 +158,8 @@ def pmf_snapshot(
     """Distribution of one day's returns next to the distribution of that day
     plus its ``preceding_days`` trading days, binned identically over the
     pooled range."""
+    if preceding_days < 0:
+        raise ValueError(f"preceding_days must be >= 0, got {preceding_days}")
     target = np.datetime64(day, "D")
     dates = returns.dates()
     day_mask = dates == target

@@ -236,6 +236,20 @@ def test_spectrum_too_short_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_spectrum_continues_past_failing_instrument(tmp_path, capsys):
+    short, _, _ = write_synth_fixture(tmp_path, name="short", seed=41, n_days=2)
+    good, _, _ = write_synth_fixture(tmp_path, name="good", seed=37, n_days=20)
+    config = write_config(
+        tmp_path, [("short", short, "5min"), ("good", good, "5min")], sequence=SEQ_SHORT
+    )
+    assert main(["spectrum", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("short: error:")
+    assert "good: sequences=" in captured.out
+    written = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert written == ["good_events.csv", "good_monthly.csv", "good_spectrum.csv"]
+
+
 # ----------------------------------------------------------------------
 # pmf
 # ----------------------------------------------------------------------
@@ -284,6 +298,17 @@ def test_pmf_out_of_range_exits_2(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path, seed=47, n_days=3)
     config = write_config(tmp_path, [("synth", path, "5min")])
     assert main(["pmf", "--config", str(config), "--day", "2030-01-01"]) == 2
+
+
+def test_pmf_negative_span_exits_2(tmp_path, capsys):
+    path, series, _ = write_synth_fixture(tmp_path, seed=47, n_days=5)
+    day = str(series.timestamps[-1].astype("datetime64[D]"))
+    config = write_config(tmp_path, [("synth", path, "5min")])
+    assert main(["pmf", "--config", str(config), "--day", day, "--span-days", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "preceding_days" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------

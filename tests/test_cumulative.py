@@ -12,6 +12,7 @@ from entroscope import (
     SeriesTooShort,
     Shock,
     ShockShape,
+    SpectrumTable,
     SynthSpec,
     WindowSequenceSpec,
     build_sequences,
@@ -21,7 +22,9 @@ from entroscope import (
     spectra_for_series,
     spectrum,
     velleman_bins,
+    window_bounds,
 )
+from entroscope.cumulative import BLOCK_SEQUENCES, MAD_TO_SIGMA, EventSignature, _flags
 
 from _fixtures import make_returns
 
@@ -166,17 +169,55 @@ def test_spectrum_anchor_metadata():
     assert spectra[1].span_start == 10 and spectra[1].span_end == 20
 
 
-def test_spectrum_parallel_matches_serial():
-    rng = np.random.default_rng(14)
-    r = make_returns(rng.normal(0, 0.01, 300))
-    seq_spec = WindowSequenceSpec(base_length=30, increment=10, steps=3, stride=10)
-    binning = BinningSpec(12)
-    serial = spectra_for_series(r, seq_spec, binning)
-    parallel = spectra_for_series(r, seq_spec, binning, max_workers=4)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.sequence_index == b.sequence_index
-        assert np.array_equal(a.values, b.values)
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+def test_prefix_count_table_matches_oracle_across_blocks(anchor_mode):
+    # Stride 1 with more sequences than one block, and a fixed range that
+    # clamps the tails into the end bins.
+    rng = np.random.default_rng(18)
+    seq_spec = WindowSequenceSpec(base_length=6, increment=3, steps=2, stride=1,
+                                  anchor_mode=anchor_mode)
+    vals = rng.normal(0, 0.01, BLOCK_SEQUENCES + 300 + seq_spec.span - 1)
+    r = make_returns(vals)
+    binning = BinningSpec(7, lo=-0.01, hi=0.01)
+    table = spectra_for_series(r, seq_spec, binning)
+    assert len(table) == BLOCK_SEQUENCES + 300
+    want = np.array([
+        _spectrum_oracle(vals.tolist(), seq, 7, binning.lo, binning.hi)
+        for seq in build_sequences(len(r), seq_spec)
+    ])
+    assert np.max(np.abs(table.values - want)) <= 1e-12
+
+
+def test_window_bounds_arrays():
+    spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5,
+                              anchor_mode="grow-left")
+    starts, ends = window_bounds(30, spec)
+    assert starts.dtype == ends.dtype == np.int64
+    assert starts.tolist() == [[10, 5, 0], [15, 10, 5], [20, 15, 10]]
+    assert ends.tolist() == [[20, 20, 20], [25, 25, 25], [30, 30, 30]]
+    assert [_bounds(seq) for seq in build_sequences(30, spec)][2] == [(20, 30), (15, 30), (10, 30)]
+
+
+def test_spectrum_table_views():
+    r = make_returns(np.linspace(-0.01, 0.01, 40))
+    seq_spec = WindowSequenceSpec(base_length=5, increment=5, steps=2, stride=10,
+                                  anchor_mode="grow-left")
+    table = spectra_for_series(r, seq_spec, BinningSpec(5))
+    assert isinstance(table, SpectrumTable)
+    assert len(table) == 3 and table.values.shape == (3, 3)
+    views = list(table)
+    assert [sp.sequence_index for sp in views] == [0, 1, 2]
+    for j, sp in enumerate(views):
+        assert np.array_equal(sp.values, table.values[j])
+        assert sp.anchor_timestamp == r.timestamps[10 * j]
+        assert sp.peak == table.values[j].max()
+    last = table[-1]
+    assert last.sequence_index == 2 and np.array_equal(last.values, table.values[2])
+    assert (last.span_start, last.span_end) == (20, 35)
+    assert last.starts.tolist() == [30, 25, 20] and last.ends.tolist() == [35, 35, 35]
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            table[bad]
 
 
 def test_spectrum_values_within_bounds():
@@ -202,6 +243,86 @@ def test_spectrum_deterministic_bytes():
 # ----------------------------------------------------------------------
 # detect_events
 # ----------------------------------------------------------------------
+
+def _detect_events_oracle(spectra, threshold=3.0, min_persistence=2, baseline=8,
+                          dispersion_floor=None):
+    """The detector as a per-sequence loop of np.median calls: the flags and
+    the events."""
+    if dispersion_floor is None:
+        dispersion_floor = 0.05 * math.log(max(spectra[0].binning.n_bins, 2))
+    peaks = np.array([sp.peak for sp in spectra])
+    n = len(peaks)
+    flagged = np.zeros(n, dtype=bool)
+    for j in range(baseline, n):
+        window = peaks[j - baseline : j]
+        med = float(np.median(window))
+        mad = MAD_TO_SIGMA * float(np.median(np.abs(window - med)))
+        dispersion = max(mad, dispersion_floor)
+        if peaks[j] - med > threshold * dispersion:
+            flagged[j] = True
+
+    events = []
+    j = 0
+    while j < n:
+        if not flagged[j]:
+            j += 1
+            continue
+        run = 0
+        while j + run < n and flagged[j + run]:
+            run += 1
+        if run < min_persistence:
+            j += run
+            continue
+        onset = spectra[j]
+        diffs = np.diff(onset.values)
+        events.append(
+            EventSignature(
+                onset_index=j,
+                onset_timestamp=onset.anchor_timestamp,
+                peak_value=float(peaks[j : j + run].max()),
+                ramp_slope=float(diffs.max()) if len(diffs) else 0.0,
+                persistence=run,
+            )
+        )
+        j += max(run, baseline)
+    return flagged, events
+
+
+def _table_of(values, n_bins=18):
+    n, m = values.shape
+    starts = np.repeat(np.arange(n)[:, None], m, axis=1)
+    ends = starts + np.arange(2, m + 2)
+    anchors = np.datetime64("2025-01-02T09:30:00") + np.arange(n) * np.timedelta64(300, "s")
+    return SpectrumTable(values, starts, ends, anchors, BinningSpec(n_bins))
+
+
+@pytest.mark.parametrize(
+    "threshold,min_persistence,baseline,dispersion_floor",
+    [(3.0, 2, 8, None), (1.0, 1, 7, 0.0), (2.0, 3, 78, None), (0.5, 2, 4, 0.0)],
+)
+def test_detect_matches_loop_oracle(threshold, min_persistence, baseline, dispersion_floor):
+    # Peaks on a coarse grid tie often (zero MADs, equal medians); a planted
+    # run of high peaks straddles the first block boundary of the flags.
+    rng = np.random.default_rng(19)
+    n = baseline + BLOCK_SEQUENCES + 500
+    values = rng.integers(0, 6, size=(n, 3)) * 0.25
+    boundary = baseline + BLOCK_SEQUENCES
+    values[boundary - 1 : boundary + 2, 1] = 5.0
+    table = _table_of(values)
+    want_flags, want_events = _detect_events_oracle(
+        table, threshold, min_persistence, baseline, dispersion_floor
+    )
+    assert want_flags[boundary - 1] and want_flags[boundary]
+    floor = 0.05 * math.log(18) if dispersion_floor is None else dispersion_floor
+    assert np.array_equal(_flags(table.peaks, threshold, baseline, floor), want_flags)
+    events = detect_events(table, threshold, min_persistence, baseline, dispersion_floor)
+    assert events == want_events
+    assert events
+
+
+def test_detect_matches_loop_oracle_on_spectra():
+    _, spectra, _, _ = _shocked_spectra(seed=5, shock_days=[9, 15], n_days=24)
+    assert detect_events(spectra) == _detect_events_oracle(spectra)[1]
 
 def _shocked_spectra(seed, shock_days, n_days=20):
     spec = SynthSpec(
