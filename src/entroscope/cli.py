@@ -8,6 +8,13 @@ multi-day distribution snapshots under shared binning), ``synth``
 override config values. Exit codes: 0 ok, 2 input error, 3 insufficient
 data.
 
+The config is type-checked as it is loaded: an unknown key, a wrongly
+typed value, a missing instrument ``id``/``path``/``frequency`` or an
+instrument path that is not a file exits 2 before any output is written.
+A batch command runs every instrument even when some fail, reports each
+failure as one ``<id>: error: <message>`` line on stderr, and exits with
+the code of the first failure.
+
 Outputs are plain CSV files, written deterministically: rerunning a
 command on identical inputs produces byte-identical files.
 """
@@ -15,14 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import EnumMeta
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .cumulative import (
-    GROW_LEFT,
     GROW_RIGHT,
     EventSignature,
     SpectrumTable,
@@ -31,17 +41,7 @@ from .cumulative import (
     spectra_for_series,
 )
 from .entropy import BinnedDistribution, BinningSpec, pmf_snapshot, velleman_bins
-from .errors import (
-    AmbiguousTimestampFormat,
-    DegenerateDenominator,
-    EmptyInput,
-    EmptyWindow,
-    InsufficientBaseline,
-    OutOfRange,
-    PipelineError,
-    SeriesTooShort,
-    TooShort,
-)
+from .errors import EmptyInput, InsufficientBaseline, PipelineError, SeriesTooShort, TooShort
 from .ingest import (
     DEFAULT_DEDUP_RUN_LENGTH,
     Frequency,
@@ -59,13 +59,14 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
-RANGE_FIXED = "fixed"
-RANGE_PER_WINDOW = "per-window"
+# What one instrument, or one command, may fail with and still end in a
+# one-line message and an exit code rather than a traceback.
+_FAILURES = (PipelineError, OSError, ValueError)
 
 
 @dataclass
 class InstrumentEntry:
-    instrument_id: str
+    id: str
     path: str
     frequency: Frequency
 
@@ -79,7 +80,7 @@ class SequenceConfig:
     increment: int | None = None
     steps: int = 13
     stride: int | None = None
-    anchor_mode: str = GROW_RIGHT
+    anchor_mode: Literal["grow-right", "grow-left"] = GROW_RIGHT
 
 
 @dataclass
@@ -93,7 +94,7 @@ class RunConfig:
     dedup_run_length: int = DEFAULT_DEDUP_RUN_LENGTH
     return_kind: ReturnKind = ReturnKind.LOG
     aggregate_daily: bool = False
-    range_policy: str = RANGE_FIXED
+    range_policy: Literal["fixed", "per-window"] = "fixed"
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
     theta: float = 3.0
     min_persistence: int = 2
@@ -102,81 +103,103 @@ class RunConfig:
     jobs: int = 4  # accepted for existing configs; instruments run serially
 
 
-_CONFIG_KEYS = {
-    "instruments",
-    "anchor_date",
-    "window_days",
-    "bins",
-    "dt_col",
-    "close_col",
-    "dedup_run_length",
-    "return_kind",
-    "aggregate_daily",
-    "range_policy",
-    "sequence",
-    "theta",
-    "min_persistence",
-    "baseline",
-    "out_dir",
-    "jobs",
-}
-_SEQUENCE_KEYS = {"base_length", "increment", "steps", "stride", "anchor_mode"}
+# Flags that override the config value of the same name when given.
+_OVERRIDES = ("out_dir", "dt_col", "close_col", "bins", "theta")
+
+
+def _typed(hint, value, where: str):
+    """Return the JSON ``value`` as type ``hint``.
+
+    Dataclasses come from objects whose keys are field names; ``list[X]``,
+    ``X | None``, enums (by value) and ``Literal`` choices are read
+    recursively; ``int``, ``str`` and ``bool`` must match exactly (a bool is
+    not an int) and ``float`` also takes an int. A mismatch raises
+    ``ValueError`` naming ``where``, the value's path in the config.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _typed(args[0], value, where)
+    if is_dataclass(hint):
+        if type(value) is not dict:
+            raise ValueError(f"{where}: expected an object, got {value!r}")
+        hints = get_type_hints(hint)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {unknown}")
+        missing = [
+            f.name
+            for f in fields(hint)
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"{where}: missing keys {missing}")
+        return hint(**{k: _typed(hints[k], item, f"{where}.{k}") for k, item in value.items()})
+    if origin is list:
+        if type(value) is not list:
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        return [_typed(args[0], item, f"{where}[{i}]") for i, item in enumerate(value)]
+    if origin is Literal or isinstance(hint, EnumMeta):
+        choices = list(args) if origin is Literal else [member.value for member in hint]
+        if value not in choices:
+            raise ValueError(f"{where}: expected one of {choices}, got {value!r}")
+        return value if origin is Literal else hint(value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ValueError(f"{where}: expected {hint.__name__}, got {value!r}")
+    return value
 
 
 def load_config(path: str | Path) -> RunConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    """Read a JSON run config; every key is type-checked against ``RunConfig``."""
+    return _typed(RunConfig, json.loads(Path(path).read_text(encoding="utf-8")), "config")
 
-    config = RunConfig()
-    for entry in raw.get("instruments", []):
-        config.instruments.append(
-            InstrumentEntry(
-                instrument_id=entry["id"],
-                path=entry["path"],
-                frequency=Frequency(entry["frequency"]),
-            )
-        )
-    seq_raw = raw.get("sequence", {})
-    unknown = set(seq_raw) - _SEQUENCE_KEYS
-    if unknown:
-        raise ValueError(f"unknown sequence keys: {sorted(unknown)}")
-    config.sequence = SequenceConfig(**seq_raw)
-    if config.sequence.anchor_mode not in (GROW_RIGHT, GROW_LEFT):
-        raise ValueError(f"unknown anchor_mode {config.sequence.anchor_mode!r}")
 
-    for key in _CONFIG_KEYS - {"instruments", "sequence", "return_kind"}:
-        if key in raw:
-            setattr(config, key, raw[key])
-    if "return_kind" in raw:
-        config.return_kind = ReturnKind(raw["return_kind"])
-    if config.range_policy not in (RANGE_FIXED, RANGE_PER_WINDOW):
-        raise ValueError(f"unknown range_policy {config.range_policy!r}")
+def _load(args: argparse.Namespace) -> RunConfig:
+    """The config of one command: flag overrides applied, at least one
+    instrument, and every instrument path an existing file."""
+    config = load_config(args.config)
+    for key in _OVERRIDES:
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
+    if not config.instruments:
+        raise ValueError("config lists no instruments")
+    missing = [entry.path for entry in config.instruments if not Path(entry.path).is_file()]
+    if missing:
+        raise FileNotFoundError(f"file not found: {', '.join(missing)}")
     return config
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> None:
-    if getattr(args, "out", None) is not None:
-        config.out_dir = args.out
-    if getattr(args, "dt_col", None) is not None:
-        config.dt_col = args.dt_col
-    if getattr(args, "close_col", None) is not None:
-        config.close_col = args.close_col
-    if getattr(args, "bins", None) is not None:
-        config.bins = args.bins
-    if getattr(args, "theta", None) is not None:
-        config.theta = args.theta
+def _exit_code(exc: Exception) -> int:
+    insufficient = isinstance(exc, (SeriesTooShort, InsufficientBaseline, TooShort))
+    return EXIT_INSUFFICIENT if insufficient else EXIT_INPUT
+
+
+def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
+    """Run ``fn(config, entry, **kwargs)`` on every instrument in order.
+
+    A failing instrument is reported as one ``<id>: error: <msg>`` line on
+    stderr and the rest still run; the result is the exit code of the first
+    failure, or 0.
+    """
+    code = EXIT_OK
+    for entry in config.instruments:
+        try:
+            fn(config, entry, **kwargs)
+        except _FAILURES as exc:
+            print(f"{entry.id}: error: {exc}", file=sys.stderr)
+            code = code or _exit_code(exc)
+    return code
+
+
+def _parse(config: RunConfig, entry: InstrumentEntry):
+    return parse_csv_file(
+        entry.path, entry.frequency, entry.id, dt_col=config.dt_col, close_col=config.close_col
+    )
 
 
 def _load_returns(config: RunConfig, entry: InstrumentEntry) -> ReturnSeries:
-    series, _ = parse_csv_file(
-        entry.path,
-        entry.frequency,
-        entry.instrument_id,
-        dt_col=config.dt_col,
-        close_col=config.close_col,
-    )
+    series, _ = _parse(config, entry)
     if config.aggregate_daily and series.frequency is Frequency.FIVE_MINUTE:
         series = aggregate_to_daily(series)
     if config.return_kind is ReturnKind.LOG:
@@ -213,7 +236,7 @@ def _resolve_sequence(config: RunConfig, returns: ReturnSeries) -> WindowSequenc
 
 def _spectrum_binning(config: RunConfig, returns: ReturnSeries, base_length: int) -> BinningSpec:
     n_bins = config.bins if config.bins is not None else velleman_bins(base_length)
-    if config.range_policy == RANGE_PER_WINDOW:
+    if config.range_policy == "per-window":
         return BinningSpec(n_bins)
     lo = float(returns.values.min())
     hi = float(returns.values.max())
@@ -222,63 +245,42 @@ def _spectrum_binning(config: RunConfig, returns: ReturnSeries, base_length: int
     return BinningSpec(n_bins, lo=lo, hi=hi)
 
 
-def _write(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _csv(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _try_call(fn, config, entry, **kwargs):
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling temp file renamed over
+    it, so that ``path`` never holds a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        return fn(config, entry, **kwargs), None
-    except (PipelineError, FileNotFoundError, ValueError) as exc:
-        return None, exc
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
+def _ingest_one(config: RunConfig, entry: InstrumentEntry) -> None:
+    series, diag = _parse(config, entry)
+    removed = 0
+    if series.frequency is Frequency.FIVE_MINUTE:
+        series, dedup_diag = dedup_closed_market(series, config.dedup_run_length)
+        removed = dedup_diag.removed
+    out_path = Path(config.out_dir) / f"{entry.id}.csv"
+    _write(out_path, serialize_csv(series))
+    print(f"{entry.id}: rows={len(series)} dropped={diag.dropped} removed={removed} -> {out_path}")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    if not config.instruments:
-        print("error: config lists no instruments", file=sys.stderr)
-        return EXIT_INPUT
-
-    missing = [e for e in config.instruments if not Path(e.path).exists()]
-    if missing:
-        for entry in missing:
-            print(f"{entry.instrument_id}: error: file not found: {entry.path}", file=sys.stderr)
-        return EXIT_INPUT
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for entry in config.instruments:
-        try:
-            series, diag = parse_csv_file(
-                entry.path,
-                entry.frequency,
-                entry.instrument_id,
-                dt_col=config.dt_col,
-                close_col=config.close_col,
-            )
-            removed = 0
-            if series.frequency is Frequency.FIVE_MINUTE:
-                series, dedup_diag = dedup_closed_market(series, config.dedup_run_length)
-                removed = dedup_diag.removed
-            out_path = out_dir / f"{entry.instrument_id}.csv"
-            out_path.write_text(serialize_csv(series), encoding="utf-8")
-            print(
-                f"{entry.instrument_id}: rows={len(series)} dropped={diag.dropped} "
-                f"removed={removed} -> {out_path}"
-            )
-        except (EmptyInput, AmbiguousTimestampFormat) as exc:
-            print(f"{entry.instrument_id}: error: {exc}", file=sys.stderr)
-            failures += 1
-    return EXIT_INPUT if failures else EXIT_OK
+    return _each_instrument(_load(args), _ingest_one)
 
 
-def _compare_row(config: RunConfig, entry: InstrumentEntry) -> str:
+def _compare_row(config: RunConfig, entry: InstrumentEntry, rows: list[str]) -> None:
     returns = _load_returns(config, entry)
     before, after = bracket_windows(returns, config.anchor_date, config.window_days)
     n_bins = config.bins if config.bins is not None else velleman_bins(len(before))
@@ -286,41 +288,24 @@ def _compare_row(config: RunConfig, entry: InstrumentEntry) -> str:
         returns, before, after, Metric.ENTROPY, binning=BinningSpec(n_bins)
     )
     std_cmp = compare_windows(returns, before, after, Metric.STD_DEV)
-    return (
-        f"{entry.instrument_id},"
+    rows.append(
+        f"{entry.id},"
         f"{entropy_cmp.before:.6f},{entropy_cmp.after:.6f},{entropy_cmp.pct_difference:.6f},"
         f"{std_cmp.before:.6f},{std_cmp.after:.6f},{std_cmp.pct_difference:.6f}"
     )
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    if not config.instruments:
-        print("error: config lists no instruments", file=sys.stderr)
-        return EXIT_INPUT
+    config = _load(args)
     if config.anchor_date is None:
-        print("error: compare requires anchor_date in the config", file=sys.stderr)
-        return EXIT_INPUT
-
-    outcomes = [_try_call(_compare_row, config, entry) for entry in config.instruments]
-
-    lines = [
+        raise ValueError("compare requires anchor_date in the config")
+    rows = [
         "instrument,entropy_before,entropy_after,entropy_pct_diff,"
         "std_before,std_after,std_pct_diff"
     ]
-    failures = 0
-    for entry, (row, error) in zip(config.instruments, outcomes):
-        if error is not None:
-            print(f"{entry.instrument_id}: error: {error}", file=sys.stderr)
-            failures += 1
-        else:
-            lines.append(row)
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write(out_dir / "compare.csv", lines)
-    return EXIT_INPUT if failures == len(config.instruments) else EXIT_OK
+    code = _each_instrument(config, _compare_row, rows=rows)
+    _write(Path(config.out_dir) / "compare.csv", _csv(rows))
+    return code
 
 
 def _spectrum_lines(table: SpectrumTable, frequency: Frequency) -> tuple[list[str], list[str]]:
@@ -376,7 +361,7 @@ def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     )
 
 
-def _spectrum_outputs(config: RunConfig, entry: InstrumentEntry, from_date=None, to_date=None):
+def _spectrum_outputs(config: RunConfig, entry: InstrumentEntry, from_date, to_date):
     returns = _restrict_dates(_load_returns(config, entry), from_date, to_date)
     seq_spec = _resolve_sequence(config, returns)
     binning = _spectrum_binning(config, returns, seq_spec.base_length)
@@ -391,72 +376,49 @@ def _spectrum_outputs(config: RunConfig, entry: InstrumentEntry, from_date=None,
     return rows, monthly, _event_lines(events, returns.frequency), len(table), len(events)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    """Write the outputs of every instrument that succeeds and report each
-    failure. The exit code is that of the first failure: 3 when its series
-    is too short for the geometry or the detector baseline, 2 otherwise."""
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    if not config.instruments:
-        print("error: config lists no instruments", file=sys.stderr)
-        return EXIT_INPUT
-
+def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> None:
+    # The table and the returns are freed before the rows are joined into
+    # text; at bar stride they would otherwise add to the peak memory.
+    rows, monthly, events, n_sequences, n_events = _spectrum_outputs(
+        config, entry, from_date, to_date
+    )
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    exit_code = EXIT_OK
-    for entry in config.instruments:
-        result, error = _try_call(
-            _spectrum_outputs, config, entry, from_date=args.from_date, to_date=args.to_date
-        )
-        if error is not None:
-            print(f"{entry.instrument_id}: error: {error}", file=sys.stderr)
-            if exit_code == EXIT_OK:
-                insufficient = isinstance(error, (SeriesTooShort, InsufficientBaseline))
-                exit_code = EXIT_INSUFFICIENT if insufficient else EXIT_INPUT
-            continue
-        rows, monthly, events, n_sequences, n_events = result
-        _write(out_dir / f"{entry.instrument_id}_spectrum.csv", rows)
-        _write(out_dir / f"{entry.instrument_id}_monthly.csv", monthly)
-        _write(out_dir / f"{entry.instrument_id}_events.csv", events)
-        print(f"{entry.instrument_id}: sequences={n_sequences} events={n_events}")
-    return exit_code
+    _write(out_dir / f"{entry.id}_spectrum.csv", _csv(rows))
+    _write(out_dir / f"{entry.id}_monthly.csv", _csv(monthly))
+    _write(out_dir / f"{entry.id}_events.csv", _csv(events))
+    print(f"{entry.id}: sequences={n_sequences} events={n_events}")
 
 
-def _pmf_lines(dist: BinnedDistribution) -> list[str]:
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    return _each_instrument(
+        _load(args), _spectrum_one, from_date=args.from_date, to_date=args.to_date
+    )
+
+
+def _pmf_csv(dist: BinnedDistribution) -> str:
     lines = ["bin_lo,bin_hi,mass"]
     edges = dist.edges()
     for i, mass in enumerate(dist.masses):
         lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{mass:.6f}")
-    return lines
+    return _csv(lines)
 
 
 def cmd_pmf(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    if not config.instruments:
-        print("error: config lists no instruments", file=sys.stderr)
-        return EXIT_INPUT
-    if args.instrument is None:
-        entry = config.instruments[0]
-    else:
-        matches = [e for e in config.instruments if e.instrument_id == args.instrument]
-        if not matches:
-            print(f"error: instrument {args.instrument!r} not in config", file=sys.stderr)
-            return EXIT_INPUT
-        entry = matches[0]
+    config = _load(args)
+    entry = config.instruments[0]
+    if args.instrument is not None:
+        entry = next((e for e in config.instruments if e.id == args.instrument), None)
+        if entry is None:
+            raise ValueError(f"instrument {args.instrument!r} not in config")
 
     returns = _load_returns(config, entry)
     snapshot = pmf_snapshot(
         returns, args.day, preceding_days=args.span_days, n_bins=config.bins
     )
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write(out_dir / f"{entry.instrument_id}_pmf_day.csv", _pmf_lines(snapshot.day_dist))
-    _write(out_dir / f"{entry.instrument_id}_pmf_span.csv", _pmf_lines(snapshot.span_dist))
-    print(
-        f"{entry.instrument_id}: H(day)={snapshot.day_entropy:.6f} "
-        f"H(span)={snapshot.span_entropy:.6f}"
-    )
+    _write(out_dir / f"{entry.id}_pmf_day.csv", _pmf_csv(snapshot.day_dist))
+    _write(out_dir / f"{entry.id}_pmf_span.csv", _pmf_csv(snapshot.span_dist))
+    print(f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}")
     return EXIT_OK
 
 
@@ -479,9 +441,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     series, injections = generate(spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     price_path = out_dir / f"{args.id}.csv"
-    price_path.write_text(serialize_csv(series), encoding="utf-8")
+    _write(price_path, serialize_csv(series))
 
     lines = ["timestamp,magnitude_sigma,shape"]
     for rec in injections:
@@ -489,7 +450,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"{format_timestamp(rec.timestamp, series.frequency)},"
             f"{rec.magnitude_sigma:.6f},{rec.shape.value}"
         )
-    _write(out_dir / f"{args.id}_injections.csv", lines)
+    _write(out_dir / f"{args.id}_injections.csv", _csv(lines))
     print(f"{args.id}: bars={len(series)} shocks={len(injections)} -> {price_path}")
     return EXIT_OK
 
@@ -498,9 +459,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
-    sub.add_argument("--config", required=config_required, help="JSON run config")
-    sub.add_argument("--out", help="output directory (overrides config)")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", required=True, help="JSON run config")
+    sub.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
     sub.add_argument("--dt-col", help="datetime column name (overrides config)")
     sub.add_argument("--close-col", help="close column name (overrides config)")
     sub.add_argument("--bins", type=int, help="bin count (overrides config)")
@@ -552,20 +513,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SeriesTooShort, InsufficientBaseline, TooShort) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except (
-        EmptyInput,
-        AmbiguousTimestampFormat,
-        OutOfRange,
-        DegenerateDenominator,
-        EmptyWindow,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
 import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entroscope import Shock, ShockShape, SynthSpec, generate, serialize_csv
-from entroscope.cli import main
+from entroscope import (
+    Frequency, ReturnKind, Shock, ShockShape, SynthSpec, generate, serialize_csv,
+)
+from entroscope.cli import load_config, main
 
 from _fixtures import make_daily, make_intraday
 
@@ -78,12 +83,111 @@ def test_ingest_applies_dedup(tmp_path, capsys):
     assert "removed=8" in capsys.readouterr().out
 
 
+def test_ingest_continues_past_undecodable_file(tmp_path, capsys):
+    good, _, _ = write_synth_fixture(tmp_path, name="good")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,close\n\xff\xfe\x00broken\n")
+    config = write_config(tmp_path, [("bad", bad, "5min"), ("good", good, "5min")])
+    assert main(["ingest", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("bad: error:")
+    assert "good: rows=" in captured.out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["good.csv"]
+
+
 def test_ingest_unparseable_file_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("timestamp,close\n")
     config = write_config(tmp_path, [("empty", path, "daily")])
     assert main(["ingest", "--config", str(config)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# config loading and output writing
+# ----------------------------------------------------------------------
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+def _valid_with(**extra):
+    return lambda entry, _: {"instruments": [entry], **extra}
+
+
+# Each case maps a valid instrument entry to a config that must be refused.
+MALFORMED = {
+    "missing id": lambda entry, _: {"instruments": [_without(entry, "id")]},
+    "missing path": lambda entry, _: {"instruments": [_without(entry, "path")]},
+    "missing frequency": lambda entry, _: {"instruments": [_without(entry, "frequency")]},
+    "unknown frequency": lambda entry, _: {"instruments": [{**entry, "frequency": "1h"}]},
+    "directory path": lambda entry, tmp: {"instruments": [{**entry, "path": str(tmp)}]},
+    "instruments object": lambda entry, _: {"instruments": entry},
+    "top-level list": lambda entry, _: [entry],
+    "unknown key": _valid_with(window=5),
+    "unknown sequence key": _valid_with(sequence={"step": 3}),
+    "string window_days": _valid_with(window_days="5"),
+    "string theta": _valid_with(theta="3"),
+    "string steps": _valid_with(sequence={"steps": "3"}),
+    "string dedup_run_length": _valid_with(dedup_run_length="6"),
+    "string aggregate_daily": _valid_with(aggregate_daily="no"),
+    "bool baseline": _valid_with(baseline=True),
+    "string jobs": _valid_with(jobs="4"),
+    "unknown range_policy": _valid_with(range_policy="rolling"),
+    "unknown anchor_mode": _valid_with(sequence={"anchor_mode": "sideways"}),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest"], ["compare"], ["spectrum"], ["pmf", "--day", "2025-01-10", "--span-days", "2"],
+])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, case, command):
+    path, _, _ = write_synth_fixture(tmp_path)
+    raw = MALFORMED[case]({"id": "synth", "path": str(path), "frequency": "5min"}, tmp_path)
+    if isinstance(raw, dict):
+        raw.update(anchor_date="2025-01-10", out_dir=str(tmp_path / "out"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_reference_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config reference", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    reference = json.loads(re.sub(r"\s*//.*", "", block))
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(reference), encoding="utf-8")
+    config = load_config(path)
+    for key, value in reference.items():
+        if key not in ("instruments", "sequence", "return_kind"):
+            assert getattr(config, key) == value
+    assert config.instruments[0].id == "SPX"
+    assert config.instruments[0].frequency is Frequency.FIVE_MINUTE
+    assert config.return_kind is ReturnKind.LOG
+    assert vars(config.sequence) == reference["sequence"]
+
+    path.write_text(json.dumps({"theta": 3}), encoding="utf-8")
+    theta = load_config(path).theta
+    assert theta == 3.0 and type(theta) is float
+
+
+def test_failed_write_leaves_no_target_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    path, _, _ = write_synth_fixture(tmp_path)
+    config = write_config(tmp_path, [("synth", path, "5min")])
+
+    def failing_replace(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("synth: error: cannot rename")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -157,19 +261,19 @@ def test_compare_continues_past_single_failure(tmp_path, capsys):
         anchor_date=anchor,
         window_days=5,
     )
-    assert main(["compare", "--config", str(config)]) == 0
+    assert main(["compare", "--config", str(config)]) == 3
     assert "bad: error" in capsys.readouterr().err
     rows = (tmp_path / "out" / "compare.csv").read_text().strip().splitlines()
     assert len(rows) == 2 and rows[1].startswith("good,")
 
 
-def test_compare_all_failures_exit_2(tmp_path, capsys):
+def test_compare_all_failures_exit_3(tmp_path, capsys):
     bad = tmp_path / "short.csv"
     bad.write_text("timestamp,close\n2025-01-02 09:30:00,100.0\n")
     config = write_config(
         tmp_path, [("bad", bad, "5min")], anchor_date="2025-01-02", window_days=5
     )
-    assert main(["compare", "--config", str(config)]) == 2
+    assert main(["compare", "--config", str(config)]) == 3
 
 
 # ----------------------------------------------------------------------
