@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import EnumMeta
 from pathlib import Path
 from types import UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import codec
 from .cumulative import (
     GROW_RIGHT,
     EventSignature,
@@ -47,7 +49,6 @@ from .ingest import (
     Frequency,
     aggregate_to_daily,
     dedup_closed_market,
-    format_timestamp,
     parse_csv_file,
     serialize_csv,
 )
@@ -64,6 +65,24 @@ EXIT_INSUFFICIENT = 3
 _FAILURES = (PipelineError, OSError, ValueError)
 
 
+@dataclass(frozen=True)
+class AtLeast:
+    """``Annotated`` metadata of a config field: the value is finite and at
+    least ``low``, or above it when ``strict``."""
+
+    low: int
+    strict: bool = False
+
+    def check(self, value, where: str) -> None:
+        above = value > self.low if self.strict else value >= self.low
+        if not (math.isfinite(value) and above):
+            bound = f"{'>' if self.strict else '>='} {self.low}"
+            raise ValueError(f"{where}: expected a finite number {bound}, got {value!r}")
+
+
+PositiveInt = Annotated[int, AtLeast(1)]
+
+
 @dataclass
 class InstrumentEntry:
     id: str
@@ -76,10 +95,10 @@ class SequenceConfig:
     """Window-sequence geometry; unset lengths default to one trading day
     of bars resolved from the data."""
 
-    base_length: int | None = None
-    increment: int | None = None
-    steps: int = 13
-    stride: int | None = None
+    base_length: Annotated[int, AtLeast(2)] | None = None
+    increment: PositiveInt | None = None
+    steps: Annotated[int, AtLeast(0)] = 13
+    stride: PositiveInt | None = None
     anchor_mode: Literal["grow-right", "grow-left"] = GROW_RIGHT
 
 
@@ -87,18 +106,18 @@ class SequenceConfig:
 class RunConfig:
     instruments: list[InstrumentEntry] = field(default_factory=list)
     anchor_date: str | None = None
-    window_days: int = 100
-    bins: int | None = None
+    window_days: PositiveInt = 100
+    bins: PositiveInt | None = None
     dt_col: str = "timestamp"
     close_col: str = "close"
-    dedup_run_length: int = DEFAULT_DEDUP_RUN_LENGTH
+    dedup_run_length: PositiveInt = DEFAULT_DEDUP_RUN_LENGTH
     return_kind: ReturnKind = ReturnKind.LOG
     aggregate_daily: bool = False
     range_policy: Literal["fixed", "per-window"] = "fixed"
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
-    theta: float = 3.0
-    min_persistence: int = 2
-    baseline: int = 8
+    theta: Annotated[float, AtLeast(0, strict=True)] = 3.0
+    min_persistence: PositiveInt = 2
+    baseline: PositiveInt = 8
     out_dir: str = "out"
     jobs: int = 4  # accepted for existing configs; instruments run serially
 
@@ -113,16 +132,22 @@ def _typed(hint, value, where: str):
     Dataclasses come from objects whose keys are field names; ``list[X]``,
     ``X | None``, enums (by value) and ``Literal`` choices are read
     recursively; ``int``, ``str`` and ``bool`` must match exactly (a bool is
-    not an int) and ``float`` also takes an int. A mismatch raises
+    not an int) and ``float`` also takes an int; ``Annotated[X, rule]``
+    reads an X and checks it with ``rule.check``. A mismatch raises
     ``ValueError`` naming ``where``, the value's path in the config.
     """
     origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # X | None
+    if origin in (UnionType, Union):  # X | None
         return None if value is None else _typed(args[0], value, where)
+    if origin is Annotated:
+        value = _typed(args[0], value, where)
+        for rule in args[1:]:
+            rule.check(value, where)
+        return value
     if is_dataclass(hint):
         if type(value) is not dict:
             raise ValueError(f"{where}: expected an object, got {value!r}")
-        hints = get_type_hints(hint)
+        hints = get_type_hints(hint, include_extras=True)
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise ValueError(f"{where}: unknown keys {unknown}")
@@ -156,12 +181,14 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    """The config of one command: flag overrides applied, at least one
-    instrument, and every instrument path an existing file."""
+    """The config of one command: flag overrides applied and checked like
+    the config values they replace, at least one instrument, and every
+    instrument path an existing file."""
     config = load_config(args.config)
+    hints = get_type_hints(RunConfig, include_extras=True)
     for key in _OVERRIDES:
         if getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
+            setattr(config, key, _typed(hints[key], getattr(args, key), key))
     if not config.instruments:
         raise ValueError("config lists no instruments")
     missing = [entry.path for entry in config.instruments if not Path(entry.path).is_file()]
@@ -249,13 +276,14 @@ def _csv(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a sibling temp file renamed over
-    it, so that ``path`` never holds a partial file."""
+def _write(path: Path, content: str | bytes) -> None:
+    """Write ``content`` (text is encoded as UTF-8) to ``path`` through a
+    sibling temp file renamed over it, so that ``path`` never holds a
+    partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -308,37 +336,45 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return code
 
 
-def _spectrum_lines(table: SpectrumTable, frequency: Frequency) -> tuple[list[str], list[str]]:
-    unit = "D" if frequency is Frequency.DAILY else "s"
-    anchors = np.datetime_as_string(table.anchor_timestamps, unit=unit).tolist()
-    cells = [f"{k},{n}," for k, n in enumerate((table.ends[0] - table.starts[0]).tolist())]
-    rows = ["sequence_index,anchor_timestamp,k,window_len,H"]
-    for j, (anchor, values) in enumerate(zip(anchors, table.values.tolist())):
-        head = f"{j},{anchor.replace('T', ' ')},"
-        rows += [f"{head}{cell}{h:.6f}" for cell, h in zip(cells, values)]
+def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> tuple[bytes, bytes]:
+    n_sequences, n_windows = table.values.shape
+    ks = codec.integers(np.arange(n_windows))
+    lengths = codec.integers(table.ends[0] - table.starts[0])
+    anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
+    rows = [b"sequence_index,anchor_timestamp,k,window_len,H\n"]
+    block = max(1, codec.BLOCK_ROWS // n_windows)
+    for lo in range(0, n_sequences, block):
+        hi = min(lo + block, n_sequences)
+        rows.append(codec.rows(
+            np.repeat(codec.integers(np.arange(lo, hi)), n_windows, axis=0), b",",
+            np.repeat(anchors[lo:hi], n_windows, axis=0), b",",
+            np.tile(ks, (hi - lo, 1)), b",",
+            np.tile(lengths, (hi - lo, 1)), b",",
+            codec.fixed6(table.values[lo:hi].ravel()), b"\n",
+        ))
 
     # Anchors ascend, so each month's sequences are contiguous.
     peaks = table.peaks
     months, firsts, counts = np.unique(
         table.anchor_timestamps.astype("datetime64[M]"), return_index=True, return_counts=True
     )
-    monthly = ["month,mean_peak_entropy,max_peak_entropy,sequences"]
-    for month, first, count in zip(
-        np.datetime_as_string(months).tolist(), firsts.tolist(), counts.tolist()
-    ):
-        group = peaks[first : first + count]
-        monthly.append(f"{month},{float(np.mean(group)):.6f},{group.max():.6f},{count}")
-    return rows, monthly
+    groups = [peaks[first : first + count] for first, count in zip(firsts, counts)]
+    monthly = b"month,mean_peak_entropy,max_peak_entropy,sequences\n" + codec.rows(
+        codec.stamps(months, daily=True)[:, :7], b",",  # YYYY-MM
+        codec.fixed6([np.mean(group) for group in groups]), b",",
+        codec.fixed6([group.max() for group in groups]), b",",
+        codec.integers(counts), b"\n",
+    )
+    return b"".join(rows), monthly
 
 
-def _event_lines(events: list[EventSignature], frequency: Frequency) -> list[str]:
-    lines = ["onset_timestamp,peak_value,ramp_slope,persistence"]
-    for ev in events:
-        lines.append(
-            f"{format_timestamp(ev.onset_timestamp, frequency)},"
-            f"{ev.peak_value:.6f},{ev.ramp_slope:.6f},{ev.persistence}"
-        )
-    return lines
+def _events_csv(events: list[EventSignature], frequency: Frequency) -> bytes:
+    return b"onset_timestamp,peak_value,ramp_slope,persistence\n" + codec.rows(
+        codec.stamps([ev.onset_timestamp for ev in events], frequency is Frequency.DAILY), b",",
+        codec.fixed6([ev.peak_value for ev in events]), b",",
+        codec.fixed6([ev.ramp_slope for ev in events]), b",",
+        codec.integers([ev.persistence for ev in events]), b"\n",
+    )
 
 
 def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
@@ -361,7 +397,7 @@ def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     )
 
 
-def _spectrum_outputs(config: RunConfig, entry: InstrumentEntry, from_date, to_date):
+def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> None:
     returns = _restrict_dates(_load_returns(config, entry), from_date, to_date)
     seq_spec = _resolve_sequence(config, returns)
     binning = _spectrum_binning(config, returns, seq_spec.base_length)
@@ -372,21 +408,12 @@ def _spectrum_outputs(config: RunConfig, entry: InstrumentEntry, from_date, to_d
         min_persistence=config.min_persistence,
         baseline=config.baseline,
     )
-    rows, monthly = _spectrum_lines(table, returns.frequency)
-    return rows, monthly, _event_lines(events, returns.frequency), len(table), len(events)
-
-
-def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> None:
-    # The table and the returns are freed before the rows are joined into
-    # text; at bar stride they would otherwise add to the peak memory.
-    rows, monthly, events, n_sequences, n_events = _spectrum_outputs(
-        config, entry, from_date, to_date
-    )
+    rows, monthly = _spectrum_csv(table, returns.frequency)
     out_dir = Path(config.out_dir)
-    _write(out_dir / f"{entry.id}_spectrum.csv", _csv(rows))
-    _write(out_dir / f"{entry.id}_monthly.csv", _csv(monthly))
-    _write(out_dir / f"{entry.id}_events.csv", _csv(events))
-    print(f"{entry.id}: sequences={n_sequences} events={n_events}")
+    _write(out_dir / f"{entry.id}_spectrum.csv", rows)
+    _write(out_dir / f"{entry.id}_monthly.csv", monthly)
+    _write(out_dir / f"{entry.id}_events.csv", _events_csv(events, returns.frequency))
+    print(f"{entry.id}: sequences={len(table)} events={len(events)}")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -444,13 +471,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     price_path = out_dir / f"{args.id}.csv"
     _write(price_path, serialize_csv(series))
 
-    lines = ["timestamp,magnitude_sigma,shape"]
-    for rec in injections:
-        lines.append(
-            f"{format_timestamp(rec.timestamp, series.frequency)},"
-            f"{rec.magnitude_sigma:.6f},{rec.shape.value}"
-        )
-    _write(out_dir / f"{args.id}_injections.csv", _csv(lines))
+    log = b"timestamp,magnitude_sigma,shape\n" + codec.rows(
+        codec.stamps([rec.timestamp for rec in injections], series.frequency is Frequency.DAILY),
+        b",",
+        codec.fixed6([rec.magnitude_sigma for rec in injections]), b",",
+        codec.text([rec.shape.value for rec in injections]), b"\n",
+    )
+    _write(out_dir / f"{args.id}_injections.csv", log)
     print(f"{args.id}: bars={len(series)} shocks={len(injections)} -> {price_path}")
     return EXIT_OK
 

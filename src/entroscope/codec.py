@@ -1,0 +1,225 @@
+r"""Byte-level codec for the package's CSV text: whole-column numpy kernels.
+
+Reading. ``scan_rows`` decodes, one fixed-width byte column at a time,
+every line of the shape ``YYYY-MM-DD,P`` or ``YYYY-MM-DD HH:MM:SS,P``
+where ``P`` is a plain decimal (``\d+(\.\d+)?``, at most
+``MAX_PRICE_BYTES`` bytes): its stamp in seconds (days-from-civil), whether
+the stamp names a real date and time, and its price, converted by one
+``astype(float64)`` over a zero-padded ``S`` view. Any other line is left
+to the caller's row function.
+
+Writing. ``fixed6``, ``integers``, ``stamps`` and ``text`` render arrays
+as byte matrices with one text row per value; NUL bytes in them are
+padding. ``rows`` lays such matrices and constant separators side by side
+and returns the text of all rows with the padding dropped.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+MAX_PRICE_BYTES = 32
+
+# Rows per block of a writer: the byte matrices and temporaries of one
+# block stay small whatever the length of the series.
+BLOCK_ROWS = 16384
+
+# Shape codes of ``scan_rows``.
+OTHER, DATE, INTRADAY = 0, 1, 2
+
+_STAMP = b"0000-00-00 00:00:00"  # '0' marks a digit position
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+
+
+def _days_from_civil(y: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Days since 1970-01-01 of proleptic Gregorian dates (H. Hinnant)."""
+    y = y - (m <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * (m + np.where(m > 2, -3, 9)) + 2) // 5 + d - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    return era * 146097 + doe - 719468
+
+
+def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of ``_days_from_civil``: (year, month, day)."""
+    z = days + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    d = doy - (153 * mp + 2) // 5 + 1
+    m = mp + np.where(mp < 10, 3, -9)
+    return yoe + era * 400 + (m <= 2), m, d
+
+
+def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Decode the lines ``buf[starts[i]:ends[i]]`` that have a fast shape.
+
+    Returns ``(shape, seconds, valid, prices)``, one entry per line:
+    ``shape`` is DATE, INTRADAY or OTHER (no fast shape; the other entries
+    are then meaningless), ``seconds`` the stamp in seconds since the
+    epoch, ``valid`` whether month, day (leap years included), hour <= 23,
+    minute <= 59 and second <= 59 hold, exactly what ``np.datetime64``
+    checks. Bytes are gathered one column at a time. Reads past the end of
+    ``buf`` are clipped to its last byte: they happen only on a last line
+    too short for a stamp shape, and a repeated byte cannot complete one.
+    """
+    # The stamp: digits accumulate into the current field, a separator
+    # closes it. Position 10 is ',' after a date and ' ' inside a stamp.
+    fields = []
+    value = np.zeros(len(starts), dtype=np.int32)
+    shaped = np.ones(len(starts), dtype=bool)
+    for k, expected in enumerate(_STAMP + b","):
+        column = buf.take(starts + k, mode="clip").astype(np.int32)
+        if expected == ord("0"):
+            digit = column - 48
+            shaped &= (digit >= 0) & (digit <= 9)
+            value = value * 10 + digit
+            continue
+        fields.append(value)
+        value = np.zeros_like(value)
+        if k == 10:
+            date_shaped = shaped & (column == ord(","))
+            shaped &= column == ord(" ")
+        else:
+            shaped &= column == expected
+    shape = np.where(date_shaped, DATE, np.where(shaped, INTRADAY, OTHER))
+
+    # The price: a plain decimal of 1..MAX_PRICE_BYTES bytes.
+    price_start = starts + np.where(shape == INTRADAY, 20, 11)
+    length = ends - price_start
+    shape[(length < 1) | (length > MAX_PRICE_BYTES)] = OTHER
+    width = int(length[shape != OTHER].max(initial=1))
+    text = np.zeros((len(starts), width), dtype=np.uint8)
+    dots = np.zeros(len(starts), dtype=np.int32)
+    for p in range(width):
+        column = buf.take(price_start + p, mode="clip")
+        inside = p < length
+        digit = (column >= 48) & (column <= 57)
+        dot = (column == ord(".")) & inside
+        shape[inside & ~digit & ~dot | (p == 0) & ~digit | (p == length - 1) & ~digit] = OTHER
+        dots += dot
+        text[:, p] = np.where(inside, column, 0)
+    shape[dots > 1] = OTHER
+    fast = shape != OTHER
+    prices = np.zeros(len(starts))
+    prices[fast] = text[fast].view(f"S{width}")[:, 0].astype(np.float64)
+
+    year, month, day, hour, minute, second = fields
+    intraday = shape == INTRADAY
+    hour, minute, second = (np.where(intraday, f, 0) for f in (hour, minute, second))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + ((month == 2) & leap)
+    valid = (
+        (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        & (hour <= 23) & (minute <= 59) & (second <= 59)
+    )
+    days = _days_from_civil(year.astype(np.int64), month, day)
+    seconds = days * 86400 + hour * 3600 + minute * 60 + second
+    return shape, seconds, valid, prices
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Zero-padded decimal digits of non-negative integers, one row each."""
+    out = np.empty((len(values), width), dtype=np.uint8)
+    for p in range(width):
+        out[:, width - 1 - p] = values // 10**p % 10 + 48
+    return out
+
+
+def integers(values) -> np.ndarray:
+    """``str(v)`` of non-negative integers, right-aligned in NUL padding."""
+    values = np.asarray(values, dtype=np.int64)
+    width = len(str(int(values.max()))) if len(values) else 1
+    out = _digits(values, width)
+    for p in range(1, width):
+        out[values < 10**p, width - 1 - p] = 0
+    return out
+
+
+def text(strings: list[str]) -> np.ndarray:
+    """ASCII strings, left-aligned in NUL padding."""
+    array = np.array([s.encode("ascii") for s in strings], dtype=bytes)
+    return array.view(np.uint8).reshape(len(array), array.itemsize)
+
+
+def _patch(out: np.ndarray, where: np.ndarray, strings: list[str]) -> np.ndarray:
+    """``out`` with the rows at ``where`` replaced by ``strings``."""
+    patch = text(strings)
+    if patch.shape[1] > out.shape[1]:
+        out = np.pad(out, ((0, 0), (0, patch.shape[1] - out.shape[1])))
+    out[where] = 0
+    out[where, : patch.shape[1]] = patch
+    return out
+
+
+def fixed6(values) -> np.ndarray:
+    """``f"{v:.6f}"`` of every value.
+
+    ``rint(|v|·1e6)`` is the correctly rounded digit string whenever
+    ``|v|·1e6`` lies farther from a rounding tie (an odd multiple of 0.5)
+    than one unit in its last place, which bounds the error of the product.
+    Values nearer a tie, non-finite values and values of 2**52 millionths
+    or more are formatted by Python instead.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    scaled = np.abs(values) * 1e6
+    with np.errstate(invalid="ignore"):
+        exact = (scaled < 2.0**52) & (
+            np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)
+        )
+    whole, frac = np.divmod(np.rint(np.where(exact, scaled, 0.0)).astype(np.int64), 10**6)
+    fields = [integers(whole), b".", _digits(frac, 6)]
+    negative = np.signbit(values)
+    if negative.any():
+        fields.insert(0, np.where(negative, ord("-"), 0).astype(np.uint8)[:, None])
+    out = _columns(fields)
+    if not exact.all():
+        python = np.flatnonzero(~exact)
+        out = _patch(out, python, [f"{v:.6f}" for v in values[python].tolist()])
+    return out
+
+
+def stamps(timestamps, daily: bool) -> np.ndarray:
+    """``YYYY-MM-DD`` (``daily``) or ``YYYY-MM-DD HH:MM:SS`` of each
+    timestamp; years outside 0..9999 and NaT are written as numpy writes
+    them."""
+    seconds = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64)
+    days, second_of_day = np.divmod(seconds, 86400)
+    year, month, day = _civil_from_days(days)
+    fields = [_digits(year, 4), b"-", _digits(month, 2), b"-", _digits(day, 2)]
+    if not daily:
+        hour, rest = np.divmod(second_of_day, 3600)
+        fields += [b" ", _digits(hour, 2), b":", _digits(rest // 60, 2), b":"]
+        fields.append(_digits(rest % 60, 2))
+    out = _columns(fields)
+    outside = np.flatnonzero((year < 0) | (year > 9999))
+    if len(outside):
+        numpy_text = np.datetime_as_string(
+            seconds[outside].view("datetime64[s]"), unit="D" if daily else "s"
+        ).tolist()
+        out = _patch(out, outside, [s if daily else s.replace("T", " ") for s in numpy_text])
+    return out
+
+
+def _columns(fields) -> np.ndarray:
+    """Byte matrices and bytes constants (repeated on every row) side by side."""
+    n = next(len(f) for f in fields if not isinstance(f, bytes))
+    return np.concatenate(
+        [
+            np.broadcast_to(np.frombuffer(f, dtype=np.uint8), (n, len(f)))
+            if isinstance(f, bytes)
+            else f
+            for f in fields
+        ],
+        axis=1,
+    )
+
+
+def rows(*fields) -> bytes:
+    """The text of rows laid out as ``fields``: byte matrices with one row
+    per text row, and bytes constants shared by every row. NUL padding is
+    dropped."""
+    flat = _columns(fields).ravel()
+    return flat[flat != 0].tobytes()

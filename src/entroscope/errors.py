@@ -40,3 +40,8 @@ class SeriesTooShort(PipelineError):
 
 class InsufficientBaseline(PipelineError):
     """Too few spectra to estimate the detector baseline."""
+
+
+class MalformedCsv(PipelineError):
+    """The text cannot be split into CSV records (the csv module's error,
+    such as a field larger than its size limit)."""

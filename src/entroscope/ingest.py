@@ -1,4 +1,4 @@
-"""CSV price-data ingestion and cleaning.
+r"""CSV price-data ingestion and cleaning.
 
 Raw provider files arrive with mixed timestamp conventions; everything is
 normalized to a single target format: ``YYYY-MM-DD`` for daily data and
@@ -6,6 +6,15 @@ normalized to a single target format: ``YYYY-MM-DD`` for daily data and
 ``HH-MM-SS`` is accepted on input and normalized). Rows with unparseable
 timestamps or non-positive/non-finite prices are dropped and counted
 rather than interpolated.
+
+Parsing has one fast path and one row function. Under a header that is
+exactly ``<dt_col>,<close_col>``, every line shaped ``YYYY-MM-DD,P`` or
+``YYYY-MM-DD HH:MM:SS,P``, with ``P`` a plain decimal (``\d+(\.\d+)?``,
+at most 32 bytes), is decoded by whole-column numpy work in ``codec``.
+Every other record (quoted fields, ``\r``, padding whitespace, signs,
+exponents, ``nan``, ``T``-separated or hyphenated times, blank lines,
+extra or missing columns, any other header) is read by ``csv.DictReader``
+and judged by ``_parse_row``; both paths drop rows for the same reasons.
 
 Closed-market artifacts, where a feed keeps emitting copies of the last
 open-market close, are removed by a run-length rule: any maximal run of
@@ -15,7 +24,6 @@ first point.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -24,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AmbiguousTimestampFormat, EmptyInput
+from . import codec
+from .errors import AmbiguousTimestampFormat, EmptyInput, MalformedCsv
 
 
 class Frequency(Enum):
@@ -100,6 +109,62 @@ def _normalize_intraday(text: str) -> str:
     return text
 
 
+class _Lines:
+    """The text's lines, each with its line end, from line ``pos`` on.
+
+    This is the input of ``csv.DictReader``, which pulls exactly one line
+    at a time and returns a record once a line completes it; between
+    records ``pos`` may be moved to any line.
+    """
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.buf = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(self.buf == 10)
+        self.starts = np.concatenate(([0], ends + 1))
+        self.ends = np.append(ends, len(data))
+        if self.starts[-1] == len(data):  # nothing after the last line end
+            self.starts, self.ends = self.starts[:-1], self.ends[:-1]
+        self.pos = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if self.pos >= len(self.starts):
+            raise StopIteration
+        line = self.data[self.starts[self.pos] : self.ends[self.pos] + 1]
+        self.pos += 1
+        return line.decode("utf-8", "surrogatepass")
+
+
+def _parse_row(row: dict, dt_col: str, close_col: str, wanted_shape: str):
+    """The rule for one record of the CSV: ``(shape, parsed)``, where
+    ``shape`` is the stamp's shape ('date', 'intraday' or None) and
+    ``parsed`` is ``(seconds, price)``, or None when the row is dropped."""
+    ts_text = (row.get(dt_col) or "").strip()
+    price_text = (row.get(close_col) or "").strip()
+    shape = _classify_timestamp(ts_text)
+    if shape != wanted_shape:
+        return shape, None
+    try:
+        ts = np.datetime64(_normalize_intraday(ts_text), "s")
+        price = float(price_text)
+    except ValueError:
+        return shape, None
+    if not math.isfinite(price) or price <= 0:
+        return shape, None
+    return shape, (int(ts.astype(np.int64)), price)
+
+
+def _read(step, instrument_id: str):
+    """``step()``, with the csv module's error raised as MalformedCsv."""
+    try:
+        return step()
+    except csv.Error as exc:
+        raise MalformedCsv(f"{instrument_id}: {exc}") from None
+
+
 def parse_csv(
     raw_text: str,
     frequency: Frequency,
@@ -113,56 +178,76 @@ def parse_csv(
     timestamp has invalid components, or whose price is non-positive or
     non-finite are dropped and counted in the returned diagnostics. Files
     mixing date-only and intraday stamps raise AmbiguousTimestampFormat;
-    files with no valid rows raise EmptyInput.
+    files with no valid rows raise EmptyInput; text the csv module cannot
+    split into records raises MalformedCsv.
+
+    Under a ``dt_col,close_col`` header, lines of the fast shapes (see
+    ``codec.scan_rows``) are decoded together by whole-column numpy work;
+    every other record goes through ``csv`` and ``_parse_row``, with the
+    same drop reasons.
     """
-    reader = csv.DictReader(io.StringIO(raw_text))
-    if reader.fieldnames is None:
+    lines = _Lines(raw_text.encode("utf-8", "surrogatepass"))
+    reader = csv.DictReader(lines)
+    header = _read(lambda: reader.fieldnames, instrument_id)
+    if header is None:
         raise EmptyInput("no header row")
-    if dt_col not in reader.fieldnames or close_col not in reader.fieldnames:
-        raise EmptyInput(
-            f"required columns {dt_col!r}/{close_col!r} not in header {reader.fieldnames}"
-        )
+    if dt_col not in header or close_col not in header:
+        raise EmptyInput(f"required columns {dt_col!r}/{close_col!r} not in header {header}")
 
     wanted_shape = "date" if frequency is Frequency.DAILY else "intraday"
-    seen_shapes: set[str] = set()
-    stamps: list[np.datetime64] = []
-    prices: list[float] = []
-    dropped = 0
+    first = lines.pos
+    shape, seconds, valid, prices = codec.scan_rows(
+        lines.buf, lines.starts[first:], lines.ends[first:]
+    )
+    if header != [dt_col, close_col] or dt_col == close_col:
+        shape[:] = codec.OTHER  # the fast shapes hold exactly these two columns
+    fast = shape != codec.OTHER
 
-    for row in reader:
-        ts_text = (row.get(dt_col) or "").strip()
-        price_text = (row.get(close_col) or "").strip()
-        shape = _classify_timestamp(ts_text)
-        if shape is not None:
-            seen_shapes.add(shape)
-        if shape != wanted_shape:
-            dropped += 1
+    # Records outside the fast shapes, in file order. A record may span
+    # lines (a quoted field holding a line end); lines it takes in are
+    # taken off the fast path. Its result is kept at its first line, so
+    # that accepted rows stay in file order.
+    seen_shapes: set[str] = set()
+    slow: list[tuple[int, int, float]] = []
+    dropped = 0
+    for i in np.flatnonzero(~fast).tolist():
+        if first + i < lines.pos:
             continue
+        lines.pos = first + i
         try:
-            ts = np.datetime64(_normalize_intraday(ts_text), "s")
-        except ValueError:
+            row = _read(reader.__next__, instrument_id)
+        except StopIteration:
+            break
+        fast[i : lines.pos - first] = False
+        row_shape, parsed = _parse_row(row, dt_col, close_col, wanted_shape)
+        if row_shape is not None:
+            seen_shapes.add(row_shape)
+        if parsed is None:
             dropped += 1
-            continue
-        try:
-            price = float(price_text)
-        except ValueError:
-            dropped += 1
-            continue
-        if not math.isfinite(price) or price <= 0:
-            dropped += 1
-            continue
-        stamps.append(ts)
-        prices.append(price)
+        else:
+            slow.append((i, *parsed))
+
+    for code, name in ((codec.DATE, "date"), (codec.INTRADAY, "intraday")):
+        if np.any(fast & (shape == code)):
+            seen_shapes.add(name)
+    wanted_code = codec.DATE if frequency is Frequency.DAILY else codec.INTRADAY
+    accept = fast & (shape == wanted_code) & valid & (prices > 0)
+    dropped += int(fast.sum() - accept.sum())
 
     if len(seen_shapes) > 1:
         raise AmbiguousTimestampFormat(
             f"{instrument_id}: file mixes date-only and intraday timestamps"
         )
-    if not stamps:
+    if slow:
+        at, slow_seconds, slow_prices = zip(*slow)
+        accept[list(at)] = True
+        seconds[list(at)] = slow_seconds
+        prices[list(at)] = slow_prices
+    if not accept.any():
         raise EmptyInput(f"{instrument_id}: no valid rows")
 
-    ts_arr = np.array(stamps, dtype="datetime64[s]")
-    cl_arr = np.array(prices, dtype=np.float64)
+    ts_arr = seconds[accept].view("datetime64[s]")
+    cl_arr = prices[accept]
     order = np.argsort(ts_arr, kind="stable")
     ts_arr = ts_arr[order]
     cl_arr = cl_arr[order]
@@ -191,20 +276,21 @@ def parse_csv_file(
     return parse_csv(text, frequency, instrument_id, dt_col=dt_col, close_col=close_col)
 
 
-def format_timestamp(ts: np.datetime64, frequency: Frequency) -> str:
-    if frequency is Frequency.DAILY:
-        return str(ts.astype("datetime64[D]"))
-    return str(ts.astype("datetime64[s]")).replace("T", " ")
-
-
 def serialize_csv(series: PriceSeries) -> str:
     """Render a PriceSeries in the normalized format: header 'timestamp,close',
     closes with 6 decimal places. parse_csv of the result reproduces the
     series whenever the closes are representable at that precision."""
-    lines = ["timestamp,close"]
-    for ts, close in zip(series.timestamps, series.closes):
-        lines.append(f"{format_timestamp(ts, series.frequency)},{close:.6f}")
-    return "\n".join(lines) + "\n"
+    daily = series.frequency is Frequency.DAILY
+    body = b"".join(
+        codec.rows(
+            codec.stamps(series.timestamps[lo : lo + codec.BLOCK_ROWS], daily),
+            b",",
+            codec.fixed6(series.closes[lo : lo + codec.BLOCK_ROWS]),
+            b"\n",
+        )
+        for lo in range(0, len(series), codec.BLOCK_ROWS)
+    )
+    return "timestamp,close\n" + body.decode("ascii")
 
 
 def dedup_closed_market(
@@ -232,10 +318,7 @@ def dedup_closed_market(
     run_starts = np.flatnonzero(change)
     run_lengths = np.diff(np.append(run_starts, n))
 
-    keep = np.ones(n, dtype=bool)
-    for start, length in zip(run_starts, run_lengths):
-        if length > run_length:
-            keep[start + 1 : start + length] = False
+    keep = change | ~np.repeat(run_lengths > run_length, run_lengths)
 
     removed = int(n - keep.sum())
     if removed == 0:

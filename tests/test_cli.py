@@ -103,6 +103,17 @@ def test_ingest_unparseable_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "compare", "spectrum"])
+def test_oversized_csv_field_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "long.csv"
+    path.write_text("timestamp,close\n2025-01-02,100.0\n2025-01-03," + "1" * 200_000 + "\n")
+    config = write_config(tmp_path, [("long", path, "daily")], anchor_date="2025-01-03")
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("long: error: ")
+    assert "field larger than field limit" in err
+
+
 # ----------------------------------------------------------------------
 # config loading and output writing
 # ----------------------------------------------------------------------
@@ -154,6 +165,43 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, case, command)
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+# Each case: config values and flags out of range, and the key the one-line
+# message must name.
+OUT_OF_RANGE = {
+    "theta NaN": ({"theta": float("nan")}, [], "config.theta"),
+    "theta Infinity": ({"theta": float("inf")}, [], "config.theta"),
+    "theta negative": ({"theta": -1.0}, [], "config.theta"),
+    "theta zero": ({"theta": 0}, [], "config.theta"),
+    "window_days zero": ({"window_days": 0}, [], "config.window_days"),
+    "baseline zero": ({"baseline": 0}, [], "config.baseline"),
+    "min_persistence zero": ({"min_persistence": 0}, [], "config.min_persistence"),
+    "dedup_run_length zero": ({"dedup_run_length": 0}, [], "config.dedup_run_length"),
+    "bins zero": ({"bins": 0}, [], "config.bins"),
+    "increment zero": ({"sequence": {"increment": 0}}, [], "config.sequence.increment"),
+    "stride zero": ({"sequence": {"stride": 0}}, [], "config.sequence.stride"),
+    "base_length one": ({"sequence": {"base_length": 1}}, [], "config.sequence.base_length"),
+    "steps negative": ({"sequence": {"steps": -1}}, [], "config.sequence.steps"),
+    "flag theta nan": ({}, ["--theta", "nan"], "theta"),
+    "flag theta negative": ({}, ["--theta", "-1"], "theta"),
+    "flag bins zero": ({}, ["--bins", "0"], "bins"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest"], ["compare"], ["spectrum"], ["pmf", "--day", "2025-01-10", "--span-days", "2"],
+])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, case, command):
+    extra, flags, key = OUT_OF_RANGE[case]
+    path, _, _ = write_synth_fixture(tmp_path)
+    config = write_config(tmp_path, [("synth", path, "5min")], anchor_date="2025-01-10", **extra)
+    assert main([command[0], "--config", str(config), *command[1:], *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {key}: ")
     assert not (tmp_path / "out").exists()
 
 

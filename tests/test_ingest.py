@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from datetime import datetime
 
@@ -8,13 +10,18 @@ from hypothesis import strategies as st
 
 from entroscope import (
     AmbiguousTimestampFormat,
+    Diagnostics,
     EmptyInput,
     Frequency,
+    MalformedCsv,
+    PriceSeries,
     aggregate_to_daily,
     dedup_closed_market,
     parse_csv,
     serialize_csv,
 )
+from entroscope.codec import fixed6, rows
+from entroscope.ingest import _classify_timestamp, _normalize_intraday
 
 from _fixtures import intraday_timestamps, make_daily, make_intraday
 
@@ -153,6 +160,246 @@ def test_serialize_parse_roundtrip(micro, daily):
     assert diag.dropped == 0
     assert np.array_equal(parsed.timestamps, series.timestamps)
     assert np.array_equal(parsed.closes, series.closes)
+
+
+# ----------------------------------------------------------------------
+# the codec against the whole-file row parser
+# ----------------------------------------------------------------------
+
+def _parse_csv_oracle(raw_text, frequency, instrument_id, dt_col="timestamp", close_col="close"):
+    """The whole-file DictReader parser that the codec replaced."""
+    reader = csv.DictReader(io.StringIO(raw_text))
+    if reader.fieldnames is None:
+        raise EmptyInput("no header row")
+    if dt_col not in reader.fieldnames or close_col not in reader.fieldnames:
+        raise EmptyInput(
+            f"required columns {dt_col!r}/{close_col!r} not in header {reader.fieldnames}"
+        )
+
+    wanted_shape = "date" if frequency is Frequency.DAILY else "intraday"
+    seen_shapes: set[str] = set()
+    stamps: list[np.datetime64] = []
+    prices: list[float] = []
+    dropped = 0
+
+    for row in reader:
+        ts_text = (row.get(dt_col) or "").strip()
+        price_text = (row.get(close_col) or "").strip()
+        shape = _classify_timestamp(ts_text)
+        if shape is not None:
+            seen_shapes.add(shape)
+        if shape != wanted_shape:
+            dropped += 1
+            continue
+        try:
+            ts = np.datetime64(_normalize_intraday(ts_text), "s")
+        except ValueError:
+            dropped += 1
+            continue
+        try:
+            price = float(price_text)
+        except ValueError:
+            dropped += 1
+            continue
+        if not math.isfinite(price) or price <= 0:
+            dropped += 1
+            continue
+        stamps.append(ts)
+        prices.append(price)
+
+    if len(seen_shapes) > 1:
+        raise AmbiguousTimestampFormat(
+            f"{instrument_id}: file mixes date-only and intraday timestamps"
+        )
+    if not stamps:
+        raise EmptyInput(f"{instrument_id}: no valid rows")
+
+    ts_arr = np.array(stamps, dtype="datetime64[s]")
+    cl_arr = np.array(prices, dtype=np.float64)
+    order = np.argsort(ts_arr, kind="stable")
+    ts_arr = ts_arr[order]
+    cl_arr = cl_arr[order]
+
+    if len(ts_arr) > 1:
+        keep = np.concatenate(([True], ts_arr[1:] > ts_arr[:-1]))
+        dup = int(len(ts_arr) - keep.sum())
+        if dup:
+            dropped += dup
+            ts_arr = ts_arr[keep]
+            cl_arr = cl_arr[keep]
+
+    series = PriceSeries(instrument_id, frequency, ts_arr, cl_arr)
+    return series, Diagnostics(dropped=dropped)
+
+
+def _outcome(parse, *args, **kwargs):
+    """A parse result, or the type of the error it raised; the csv module's
+    error is what the codec reports as MalformedCsv."""
+    try:
+        series, diag = parse(*args, **kwargs)
+    except (csv.Error, MalformedCsv):
+        return MalformedCsv
+    except Exception as exc:  # the type is compared, whatever it is
+        return type(exc)
+    return (series.instrument_id, series.frequency, series.timestamps.tolist(),
+            series.closes.tolist(), diag)
+
+
+# (header, dt_col, close_col)
+_HEADERS = [
+    ("timestamp,close", "timestamp", "close"),
+    ("Date,Close", "Date", "Close"),
+    ("close,timestamp", "timestamp", "close"),
+    ("timestamp,open,close", "timestamp", "close"),
+    ("x,x", "x", "x"),
+    ("\ufefftimestamp,close", "timestamp", "close"),
+    ('"timestamp","close"', "timestamp", "close"),
+]
+_ODD_PRICES = [
+    "1_0", "1e3", "inf", "-inf", "nan", "NaN", "-0", "0", "0.000000", "-1.5", "+1.5", ".5", "5.",
+    "1..2", "", "abc", " 1.5", "1.5 ", "١٢", "9" * 40,
+]
+_ODD_STAMPS = ["n/a", "", "2025/01/02", "09:30:00 2025-01-02", "2025-01-02 09:30", "٢025-01-02"]
+
+
+_DATE = st.builds(
+    "{:04d}-{:02d}-{:02d}".format,
+    st.sampled_from([1900, 2000, 2023, 2024]),
+    st.integers(1, 2),
+    st.integers(1, 28),
+) | st.sampled_from(["2000-02-29", "2024-02-29", "2024-12-31"])
+_BAD_DATE = st.sampled_from([
+    "2023-02-29", "1900-02-29", "2024-02-30", "2024-04-31", "2024-13-05", "2024-00-10",
+    "2024-01-00", "2024-01-32",
+])
+_HMS = st.builds("{:02d}:{:02d}:00".format, st.integers(9, 10), st.sampled_from([0, 5, 30, 55]))
+_BAD_HMS = st.sampled_from(["24:00:00", "23:60:00", "12:00:60"])
+_PRICE = st.builds("{:.{}f}".format, st.floats(0.001, 1e5), st.integers(0, 8))
+# (kind of dirt, date, invalid date, time, invalid time, odd stamp, price,
+# odd price, which earlier row to repeat)
+_ROW = st.tuples(
+    st.integers(0, 20), _DATE, _BAD_DATE, _HMS, _BAD_HMS, st.sampled_from(_ODD_STAMPS), _PRICE,
+    st.sampled_from(_ODD_PRICES), st.integers(0, 99),
+)
+
+
+def _dirty_csv(header, dt_col, close_col, intraday, mixed, specs, end):
+    """CSV text with one line per spec: a row of the frequency's stamp shape,
+    clean or with one kind of dirt (an odd stamp or price, an invalid date or
+    time, a hyphenated or T-separated time, quotes, padding, a missing or
+    extra column, a CR, a blank line, a quoted field across a line end, a
+    repeated row and, in a ``mixed`` file, a stamp of the other shape)."""
+    columns = next(csv.reader([header.lstrip("\ufeff")]))
+    lines = [header]
+    for kind, date, bad_date, hms, bad_hms, odd_stamp, price, odd_price, repeat in specs:
+        if kind == 10:
+            date = bad_date
+        elif kind == 11:
+            hms = hms.replace(":", "-")
+        elif kind == 14:
+            hms = bad_hms
+        stamp = f"{date}{'T' if kind == 12 else ' '}{hms}"
+        if intraday == (mixed and kind == 0):
+            stamp = date
+        stamp = odd_stamp if kind == 1 else stamp
+        price = odd_price if kind == 13 else price
+        fields = [stamp if c == dt_col else "7" for c in columns]
+        fields[len(columns) - 1 - columns[::-1].index(close_col)] = price  # DictReader's column
+        if kind == 2:
+            fields = [f'"{f}"' for f in fields]
+        elif kind == 3:
+            fields = [f" {f} " for f in fields]
+        elif kind == 4:
+            fields.append("extra")
+        elif kind == 5:
+            fields = fields[:-1]
+        line = ",".join(fields)
+        if kind == 6:
+            line += "\r"
+        elif kind == 7:
+            lines.append("")
+        elif kind == 8:
+            line = f'{stamp},"{price}\n{stamp},{price}"'
+        elif kind == 9 and len(lines) > 1:
+            line = lines[1 + repeat % (len(lines) - 1)]
+        lines.append(line)
+    return "\n".join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.sampled_from(_HEADERS[:1] * 6 + _HEADERS[1:]),
+    intraday=st.booleans(),
+    mixed=st.sampled_from([False, False, False, True]),
+    specs=st.lists(_ROW, max_size=40),
+    end=st.sampled_from(["\n", "", "\n\n", "\r\n"]),
+)
+def test_codec_matches_row_oracle_on_dirty_csv(header, intraday, mixed, specs, end):
+    text = _dirty_csv(*header, intraday, mixed, specs, end)
+    frequency = Frequency.FIVE_MINUTE if intraday else Frequency.DAILY
+    kwargs = dict(dt_col=header[1], close_col=header[2])
+    assert _outcome(parse_csv, text, frequency, "t", **kwargs) == _outcome(
+        _parse_csv_oracle, text, frequency, "t", **kwargs
+    )
+
+
+def test_codec_checks_dates_and_times_like_numpy():
+    dates = [
+        f"{y:04d}-{m:02d}-{d:02d}"
+        for y in (0, 1900, 2000, 2023, 2024) for m in range(14) for d in range(33)
+    ]
+    times = [
+        f"{h:02d}:{m:02d}:{s:02d}" for h in (0, 23, 24, 99) for m in (0, 59, 60) for s in (0, 59, 60)
+    ]
+    daily = "timestamp,close\n" + "".join(f"{d},1.5\n" for d in dates)
+    intraday = "timestamp,close\n" + "".join(
+        f"{d} {t},1.5\n" for d in ("2024-02-29", "2023-02-29", "2024-12-31") for t in times
+    )
+    for text, frequency in ((daily, Frequency.DAILY), (intraday, Frequency.FIVE_MINUTE)):
+        assert _outcome(parse_csv, text, frequency, "t") == _outcome(
+            _parse_csv_oracle, text, frequency, "t"
+        )
+
+
+def test_codec_matches_row_oracle_on_long_and_quoted_fields():
+    long_field = "1" * 200_000
+    cases = [
+        f"timestamp,close\n2025-01-02,{long_field}\n2025-01-03,1.5\n",
+        'timestamp,close\n2025-01-02,"1.5\n2025-01-03,2.5"\n2025-01-04,3.5\n',
+        "timestamp,close\n2025-01-02,1.5\r2025-01-03,2.5\n",
+        "timestamp,close\n\n\n2025-01-02,1.5\n\n",
+        "timestamp,close\n2025-01-02,1.5\n\x002025-01-03,2.5\n",
+        "",
+        "\n",
+        "timestamp,close",
+    ]
+    for text in cases:
+        assert _outcome(parse_csv, text, Frequency.DAILY, "t") == _outcome(
+            _parse_csv_oracle, text, Frequency.DAILY, "t"
+        )
+    with pytest.raises(MalformedCsv, match="field larger than field limit"):
+        parse_csv(cases[0], Frequency.DAILY, "t")
+
+
+def _near_ties(rng, scale, count):
+    """Values within three units in the last place of k + 0.5 millionths."""
+    ties = (rng.integers(0, int(scale * 1e6), count) + 0.5) / 1e6
+    return ties + rng.integers(-3, 4, count) * np.spacing(ties)
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0, 1e4, 1e9])
+def test_fixed6_equals_python_format(scale):
+    rng = np.random.default_rng(int(scale))
+    values = np.concatenate([
+        rng.random(5000) * scale,
+        -rng.random(500) * scale,
+        _near_ties(rng, scale, 5000),
+        -_near_ties(rng, scale, 500),
+        np.round(rng.random(500) * scale, 6),
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 2.0**52 / 1e6, 0.0078125, 9.9999995, 5e-7],
+    ])
+    text = rows(fixed6(values), b"\n").decode("ascii")
+    assert text.splitlines() == [f"{v:.6f}" for v in values.tolist()]
 
 
 # ----------------------------------------------------------------------
