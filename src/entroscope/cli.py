@@ -13,7 +13,8 @@ typed value, a missing instrument ``id``/``path``/``frequency`` or an
 instrument path that is not a file exits 2 before any output is written.
 A batch command runs every instrument even when some fail, reports each
 failure as one ``<id>: error: <message>`` line on stderr, and exits with
-the code of the first failure.
+the code of the first failure; ``pmf`` reports the failure of its one
+instrument the same way.
 
 Outputs are plain CSV files, written deterministically: rerunning a
 command on identical inputs produces byte-identical files.
@@ -25,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import EnumMeta
 from pathlib import Path
 from types import UnionType
@@ -119,7 +120,6 @@ class RunConfig:
     min_persistence: PositiveInt = 2
     baseline: PositiveInt = 8
     out_dir: str = "out"
-    jobs: int = 4  # accepted for existing configs; instruments run serially
 
 
 # Flags that override the config value of the same name when given.
@@ -387,7 +387,7 @@ def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     if to_date is not None:
         mask &= dates <= np.datetime64(to_date, "D")
     if not mask.any():
-        raise EmptyInput(f"{returns.instrument_id}: no observations in requested date range")
+        raise EmptyInput("no observations in requested date range")
     return ReturnSeries(
         returns.instrument_id,
         returns.kind,
@@ -430,6 +430,15 @@ def _pmf_csv(dist: BinnedDistribution) -> str:
     return _csv(lines)
 
 
+def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> None:
+    returns = _load_returns(config, entry)
+    snapshot = pmf_snapshot(returns, day, preceding_days=span_days, n_bins=config.bins)
+    out_dir = Path(config.out_dir)
+    _write(out_dir / f"{entry.id}_pmf_day.csv", _pmf_csv(snapshot.day_dist))
+    _write(out_dir / f"{entry.id}_pmf_span.csv", _pmf_csv(snapshot.span_dist))
+    print(f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}")
+
+
 def cmd_pmf(args: argparse.Namespace) -> int:
     config = _load(args)
     entry = config.instruments[0]
@@ -437,16 +446,9 @@ def cmd_pmf(args: argparse.Namespace) -> int:
         entry = next((e for e in config.instruments if e.id == args.instrument), None)
         if entry is None:
             raise ValueError(f"instrument {args.instrument!r} not in config")
-
-    returns = _load_returns(config, entry)
-    snapshot = pmf_snapshot(
-        returns, args.day, preceding_days=args.span_days, n_bins=config.bins
+    return _each_instrument(
+        replace(config, instruments=[entry]), _pmf_one, day=args.day, span_days=args.span_days
     )
-    out_dir = Path(config.out_dir)
-    _write(out_dir / f"{entry.id}_pmf_day.csv", _pmf_csv(snapshot.day_dist))
-    _write(out_dir / f"{entry.id}_pmf_span.csv", _pmf_csv(snapshot.span_dist))
-    print(f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}")
-    return EXIT_OK
 
 
 def _parse_shock(text: str) -> Shock:

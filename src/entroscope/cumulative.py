@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .entropy import BinningSpec, bin_indices, window_entropy
+from .entropy import BinningSpec, bin_indices, entropy_from_counts
+from .entropy import window_entropy  # unused here: benchmark/tracing.py wraps it by this name
 from .errors import InsufficientBaseline, SeriesTooShort
 from .returns import ReturnSeries, WindowSlice
 
@@ -40,6 +41,11 @@ GROW_LEFT = "grow-left"
 # series: a block holds block * (steps + 1) * n_bins window counts and a
 # prefix-count matrix over its (block - 1) * stride + span observations.
 BLOCK_SEQUENCES = 4096
+
+# Values per block of the per-window table: a block of
+# PER_WINDOW_BLOCK_VALUES // span sequences holds their values twice over
+# (running minima and maxima) and one window's values at a time.
+PER_WINDOW_BLOCK_VALUES = 65536
 
 
 @dataclass(frozen=True)
@@ -192,53 +198,36 @@ def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[W
     ]
 
 
-def spectrum(
-    returns: ReturnSeries,
-    sequence: list[WindowSlice],
-    binning: BinningSpec,
-    sequence_index: int = 0,
-) -> EntropySpectrum:
-    """Entropy of every window in one sequence. The bin count is fixed
-    across the sequence by construction (one BinningSpec)."""
-    values = np.array([window_entropy(returns, w, binning) for w in sequence])
-    starts = np.array([w.start_index for w in sequence], dtype=np.int64)
-    ends = np.array([w.end_index for w in sequence], dtype=np.int64)
-    return EntropySpectrum(
-        sequence_index, returns.timestamps[starts.min()], values, starts, ends, binning
-    )
-
-
-def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Shannon entropy over the last axis of a count array, p = counts /
-    totals (0 ln 0 = 0)."""
-    p = counts / totals[..., None]
-    log_p = np.log(p, out=np.zeros_like(p), where=counts > 0)
-    return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
-
-
-def _fixed_range_values(
-    returns: ReturnSeries, starts: np.ndarray, ends: np.ndarray, binning: BinningSpec
+def _prefix_counts(
+    idx: np.ndarray, n_bins: int, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Window entropies under a fixed bin range, from prefix counts (an
-    integral histogram). Every value's bin index is computed once. For each
-    block of sequences, row i of the prefix-count matrix C holds the bin
-    counts of the block's first i values, so window [a, b) counts C[b] - C[a]
-    for all of the block's windows at once. Counts are exact integers;
-    entropies agree with per-window rebinning to rounding."""
-    n_bins = binning.n_bins
-    idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
-    totals = ends[0] - starts[0]
-    out = np.empty(starts.shape)
-    for lo in range(0, len(starts), BLOCK_SEQUENCES):
-        block_starts = starts[lo : lo + BLOCK_SEQUENCES]
-        block_ends = ends[lo : lo + BLOCK_SEQUENCES]
-        first, last = int(block_starts.min()), int(block_ends.max())
-        prefix = np.zeros((last - first + 1, n_bins), dtype=np.int32)
-        prefix[np.arange(1, last - first + 1), idx[first:last]] = 1
-        np.cumsum(prefix, axis=0, out=prefix)
-        counts = prefix[block_ends - first] - prefix[block_starts - first]
-        out[lo : lo + BLOCK_SEQUENCES] = _entropy_from_counts(counts, totals)
-    return out
+    """Window counts of one block of sequences under a fixed range, from
+    prefix counts (an integral histogram) of the bin indices ``idx``: row i
+    of the prefix-count matrix C holds the bin counts of the block's first i
+    values, so window [a, b) counts C[b] - C[a]."""
+    first, last = int(starts.min()), int(ends.max())
+    prefix = np.zeros((last - first + 1, n_bins), dtype=np.int32)
+    prefix[np.arange(1, last - first + 1), idx[first:last]] = 1
+    np.cumsum(prefix, axis=0, out=prefix)
+    return prefix[ends - first] - prefix[starts - first]
+
+
+def _per_window_counts(rows: np.ndarray, lengths: np.ndarray, n_bins: int) -> np.ndarray:
+    """Window counts of one block of sequences under per-window ranges. Row
+    j holds sequence j's values ordered from the edge its windows share, so
+    window k is ``rows[j, :lengths[k]]`` and its range is read off running
+    minima and maxima. A window whose values are all equal falls in bin 0,
+    so its entropy is 0."""
+    lows = np.minimum.accumulate(rows, axis=1)[:, lengths - 1]
+    highs = np.maximum.accumulate(rows, axis=1)[:, lengths - 1]
+    highs[highs == lows] = np.inf  # (v - lo) / inf = 0
+    n = len(rows)
+    offsets = np.arange(n)[:, None] * n_bins
+    counts = np.empty((n, len(lengths), n_bins), dtype=np.int64)
+    for k, length in enumerate(lengths.tolist()):
+        idx = bin_indices(rows[:, :length], n_bins, lows[:, k, None], highs[:, k, None])
+        counts[:, k] = np.bincount((idx + offsets).ravel(), minlength=n * n_bins).reshape(n, -1)
+    return counts
 
 
 def spectra_for_series(
@@ -246,19 +235,32 @@ def spectra_for_series(
 ) -> SpectrumTable:
     """Spectra of all sequences, in anchor order, as one table.
 
-    A fixed bin range takes the prefix-count route. A per-window range
-    rebins every window with ``window_entropy``.
+    Sequences go in blocks, and each block's window counts end in one
+    ``entropy_from_counts`` call. A fixed range bins every value once and
+    takes counts from prefix counts; a per-window range bins each window
+    of the block over its own minimum and maximum. Counts are exact
+    integers; entropies agree with rebinning each window alone to rounding.
     """
     starts, ends = window_bounds(len(returns), seq_spec)
+    lengths = ends[0] - starts[0]
+    n_bins = binning.n_bins
     if binning.is_fixed:
-        values = _fixed_range_values(returns, starts, ends, binning)
+        idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
+        block = BLOCK_SEQUENCES
     else:
-        values = np.empty(starts.shape)
-        for j, (row_starts, row_ends) in enumerate(zip(starts.tolist(), ends.tolist())):
-            values[j] = [
-                window_entropy(returns, WindowSlice(a, b), binning)
-                for a, b in zip(row_starts, row_ends)
-            ]
+        rows = sliding_window_view(returns.values, seq_spec.span)[:: seq_spec.stride]
+        rows = rows[: len(starts)]
+        if seq_spec.anchor_mode == GROW_LEFT:
+            rows = rows[:, ::-1]  # the windows share the right edge
+        block = max(1, PER_WINDOW_BLOCK_VALUES // seq_spec.span)
+    values = np.empty(starts.shape)
+    for lo in range(0, len(starts), block):
+        part = slice(lo, lo + block)
+        if binning.is_fixed:
+            counts = _prefix_counts(idx, n_bins, starts[part], ends[part])
+        else:
+            counts = _per_window_counts(rows[part], lengths, n_bins)
+        values[part] = entropy_from_counts(counts, lengths)
     anchors = returns.timestamps[starts.min(axis=1)]
     return SpectrumTable(values, starts, ends, anchors, binning)
 

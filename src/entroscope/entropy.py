@@ -130,9 +130,16 @@ def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:
     return BinnedDistribution(spec, lo, hi, masses, int(vals.size), clamped)
 
 
+def entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
+    """Shannon entropy over the last axis of a count array, p = counts /
+    totals (0 ln 0 = 0); ``totals`` broadcasts against the other axes."""
+    p = counts / np.asarray(totals)[..., None]
+    log_p = np.log(p, out=np.zeros_like(p), where=counts > 0)
+    return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
+
+
 def shannon_entropy(dist: BinnedDistribution) -> float:
-    p = dist.masses[dist.masses > 0]
-    return float(-(p * np.log(p)).sum()) + 0.0  # normalize -0.0
+    return float(entropy_from_counts(dist.masses, 1.0))
 
 
 def window_entropy(returns: ReturnSeries, window: WindowSlice, spec: BinningSpec) -> float:
@@ -164,13 +171,12 @@ def pmf_snapshot(
     dates = returns.dates()
     day_mask = dates == target
     if not day_mask.any():
-        raise OutOfRange(f"{returns.instrument_id}: no observations on {target}")
+        raise OutOfRange(f"no observations on {target}")
 
     prior = np.unique(dates[dates < target])
     if len(prior) < preceding_days:
         raise OutOfRange(
-            f"{returns.instrument_id}: only {len(prior)} trading days precede {target} "
-            f"(requested {preceding_days})"
+            f"only {len(prior)} trading days precede {target} (requested {preceding_days})"
         )
     span_start_date = prior[-preceding_days] if preceding_days else target
     span_mask = (dates >= span_start_date) & (dates <= target)

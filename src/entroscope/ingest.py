@@ -157,12 +157,12 @@ def _parse_row(row: dict, dt_col: str, close_col: str, wanted_shape: str):
     return shape, (int(ts.astype(np.int64)), price)
 
 
-def _read(step, instrument_id: str):
+def _read(step):
     """``step()``, with the csv module's error raised as MalformedCsv."""
     try:
         return step()
     except csv.Error as exc:
-        raise MalformedCsv(f"{instrument_id}: {exc}") from None
+        raise MalformedCsv(str(exc)) from None
 
 
 def parse_csv(
@@ -188,7 +188,7 @@ def parse_csv(
     """
     lines = _Lines(raw_text.encode("utf-8", "surrogatepass"))
     reader = csv.DictReader(lines)
-    header = _read(lambda: reader.fieldnames, instrument_id)
+    header = _read(lambda: reader.fieldnames)
     if header is None:
         raise EmptyInput("no header row")
     if dt_col not in header or close_col not in header:
@@ -215,7 +215,7 @@ def parse_csv(
             continue
         lines.pos = first + i
         try:
-            row = _read(reader.__next__, instrument_id)
+            row = _read(reader.__next__)
         except StopIteration:
             break
         fast[i : lines.pos - first] = False
@@ -235,16 +235,14 @@ def parse_csv(
     dropped += int(fast.sum() - accept.sum())
 
     if len(seen_shapes) > 1:
-        raise AmbiguousTimestampFormat(
-            f"{instrument_id}: file mixes date-only and intraday timestamps"
-        )
+        raise AmbiguousTimestampFormat("file mixes date-only and intraday timestamps")
     if slow:
         at, slow_seconds, slow_prices = zip(*slow)
         accept[list(at)] = True
         seconds[list(at)] = slow_seconds
         prices[list(at)] = slow_prices
     if not accept.any():
-        raise EmptyInput(f"{instrument_id}: no valid rows")
+        raise EmptyInput("no valid rows")
 
     ts_arr = seconds[accept].view("datetime64[s]")
     cl_arr = prices[accept]
@@ -336,7 +334,7 @@ def aggregate_to_daily(series: PriceSeries) -> PriceSeries:
     """Collapse an intraday series to one point per calendar date, keeping
     the last close of each date."""
     if len(series) == 0:
-        raise EmptyInput(f"{series.instrument_id}: nothing to aggregate")
+        raise EmptyInput("nothing to aggregate")
     dates = series.dates()
     uniq, first_idx = np.unique(dates, return_index=True)
     last_idx = np.append(first_idx[1:], len(dates)) - 1

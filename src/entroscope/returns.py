@@ -80,7 +80,7 @@ def slice_values(returns: ReturnSeries, window: WindowSlice) -> np.ndarray:
 def log_returns(series: PriceSeries) -> ReturnSeries:
     """values[t] = ln(close[t+1] / close[t])."""
     if len(series) < 2:
-        raise TooShort(f"{series.instrument_id}: need at least 2 prices")
+        raise TooShort("need at least 2 prices")
     vals = np.log(series.closes[1:] / series.closes[:-1])
     return ReturnSeries(
         series.instrument_id, ReturnKind.LOG, series.frequency, series.timestamps[1:], vals
@@ -90,7 +90,7 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
 def nominal_returns(series: PriceSeries) -> ReturnSeries:
     """values[t] = close[t+1] / close[t] - 1."""
     if len(series) < 2:
-        raise TooShort(f"{series.instrument_id}: need at least 2 prices")
+        raise TooShort("need at least 2 prices")
     vals = series.closes[1:] / series.closes[:-1] - 1.0
     return ReturnSeries(
         series.instrument_id, ReturnKind.NOMINAL, series.frequency, series.timestamps[1:], vals
@@ -117,7 +117,7 @@ def slice_window(
     start = _as_date(start_date)
     dates = returns.dates()
     if start > dates[-1]:
-        raise OutOfRange(f"{returns.instrument_id}: {start} is after the last observation")
+        raise OutOfRange(f"{start} is after the last observation")
 
     start_index = int(np.searchsorted(dates, start, side="left"))
     available = np.unique(dates[start_index:])
@@ -145,7 +145,7 @@ def bracket_windows(
     dates = returns.dates()
     before_dates = np.unique(dates[dates < anchor])
     if len(before_dates) == 0:
-        raise OutOfRange(f"{returns.instrument_id}: no data before {anchor}")
+        raise OutOfRange(f"no data before {anchor}")
     if len(before_dates) < trading_days:
         warnings.warn(
             f"{returns.instrument_id}: only {len(before_dates)} trading days before "

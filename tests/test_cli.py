@@ -114,6 +114,63 @@ def test_oversized_csv_field_exits_2_with_one_line(tmp_path, capsys, command):
     assert "field larger than field limit" in err
 
 
+ONE_PRICE = "timestamp,close\n2025-01-02,100.0\n"
+MIXED = "timestamp,close\n2025-01-02,100.0\n2025-01-03 09:30:00,101.0\n"
+
+# Each case: command and flags, file text, frequency, extra config keys,
+# the exact stderr and the exit code. The instrument is named once.
+ERROR_LINES = {
+    "ingest header only": (
+        ["ingest"], "timestamp,close\n", "daily", {}, "e: error: no valid rows\n", 2,
+    ),
+    "ingest mixed stamps": (
+        ["ingest"], MIXED, "daily", {},
+        "e: error: file mixes date-only and intraday timestamps\n", 2,
+    ),
+    "compare one price": (
+        ["compare"], ONE_PRICE, "daily", {"anchor_date": "2025-01-02"},
+        "e: error: need at least 2 prices\n", 3,
+    ),
+    "compare nominal one price": (
+        ["compare"], ONE_PRICE, "daily", {"anchor_date": "2025-01-02", "return_kind": "nominal"},
+        "e: error: need at least 2 prices\n", 3,
+    ),
+    "compare anchor before data": (
+        ["compare"], None, "5min", {"anchor_date": "2024-01-02"},
+        "e: error: no data before 2024-01-02\n", 2,
+    ),
+    "spectrum empty date range": (
+        ["spectrum", "--from-date", "2030-01-01"], None, "5min", {},
+        "e: error: no observations in requested date range\n", 2,
+    ),
+    "pmf one price": (
+        ["pmf", "--day", "2025-01-02"], ONE_PRICE, "daily", {},
+        "e: error: need at least 2 prices\n", 3,
+    ),
+    "pmf day without data": (
+        ["pmf", "--day", "2030-01-01"], None, "5min", {},
+        "e: error: no observations on 2030-01-01\n", 2,
+    ),
+    "pmf span too long": (
+        ["pmf", "--day", "2025-01-03", "--span-days", "40"], None, "5min", {},
+        "e: error: only 1 trading days precede 2025-01-03 (requested 40)\n", 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_LINES))
+def test_error_line_names_instrument_once(tmp_path, capsys, case):
+    command, text, frequency, extra, want_err, want_code = ERROR_LINES[case]
+    if text is None:
+        path, _, _ = write_synth_fixture(tmp_path, name="e")
+    else:
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+    config = write_config(tmp_path, [("e", path, frequency)], **extra)
+    assert main([command[0], "--config", str(config), *command[1:]]) == want_code
+    assert capsys.readouterr().err == want_err
+
+
 # ----------------------------------------------------------------------
 # config loading and output writing
 # ----------------------------------------------------------------------
@@ -143,7 +200,6 @@ MALFORMED = {
     "string dedup_run_length": _valid_with(dedup_run_length="6"),
     "string aggregate_daily": _valid_with(aggregate_daily="no"),
     "bool baseline": _valid_with(baseline=True),
-    "string jobs": _valid_with(jobs="4"),
     "unknown range_policy": _valid_with(range_policy="rolling"),
     "unknown anchor_mode": _valid_with(sequence={"anchor_mode": "sideways"}),
 }

@@ -20,11 +20,16 @@ from entroscope import (
     generate,
     log_returns,
     spectra_for_series,
-    spectrum,
     velleman_bins,
     window_bounds,
 )
-from entroscope.cumulative import BLOCK_SEQUENCES, MAD_TO_SIGMA, EventSignature, _flags
+from entroscope.cumulative import (
+    BLOCK_SEQUENCES,
+    MAD_TO_SIGMA,
+    PER_WINDOW_BLOCK_VALUES,
+    EventSignature,
+    _flags,
+)
 
 from _fixtures import make_returns
 
@@ -118,8 +123,8 @@ def test_spectrum_constant_series_all_zero():
 
 def test_spectrum_rises_when_new_bins_fill():
     r = make_returns([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-    seq = build_sequences(7, WindowSequenceSpec(base_length=4, increment=3, steps=1))[0]
-    sp = spectrum(r, seq, BinningSpec(4, lo=0.0, hi=4.0))
+    seq_spec = WindowSequenceSpec(base_length=4, increment=3, steps=1)
+    sp = spectra_for_series(r, seq_spec, BinningSpec(4, lo=0.0, hi=4.0))[0]
     assert sp.values[0] == 0.0
     expected_h1 = -(4 / 7 * math.log(4 / 7) + 3 * (1 / 7) * math.log(1 / 7))
     assert sp.values[1] == pytest.approx(expected_h1, abs=1e-12)
@@ -169,23 +174,46 @@ def test_spectrum_anchor_metadata():
     assert spectra[1].span_start == 10 and spectra[1].span_end == 20
 
 
-@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
-def test_prefix_count_table_matches_oracle_across_blocks(anchor_mode):
-    # Stride 1 with more sequences than one block, and a fixed range that
-    # clamps the tails into the end bins.
+# (anchor_mode, per-window range, n_bins, constant stretches); the
+# fixed-range cases at 7 bins keep their anchor-mode ids.
+BLOCK_CASES = {
+    "grow-right": ("grow-right", False, 7, False),
+    "grow-left": ("grow-left", False, 7, False),
+    "per-window-grow-right": ("grow-right", True, 7, False),
+    "per-window-grow-left": ("grow-left", True, 7, False),
+    "per-window-constant-grow-right": ("grow-right", True, 7, True),
+    "per-window-constant-grow-left": ("grow-left", True, 7, True),
+    "per-window-one-bin": ("grow-left", True, 1, True),
+    "fixed-one-bin": ("grow-right", False, 1, False),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a constant window must not divide 0 by 0
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_prefix_count_table_matches_oracle_across_blocks(case):
+    # Stride 1 with more sequences than one block of the policy's table. The
+    # fixed range clamps the tails into the end bins; constant stretches,
+    # one across a block boundary, give windows whose values are all equal.
+    anchor_mode, per_window, n_bins, constant = BLOCK_CASES[case]
     rng = np.random.default_rng(18)
     seq_spec = WindowSequenceSpec(base_length=6, increment=3, steps=2, stride=1,
                                   anchor_mode=anchor_mode)
-    vals = rng.normal(0, 0.01, BLOCK_SEQUENCES + 300 + seq_spec.span - 1)
+    block = PER_WINDOW_BLOCK_VALUES // seq_spec.span if per_window else BLOCK_SEQUENCES
+    vals = rng.normal(0, 0.01, block + 300 + seq_spec.span - 1)
+    if constant:
+        for at in (0, 500, 2000, block - 10, len(vals) - 20):
+            vals[at : at + 20] = vals[at]
     r = make_returns(vals)
-    binning = BinningSpec(7, lo=-0.01, hi=0.01)
+    binning = BinningSpec(n_bins) if per_window else BinningSpec(n_bins, lo=-0.01, hi=0.01)
     table = spectra_for_series(r, seq_spec, binning)
-    assert len(table) == BLOCK_SEQUENCES + 300
+    assert len(table) == block + 300
     want = np.array([
-        _spectrum_oracle(vals.tolist(), seq, 7, binning.lo, binning.hi)
+        _spectrum_oracle(vals.tolist(), seq, n_bins, binning.lo, binning.hi)
         for seq in build_sequences(len(r), seq_spec)
     ])
     assert np.max(np.abs(table.values - want)) <= 1e-12
+    if constant:
+        assert np.count_nonzero(table.values == 0.0) >= 5
 
 
 def test_window_bounds_arrays():

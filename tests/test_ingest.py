@@ -208,11 +208,9 @@ def _parse_csv_oracle(raw_text, frequency, instrument_id, dt_col="timestamp", cl
         prices.append(price)
 
     if len(seen_shapes) > 1:
-        raise AmbiguousTimestampFormat(
-            f"{instrument_id}: file mixes date-only and intraday timestamps"
-        )
+        raise AmbiguousTimestampFormat("file mixes date-only and intraday timestamps")
     if not stamps:
-        raise EmptyInput(f"{instrument_id}: no valid rows")
+        raise EmptyInput("no valid rows")
 
     ts_arr = np.array(stamps, dtype="datetime64[s]")
     cl_arr = np.array(prices, dtype=np.float64)
