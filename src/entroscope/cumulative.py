@@ -36,10 +36,11 @@ DEFAULT_DISPERSION_FLOOR_FRACTION = 0.05
 GROW_RIGHT = "grow-right"
 GROW_LEFT = "grow-left"
 
-# Sequences per block of the fixed-range table and of the detector's
-# baseline statistics. Working memory grows with the block, never with the
-# series: a block holds block * (steps + 1) * n_bins window counts and a
-# prefix-count matrix over its (block - 1) * stride + span observations.
+# Sequences per block of the fixed-range table, and candidate sequences per
+# block of the detector's baseline medians and MADs. Working memory grows
+# with the block, never with the series: a block holds block * (steps + 1)
+# * n_bins window counts and a prefix-count matrix over its (block - 1) *
+# stride + span observations, or block * baseline peaks.
 BLOCK_SEQUENCES = 4096
 
 # Values per block of the per-window table: a block of
@@ -270,17 +271,26 @@ def _flags(
 ) -> np.ndarray:
     """Whether each sequence's peak exceeds the median of the previous
     ``baseline`` peaks by more than ``threshold`` times their floored,
-    sigma-scaled MAD. The first ``baseline`` sequences are never flagged."""
+    sigma-scaled MAD. The first ``baseline`` sequences are never flagged.
+
+    The median and MAD are taken only for candidates: sequences whose peak
+    exceeds the minimum of their baseline by more than threshold * floor.
+    The screen is exact for threshold >= 0. The minimum is at most the
+    median, the dispersion is at least the floor and IEEE rounding is
+    monotone, so peak - median <= peak - minimum <= threshold * floor <=
+    threshold * dispersion for every sequence screened out."""
     n = len(peaks)
     flagged = np.zeros(n, dtype=bool)
     trailing = sliding_window_view(peaks, baseline)  # row i: peaks[i : i + baseline]
-    for lo in range(baseline, n, BLOCK_SEQUENCES):
-        hi = min(lo + BLOCK_SEQUENCES, n)
-        window = trailing[lo - baseline : hi - baseline]
+    low = trailing[: n - baseline].min(axis=1)
+    candidates = baseline + np.flatnonzero(peaks[baseline:] - low > threshold * dispersion_floor)
+    for lo in range(0, len(candidates), BLOCK_SEQUENCES):
+        c = candidates[lo : lo + BLOCK_SEQUENCES]
+        window = trailing[c - baseline]
         med = np.median(window, axis=1)
         mad = MAD_TO_SIGMA * np.median(np.abs(window - med[:, None]), axis=1)
         dispersion = np.maximum(mad, dispersion_floor)
-        flagged[lo:hi] = peaks[lo:hi] - med > threshold * dispersion
+        flagged[c] = peaks[c] - med > threshold * dispersion
     return flagged
 
 
@@ -301,9 +311,12 @@ def detect_events(
 
     ``dispersion_floor`` defaults to 0.05 * ln(n_bins), in entropy units,
     which keeps the default threshold meaningful on quiet data.
+    ``threshold`` must be finite and >= 0.
     """
     if min_persistence < 1 or baseline < 1:
         raise ValueError("min_persistence and baseline must be >= 1")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     required = max(baseline, 2 * min_persistence)
     if len(spectra) < required:
         raise InsufficientBaseline(
@@ -315,30 +328,25 @@ def detect_events(
         )
 
     peaks = spectra.peaks
-    n = len(peaks)
-    flagged = _flags(peaks, threshold, baseline, dispersion_floor).tolist()
+    flagged = _flags(peaks, threshold, baseline, dispersion_floor)
+    edges = np.flatnonzero(np.diff(flagged, prepend=False, append=False))
 
     events: list[EventSignature] = []
-    j = 0
-    while j < n:
-        if not flagged[j]:
-            j += 1
-            continue
-        run = 0
-        while j + run < n and flagged[j + run]:
-            run += 1
+    j = 0  # the earliest sequence the next event may start at
+    for first, end in edges.reshape(-1, 2).tolist():
+        first = max(first, j)
+        run = end - first
         if run < min_persistence:
-            j += run
             continue
-        diffs = np.diff(spectra.values[j])
+        diffs = np.diff(spectra.values[first])
         events.append(
             EventSignature(
-                onset_index=j,
-                onset_timestamp=spectra.anchor_timestamps[j],
-                peak_value=float(peaks[j : j + run].max()),
+                onset_index=first,
+                onset_timestamp=spectra.anchor_timestamps[first],
+                peak_value=float(peaks[first:end].max()),
                 ramp_slope=float(diffs.max()) if len(diffs) else 0.0,
                 persistence=run,
             )
         )
-        j += max(run, baseline)
+        j = first + max(run, baseline)
     return events

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,28 +325,72 @@ def _table_of(values, n_bins=18):
     return SpectrumTable(values, starts, ends, anchors, BinningSpec(n_bins))
 
 
+def _assert_matches_oracle(table, threshold, min_persistence, baseline, dispersion_floor):
+    """_flags and detect_events agree with the loop oracle; returns its flags
+    and events."""
+    want_flags, want_events = _detect_events_oracle(
+        table, threshold, min_persistence, baseline, dispersion_floor
+    )
+    floor = 0.05 * math.log(18) if dispersion_floor is None else dispersion_floor
+    assert np.array_equal(_flags(table.peaks, threshold, baseline, floor), want_flags)
+    assert detect_events(table, threshold, min_persistence, baseline, dispersion_floor) == want_events
+    return want_flags, want_events
+
+
 @pytest.mark.parametrize(
     "threshold,min_persistence,baseline,dispersion_floor",
-    [(3.0, 2, 8, None), (1.0, 1, 7, 0.0), (2.0, 3, 78, None), (0.5, 2, 4, 0.0)],
+    [(3.0, 2, 8, None), (1.0, 1, 7, 0.0), (2.0, 3, 78, None), (0.5, 2, 4, 0.0),
+     (3.0, 2, 9, None), (0.0, 2, 8, 0.0)],
 )
 def test_detect_matches_loop_oracle(threshold, min_persistence, baseline, dispersion_floor):
     # Peaks on a coarse grid tie often (zero MADs, equal medians); a planted
     # run of high peaks straddles the first block boundary of the flags.
     rng = np.random.default_rng(19)
-    n = baseline + BLOCK_SEQUENCES + 500
+    n = baseline + BLOCK_SEQUENCES + 1500
     values = rng.integers(0, 6, size=(n, 3)) * 0.25
     boundary = baseline + BLOCK_SEQUENCES
     values[boundary - 1 : boundary + 2, 1] = 5.0
     table = _table_of(values)
-    want_flags, want_events = _detect_events_oracle(
+    want_flags, want_events = _assert_matches_oracle(
         table, threshold, min_persistence, baseline, dispersion_floor
     )
     assert want_flags[boundary - 1] and want_flags[boundary]
-    floor = 0.05 * math.log(18) if dispersion_floor is None else dispersion_floor
-    assert np.array_equal(_flags(table.peaks, threshold, baseline, floor), want_flags)
-    events = detect_events(table, threshold, min_persistence, baseline, dispersion_floor)
-    assert events == want_events
-    assert events
+    assert want_events
+    if threshold == 0.0:
+        # every peak above its trailing minimum is a candidate: several blocks
+        low = sliding_window_view(table.peaks, baseline)[:-1].min(axis=1)
+        assert np.count_nonzero(table.peaks[baseline:] > low) > BLOCK_SEQUENCES
+
+
+def test_detect_matches_loop_oracle_with_baseline_sequences_only():
+    rng = np.random.default_rng(23)
+    table = _table_of(rng.integers(0, 6, size=(8, 3)) * 0.25)
+    flags, events = _assert_matches_oracle(table, 0.0, 2, 8, 0.0)
+    assert not flags.any() and events == []
+
+
+def test_detect_matches_loop_oracle_second_event_starts_mid_run():
+    # Baseline 8: the run 20..21 is an event, so the next may start at 28;
+    # the next run is flagged from 27 on, and its event starts at 28.
+    peaks = np.zeros(40)
+    peaks[[20, 21, 27, 28, 29, 30]] = 1.0
+    table = _table_of(np.column_stack([np.zeros(40), peaks]))
+    flags, events = _assert_matches_oracle(table, 1.0, 2, 8, 0.1)
+    assert np.flatnonzero(flags).tolist() == [20, 21, 27, 28, 29, 30]
+    assert [(ev.onset_index, ev.persistence) for ev in events] == [(20, 2), (28, 3)]
+
+
+@pytest.mark.parametrize(
+    "peaks", [np.full(300, 1.7), 1.0 + np.random.default_rng(29).uniform(0, 0.29, 300)]
+)
+def test_flags_screen_skips_median_on_quiet_peaks(peaks, monkeypatch):
+    # Every peak lies within threshold * floor = 0.3 of its trailing
+    # minimum, so no sequence can be flagged and no median is taken.
+    def no_median(*args, **kwargs):
+        raise AssertionError("median taken for a screened sequence")
+
+    monkeypatch.setattr(np, "median", no_median)
+    assert not _flags(peaks, 3.0, 8, 0.1).any()
 
 
 def test_detect_matches_loop_oracle_on_spectra():
@@ -435,3 +480,6 @@ def test_detect_rejects_bad_parameters():
         detect_events(spectra, min_persistence=0)
     with pytest.raises(ValueError):
         detect_events(spectra, baseline=0)
+    for threshold in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            detect_events(spectra, threshold=threshold)
