@@ -1,11 +1,16 @@
 r"""Byte-level codec for the package's CSV text: whole-column numpy kernels.
 
-Reading. ``scan_rows`` decodes, one fixed-width byte column at a time,
-every line of the shape ``YYYY-MM-DD,P`` or ``YYYY-MM-DD HH:MM:SS,P``
-where ``P`` is a plain decimal (``\d+(\.\d+)?``, at most
-``MAX_PRICE_BYTES`` bytes): its stamp in seconds (days-from-civil), whether
-the stamp names a real date and time, and its price, converted by one
-``astype(float64)`` over a zero-padded ``S`` view. Any other line is left
+Reading. ``scan_rows`` decodes, one fixed-width byte column at a time and
+by arithmetic alone, every line of the shape ``YYYY-MM-DD,P`` or
+``YYYY-MM-DD HH:MM:SS,P`` where ``P`` is a plain decimal
+(``\d+(\.\d+)?``, at most ``MAX_PRICE_BYTES`` bytes). The stamp's fields
+become seconds, and its validity, through tables of years 0..9999 and of
+months built at import. The price is its digits as one integer mantissa
+over a power of ten. A mantissa below 2**53 (so every mantissa of at most
+15 digits) and a power of at most 10**22 are exact doubles, so one
+division gives the correctly rounded value, the double ``float`` gives
+(Clinger's fast path). A larger mantissa, or more than 22 digits after the
+dot, is converted by ``float`` one row at a time. Any other line is left
 to the caller's row function.
 
 Writing. ``fixed6``, ``integers``, ``stamps`` and ``text`` render arrays
@@ -27,7 +32,7 @@ BLOCK_ROWS = 16384
 OTHER, DATE, INTRADAY = 0, 1, 2
 
 _STAMP = b"0000-00-00 00:00:00"  # '0' marks a digit position
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_ZERO = np.uint8(ord("0"))
 
 
 def _days_from_civil(y: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -53,6 +58,30 @@ def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return yoe + era * 400 + (m <= 2), m, d
 
 
+# The powers of ten that are exact doubles (see "Reading" above).
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
+
+# Dates of years 0..9999 by table: whether a year is a leap year (0 or 1),
+# the day number of its 1 January, and by [leap, month] the offset of the
+# month's first day in its year and the month's length (0 for months 0
+# and 13, so that no day of theirs is valid). The year tables are built in
+# place from the leap rule: they stay small, and so does what their
+# construction leaves in the heap.
+_LEAP = np.zeros(10000, dtype=np.uint8)
+_LEAP[::4] = 1
+_LEAP[::100] = 0
+_LEAP[::400] = 1
+_YEAR_START = np.cumsum(_LEAP, dtype=np.int32)
+_YEAR_START -= _LEAP  # leap days before the year
+_YEAR_START += np.arange(0, 365 * 10000, 365, dtype=np.int32) + int(_days_from_civil(0, 1, 1))
+_MONTH_FIRSTS = np.array(
+    [_days_from_civil(y, np.arange(1, 14), 1) - _days_from_civil(y, 1, 1) for y in (2001, 2000)],
+    dtype=np.int32,
+)
+_MONTH_START = np.pad(_MONTH_FIRSTS[:, :12], ((0, 0), (1, 1)))
+_MONTH_LEN = np.pad(np.diff(_MONTH_FIRSTS, axis=1), ((0, 0), (1, 1)))
+
+
 def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Decode the lines ``buf[starts[i]:ends[i]]`` that have a fast shape.
 
@@ -67,14 +96,15 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """
     # The stamp: digits accumulate into the current field, a separator
     # closes it. Position 10 is ',' after a date and ' ' inside a stamp.
+    # A byte minus '0' wraps in uint8, so only the digits are <= 9.
     fields = []
     value = np.zeros(len(starts), dtype=np.int32)
     shaped = np.ones(len(starts), dtype=bool)
     for k, expected in enumerate(_STAMP + b","):
-        column = buf.take(starts + k, mode="clip").astype(np.int32)
+        column = buf.take(starts + k, mode="clip")
         if expected == ord("0"):
-            digit = column - 48
-            shaped &= (digit >= 0) & (digit <= 9)
+            digit = column - _ZERO
+            shaped &= digit <= 9
             value = value * 10 + digit
             continue
         fields.append(value)
@@ -86,37 +116,46 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
             shaped &= column == expected
     shape = np.where(date_shaped, DATE, np.where(shaped, INTRADAY, OTHER))
 
-    # The price: a plain decimal of 1..MAX_PRICE_BYTES bytes.
+    # The price: a plain decimal of 1..MAX_PRICE_BYTES bytes, all digits
+    # but at most one dot, with digits before and after it. Its digits make
+    # the mantissa (Horner's rule; any other byte multiplies by 1 and adds
+    # 0), and the digits after the dot its power of ten.
     price_start = starts + np.where(shape == INTRADAY, 20, 11)
     length = ends - price_start
     shape[(length < 1) | (length > MAX_PRICE_BYTES)] = OTHER
     width = int(length[shape != OTHER].max(initial=1))
-    text = np.zeros((len(starts), width), dtype=np.uint8)
-    dots = np.zeros(len(starts), dtype=np.int32)
+    mantissa = np.zeros(len(starts))
+    digits, dots, fraction = (np.zeros(len(starts), dtype=np.uint8) for _ in range(3))
+    after_dot = np.zeros(len(starts), dtype=bool)
     for p in range(width):
         column = buf.take(price_start + p, mode="clip")
         inside = p < length
-        digit = (column >= 48) & (column <= 57)
+        digit = column - _ZERO
+        is_digit = (digit <= 9) & inside
         dot = (column == ord(".")) & inside
-        shape[inside & ~digit & ~dot | (p == 0) & ~digit | (p == length - 1) & ~digit] = OTHER
+        digits += is_digit
         dots += dot
-        text[:, p] = np.where(inside, column, 0)
-    shape[dots > 1] = OTHER
-    fast = shape != OTHER
-    prices = np.zeros(len(starts))
-    prices[fast] = text[fast].view(f"S{width}")[:, 0].astype(np.float64)
+        after_dot |= dot
+        fraction += is_digit & after_dot
+        mantissa *= is_digit * np.uint8(9) + np.uint8(1)
+        mantissa += digit * is_digit
+    plain = (digits + dots == length) & (dots <= 1) & (digits > fraction) & (fraction >= dots)
+    shape[~plain] = OTHER
+    prices = mantissa / _POWERS_OF_TEN.take(fraction, mode="clip")
+    inexact = (shape != OTHER) & ((mantissa >= 2.0**53) | (fraction >= len(_POWERS_OF_TEN)))
+    for i in np.flatnonzero(inexact).tolist():
+        prices[i] = float(buf[price_start[i] : ends[i]].tobytes())
 
+    # Fields are >= 0 (digits wrap in uint8); the garbage years and months
+    # of OTHER lines are clipped into the tables.
     year, month, day, hour, minute, second = fields
     intraday = shape == INTRADAY
-    hour, minute, second = (np.where(intraday, f, 0) for f in (hour, minute, second))
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + ((month == 2) & leap)
-    valid = (
-        (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-        & (hour <= 23) & (minute <= 59) & (second <= 59)
-    )
-    days = _days_from_civil(year.astype(np.int64), month, day)
-    seconds = days * 86400 + hour * 3600 + minute * 60 + second
+    on_clock = ~intraday | (hour <= 23) & (minute <= 59) & (second <= 59)
+    clock = np.where(intraday, hour * 3600 + minute * 60 + second, 0)
+    leap_month = _LEAP.take(year, mode="clip") * 14 + np.minimum(month, 13)
+    valid = (day >= 1) & (day <= _MONTH_LEN.take(leap_month)) & on_clock
+    days = _YEAR_START.take(year, mode="clip") + _MONTH_START.take(leap_month) + (day - 1)
+    seconds = days.astype(np.int64) * 86400 + clock
     return shape, seconds, valid, prices
 
 

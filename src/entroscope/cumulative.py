@@ -311,12 +311,16 @@ def detect_events(
 
     ``dispersion_floor`` defaults to 0.05 * ln(n_bins), in entropy units,
     which keeps the default threshold meaningful on quiet data.
-    ``threshold`` must be finite and >= 0.
+    ``threshold`` and a given ``dispersion_floor`` must be finite and >= 0.
     """
     if min_persistence < 1 or baseline < 1:
         raise ValueError("min_persistence and baseline must be >= 1")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+    if dispersion_floor is not None and not (
+        math.isfinite(dispersion_floor) and dispersion_floor >= 0
+    ):
+        raise ValueError(f"dispersion_floor must be finite and >= 0, got {dispersion_floor}")
     required = max(baseline, 2 * min_persistence)
     if len(spectra) < required:
         raise InsufficientBaseline(

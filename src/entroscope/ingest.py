@@ -166,13 +166,13 @@ def _read(step):
 
 
 def parse_csv(
-    raw_text: str,
+    raw_text: str | bytes,
     frequency: Frequency,
     instrument_id: str,
     dt_col: str = "timestamp",
     close_col: str = "close",
 ) -> tuple[PriceSeries, Diagnostics]:
-    """Parse raw CSV text into a normalized, ascending PriceSeries.
+    r"""Parse raw CSV text into a normalized, ascending PriceSeries.
 
     Rows whose timestamp shape does not match the declared frequency, whose
     timestamp has invalid components, or whose price is non-positive or
@@ -181,12 +181,25 @@ def parse_csv(
     files with no valid rows raise EmptyInput; text the csv module cannot
     split into records raises MalformedCsv.
 
+    ``raw_text`` is the text, or the bytes of a file as text mode would
+    read them: they must be UTF-8 (else UnicodeDecodeError), and ``\r\n``
+    and a lone ``\r`` end a line as ``\n`` does. Either way the parser
+    reads the UTF-8 bytes.
+
     Under a ``dt_col,close_col`` header, lines of the fast shapes (see
     ``codec.scan_rows``) are decoded together by whole-column numpy work;
     every other record goes through ``csv`` and ``_parse_row``, with the
     same drop reasons.
     """
-    lines = _Lines(raw_text.encode("utf-8", "surrogatepass"))
+    data = raw_text
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    else:
+        if not data.isascii():  # ASCII is UTF-8; other bytes are decoded to check
+            data.decode("utf-8")
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = _Lines(data)
     reader = csv.DictReader(lines)
     header = _read(lambda: reader.fieldnames)
     if header is None:
@@ -270,8 +283,10 @@ def parse_csv_file(
     dt_col: str = "timestamp",
     close_col: str = "close",
 ) -> tuple[PriceSeries, Diagnostics]:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_csv(text, frequency, instrument_id, dt_col=dt_col, close_col=close_col)
+    """``parse_csv`` of the file's bytes: the outcome of parsing the file
+    read in text mode as UTF-8, without decoding it into a string."""
+    data = Path(path).read_bytes()
+    return parse_csv(data, frequency, instrument_id, dt_col=dt_col, close_col=close_col)
 
 
 def serialize_csv(series: PriceSeries) -> str:

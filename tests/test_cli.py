@@ -91,6 +91,9 @@ def test_ingest_continues_past_undecodable_file(tmp_path, capsys):
     assert main(["ingest", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad: error:")
+    with pytest.raises(UnicodeDecodeError) as text_mode:
+        bad.read_text(encoding="utf-8")
+    assert captured.err == f"bad: error: {text_mode.value}\n"
     assert "good: rows=" in captured.out
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["good.csv"]
 

@@ -483,3 +483,6 @@ def test_detect_rejects_bad_parameters():
     for threshold in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             detect_events(spectra, threshold=threshold)
+    for floor in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="dispersion_floor"):
+            detect_events(spectra, dispersion_floor=floor)

@@ -18,6 +18,7 @@ from entroscope import (
     aggregate_to_daily,
     dedup_closed_market,
     parse_csv,
+    parse_csv_file,
     serialize_csv,
 )
 from entroscope.codec import fixed6, rows
@@ -344,7 +345,8 @@ def test_codec_matches_row_oracle_on_dirty_csv(header, intraday, mixed, specs, e
 def test_codec_checks_dates_and_times_like_numpy():
     dates = [
         f"{y:04d}-{m:02d}-{d:02d}"
-        for y in (0, 1900, 2000, 2023, 2024) for m in range(14) for d in range(33)
+        for y in (0, 1, 1600, 1700, 1900, 2000, 2023, 2024, 2100, 9999)
+        for m in range(14) for d in range(33)
     ]
     times = [
         f"{h:02d}:{m:02d}:{s:02d}" for h in (0, 23, 24, 99) for m in (0, 59, 60) for s in (0, 59, 60)
@@ -357,6 +359,59 @@ def test_codec_checks_dates_and_times_like_numpy():
         assert _outcome(parse_csv, text, frequency, "t") == _outcome(
             _parse_csv_oracle, text, frequency, "t"
         )
+
+
+# Plain decimals of 1..32 bytes: leading zeros, mantissas of 15 to 17
+# digits and more, up to 23 fraction digits, and values next to 2**53.
+_DECIMAL = st.one_of(
+    st.builds(
+        "{}.{}".format, st.text("0123456789", min_size=1, max_size=17),
+        st.text("0123456789", min_size=1, max_size=23),
+    ),
+    st.text("0123456789", min_size=1, max_size=32),
+    st.sampled_from([
+        "0.0000000000000000000000001", "9007199254740993", "9007199254740992",
+        "9007199254740991", "900719925474099.3", "123456789012345", "1234567890123456",
+        "12345678901234567", "1.0000000000000000000001", "1.00000000000000000000001",
+        "0.1", "0.30000000000000004", "00000000000000000000000000000001",
+        "99999999999999999999999999999999", "4.35", "1.7976931348623157",
+    ]),
+).filter(lambda text: len(text) <= 32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prices=st.lists(_DECIMAL, min_size=1, max_size=30))
+def test_codec_prices_equal_python_float_bit_for_bit(prices):
+    days = np.datetime64("2000-01-01") + np.arange(len(prices))
+    text = "timestamp,close\n" + "".join(f"{d},{p}\n" for d, p in zip(days, prices))
+    want = [float(p) for p in prices if float(p) > 0]
+    if not want:
+        with pytest.raises(EmptyInput):
+            parse_csv(text, Frequency.DAILY, "t")
+        return
+    series, _ = parse_csv(text, Frequency.DAILY, "t")
+    assert [v.hex() for v in series.closes.tolist()] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("data", [
+    b"timestamp,close\r\n2025-01-02,1.5\r\n2025-01-03,2.5\r\n",
+    b"timestamp,close\r2025-01-02,1.5\r2025-01-03,2.5",
+    b"timestamp,close\n2025-01-02,1.5\r\r\n2025-01-03,2.5\r",
+    "\ufefftimestamp,close\n2025-01-02,1.5\n".encode("utf-8"),
+    b"\xef\xbb\xbftimestamp,close\r\n2025-01-02,1.5\r\n",
+    b"timestamp,close\n2025-01-02,1.5\n\xff\xfe2025-01-03,2.5\n",
+    b"timestamp,close\n2025-01-02,\xc3\n",
+], ids=["crlf", "lone-cr", "mixed-ends", "bom", "bom-crlf", "invalid-utf8", "truncated-utf8"])
+def test_parse_csv_file_equals_text_mode_read(tmp_path, data):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+
+    def text_mode(p, *args):
+        return parse_csv(p.read_text(encoding="utf-8"), *args)
+
+    assert _outcome(parse_csv_file, path, Frequency.DAILY, "t") == _outcome(
+        text_mode, path, Frequency.DAILY, "t"
+    )
 
 
 def test_codec_matches_row_oracle_on_long_and_quoted_fields():

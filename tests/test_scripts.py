@@ -30,3 +30,10 @@ def test_shock_demo_detects_the_shock_only():
 def test_calibrate_detector_default_row():
     rows = [line.split() for line in _run_script("calibrate_detector.py", "--seeds", "5").splitlines()]
     assert ["3.0", "2", "0", "100"] in rows
+
+
+def test_code_lines_total_is_sum_of_modules():
+    *modules, total = [line.split() for line in _run_script("code_lines.py").splitlines()]
+    assert total[0] == "total"
+    assert modules and all(name.endswith(".py") for name, _ in modules)
+    assert int(total[1]) == sum(int(count) for _, count in modules) > 0
