@@ -338,20 +338,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> tuple[bytes, bytes]:
     n_sequences, n_windows = table.values.shape
-    ks = codec.integers(np.arange(n_windows))
-    lengths = codec.integers(table.ends[0] - table.starts[0])
+    # Row (j, k) is sequence j's "j,anchor", window k's ",k,window_len,"
+    # and H; each of the first two is rendered once and broadcast.
+    middle = codec.columns([
+        b",", codec.integers(np.arange(n_windows)), b",",
+        codec.integers(table.ends[0] - table.starts[0]), b",",
+    ])
     anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
     rows = [b"sequence_index,anchor_timestamp,k,window_len,H\n"]
     block = max(1, codec.BLOCK_ROWS // n_windows)
     for lo in range(0, n_sequences, block):
         hi = min(lo + block, n_sequences)
-        rows.append(codec.rows(
-            np.repeat(codec.integers(np.arange(lo, hi)), n_windows, axis=0), b",",
-            np.repeat(anchors[lo:hi], n_windows, axis=0), b",",
-            np.tile(ks, (hi - lo, 1)), b",",
-            np.tile(lengths, (hi - lo, 1)), b",",
-            codec.fixed6(table.values[lo:hi].ravel()), b"\n",
-        ))
+        head = codec.columns([codec.integers(np.arange(lo, hi)), b",", anchors[lo:hi]])
+        h = codec.fixed6(table.values[lo:hi].ravel()).reshape(hi - lo, n_windows, -1)
+        rows.append(codec.rows(head[:, None], middle, h, b"\n"))
 
     # Anchors ascend, so each month's sequences are contiguous.
     peaks = table.peaks

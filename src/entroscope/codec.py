@@ -1,9 +1,10 @@
 r"""Byte-level codec for the package's CSV text: whole-column numpy kernels.
 
 Reading. ``scan_rows`` decodes, one fixed-width byte column at a time and
-by arithmetic alone, every line of the shape ``YYYY-MM-DD,P`` or
-``YYYY-MM-DD HH:MM:SS,P`` where ``P`` is a plain decimal
-(``\d+(\.\d+)?``, at most ``MAX_PRICE_BYTES`` bytes). The stamp's fields
+by arithmetic alone, every line of the shape ``YYYY-MM-DD,P``,
+``YYYY-MM-DD HH:MM:SS,P`` or ``YYYY-MM-DD HH-MM-SS,P`` (one separator
+throughout the time) where ``P`` is a plain decimal (``\d+(\.\d+)?``,
+at most ``MAX_PRICE_BYTES`` bytes). The stamp's fields
 become seconds, and its validity, through tables of years 0..9999 and of
 months built at import. The price is its digits as one integer mantissa
 over a power of ten. A mantissa below 2**53 (so every mantissa of at most
@@ -15,8 +16,10 @@ to the caller's row function.
 
 Writing. ``fixed6``, ``integers``, ``stamps`` and ``text`` render arrays
 as byte matrices with one text row per value; NUL bytes in them are
-padding. ``rows`` lays such matrices and constant separators side by side
-and returns the text of all rows with the padding dropped.
+padding. Decimal digits come two at a time from a table of the pairs
+"00".."99", one division by 100 per pair. ``columns`` lays such matrices
+and constant separators side by side, broadcasting their leading axes, and
+``rows`` returns the text of all rows with the padding dropped.
 """
 from __future__ import annotations
 
@@ -112,6 +115,11 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         if k == 10:
             date_shaped = shaped & (column == ord(","))
             shaped &= column == ord(" ")
+        elif k == 13:  # HH:MM:SS or HH-MM-SS
+            separator = column
+            shaped &= (column == expected) | (column == ord("-"))
+        elif k == 16:
+            shaped &= column == separator
         else:
             shaped &= column == expected
     shape = np.where(date_shaped, DATE, np.where(shaped, INTRADAY, OTHER))
@@ -159,12 +167,24 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return shape, seconds, valid, prices
 
 
+# "00".."99" as uint16: element i holds the two ASCII digits of i in
+# memory order, so a uint16 array of them views as the digit bytes.
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+
+
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """Zero-padded decimal digits of non-negative integers, one row each."""
-    out = np.empty((len(values), width), dtype=np.uint8)
-    for p in range(width):
-        out[:, width - 1 - p] = values // 10**p % 10 + 48
-    return out
+    """Zero-padded decimal digits of non-negative integers of at most
+    ``width`` digits, one row each; two digits per table lookup. A value
+    that is negative or too wide (an out-of-range year, patched later)
+    gets meaningless digits."""
+    pairs = np.empty((len(values), (width + 1) // 2), dtype=np.uint16)
+    rest = values.astype(np.int32 if width <= 8 else np.int64)
+    for k in range(pairs.shape[1] - 1, 0, -1):
+        quotient = rest // 100  # a division by a constant; % is slower
+        pairs[:, k] = _PAIRS.take(rest - quotient * 100)
+        rest = quotient
+    pairs[:, 0] = _PAIRS.take(rest, mode="clip")
+    return pairs.view(np.uint8)[:, width % 2 :]
 
 
 def integers(values) -> np.ndarray:
@@ -213,7 +233,7 @@ def fixed6(values) -> np.ndarray:
     negative = np.signbit(values)
     if negative.any():
         fields.insert(0, np.where(negative, ord("-"), 0).astype(np.uint8)[:, None])
-    out = _columns(fields)
+    out = columns(fields)
     if not exact.all():
         python = np.flatnonzero(~exact)
         out = _patch(out, python, [f"{v:.6f}" for v in values[python].tolist()])
@@ -232,33 +252,34 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
         hour, rest = np.divmod(second_of_day, 3600)
         fields += [b" ", _digits(hour, 2), b":", _digits(rest // 60, 2), b":"]
         fields.append(_digits(rest % 60, 2))
-    out = _columns(fields)
+    out = columns(fields)
     outside = np.flatnonzero((year < 0) | (year > 9999))
     if len(outside):
         numpy_text = np.datetime_as_string(
             seconds[outside].view("datetime64[s]"), unit="D" if daily else "s"
         ).tolist()
-        out = _patch(out, outside, [s if daily else s.replace("T", " ") for s in numpy_text])
+        if not daily:  # "YYYY-MM-DDTHH:MM:SS"; NaT keeps its T
+            numpy_text = [s if s == "NaT" else s.replace("T", " ") for s in numpy_text]
+        out = _patch(out, outside, numpy_text)
     return out
 
 
-def _columns(fields) -> np.ndarray:
-    """Byte matrices and bytes constants (repeated on every row) side by side."""
-    n = next(len(f) for f in fields if not isinstance(f, bytes))
-    return np.concatenate(
-        [
-            np.broadcast_to(np.frombuffer(f, dtype=np.uint8), (n, len(f)))
-            if isinstance(f, bytes)
-            else f
-            for f in fields
-        ],
-        axis=1,
-    )
+def columns(fields) -> np.ndarray:
+    """Byte arrays and bytes constants side by side along the last axis.
+    The leading axes of the arrays broadcast against each other, and a
+    constant is repeated on every row."""
+    arrays = [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f for f in fields]
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    out = np.empty(shape + (sum(a.shape[-1] for a in arrays),), dtype=np.uint8)
+    at = 0
+    for a in arrays:
+        out[..., at : at + a.shape[-1]] = a
+        at += a.shape[-1]
+    return out
 
 
 def rows(*fields) -> bytes:
-    """The text of rows laid out as ``fields``: byte matrices with one row
-    per text row, and bytes constants shared by every row. NUL padding is
-    dropped."""
-    flat = _columns(fields).ravel()
-    return flat[flat != 0].tobytes()
+    """The text of rows laid out as ``fields``: byte arrays whose leading
+    axes broadcast to one text row per element, and bytes constants shared
+    by every row. NUL padding is dropped."""
+    return columns(fields).tobytes().replace(b"\0", b"")

@@ -36,11 +36,16 @@ DEFAULT_DISPERSION_FLOOR_FRACTION = 0.05
 GROW_RIGHT = "grow-right"
 GROW_LEFT = "grow-left"
 
-# Sequences per block of the fixed-range table, and candidate sequences per
-# block of the detector's baseline medians and MADs. Working memory grows
-# with the block, never with the series: a block holds block * (steps + 1)
-# * n_bins window counts and a prefix-count matrix over its (block - 1) *
-# stride + span observations, or block * baseline peaks.
+# Window counts per block of the fixed-range table: a block of
+# BLOCK_COUNTS // ((steps + 1) * n_bins) sequences holds at most
+# BLOCK_COUNTS window counts and as many c ln c terms (256 KiB as float64,
+# well inside a core's L2 cache), and a prefix-count matrix over its
+# (block - 1) * stride + span observations. Working memory grows with the
+# block, never with the series.
+BLOCK_COUNTS = 1 << 15
+
+# Candidate sequences per block of the detector's baseline medians and
+# MADs: a block holds block * baseline peaks.
 BLOCK_SEQUENCES = 4096
 
 # Values per block of the per-window table: a block of
@@ -210,7 +215,7 @@ def _prefix_counts(
     prefix = np.zeros((last - first + 1, n_bins), dtype=np.int32)
     prefix[np.arange(1, last - first + 1), idx[first:last]] = 1
     np.cumsum(prefix, axis=0, out=prefix)
-    return prefix[ends - first] - prefix[starts - first]
+    return prefix.take(ends - first, axis=0) - prefix.take(starts - first, axis=0)
 
 
 def _per_window_counts(rows: np.ndarray, lengths: np.ndarray, n_bins: int) -> np.ndarray:
@@ -247,7 +252,7 @@ def spectra_for_series(
     n_bins = binning.n_bins
     if binning.is_fixed:
         idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
-        block = BLOCK_SEQUENCES
+        block = max(1, BLOCK_COUNTS // ((seq_spec.steps + 1) * n_bins))
     else:
         rows = sliding_window_view(returns.values, seq_spec.span)[:: seq_spec.stride]
         rows = rows[: len(starts)]

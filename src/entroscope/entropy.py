@@ -131,11 +131,21 @@ def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:
 
 
 def entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
-    """Shannon entropy over the last axis of a count array, p = counts /
-    totals (0 ln 0 = 0); ``totals`` broadcasts against the other axes."""
-    p = counts / np.asarray(totals)[..., None]
-    log_p = np.log(p, out=np.zeros_like(p), where=counts > 0)
-    return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
+    """Shannon entropy over the last axis of a count array with p = counts /
+    totals, as H = ln T - sum(c ln c) / T (0 ln 0 = 0); ``totals``
+    broadcasts against the other axes.
+
+    Integer counts take c ln c from a table over 0..max(totals), built once
+    per call; float masses take it from a masked ``log``. H is evaluated as
+    (T ln T - sum(c ln c)) / T, so a window whose values share one bin has
+    entropy exactly 0."""
+    totals = np.asarray(totals)
+    if np.issubdtype(counts.dtype, np.integer):
+        c = np.arange(int(totals.max()) + 1, dtype=np.float64)
+        c_log_c = c * np.log(np.maximum(c, 1.0))
+        return (c_log_c.take(totals) - c_log_c.take(counts).sum(axis=-1)) / totals
+    log_c = np.log(counts, out=np.zeros_like(counts), where=counts > 0)
+    return (totals * np.log(totals) - (counts * log_c).sum(axis=-1)) / totals
 
 
 def shannon_entropy(dist: BinnedDistribution) -> float:

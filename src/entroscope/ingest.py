@@ -8,13 +8,14 @@ timestamps or non-positive/non-finite prices are dropped and counted
 rather than interpolated.
 
 Parsing has one fast path and one row function. Under a header that is
-exactly ``<dt_col>,<close_col>``, every line shaped ``YYYY-MM-DD,P`` or
-``YYYY-MM-DD HH:MM:SS,P``, with ``P`` a plain decimal (``\d+(\.\d+)?``,
-at most 32 bytes), is decoded by whole-column numpy work in ``codec``.
-Every other record (quoted fields, ``\r``, padding whitespace, signs,
-exponents, ``nan``, ``T``-separated or hyphenated times, blank lines,
-extra or missing columns, any other header) is read by ``csv.DictReader``
-and judged by ``_parse_row``; both paths drop rows for the same reasons.
+exactly ``<dt_col>,<close_col>``, every line shaped ``YYYY-MM-DD,P``,
+``YYYY-MM-DD HH:MM:SS,P`` or ``YYYY-MM-DD HH-MM-SS,P``, with ``P`` a plain
+decimal (``\d+(\.\d+)?``, at most 32 bytes), is decoded by whole-column
+numpy work in ``codec``. Every other record (quoted fields, ``\r``,
+padding whitespace, signs, exponents, ``nan``, ``T``-separated times,
+blank lines, extra or missing columns, any other header) is read by
+``csv.DictReader`` and judged by ``_parse_row``; both paths drop rows for
+the same reasons.
 
 Closed-market artifacts, where a feed keeps emitting copies of the last
 open-market close, are removed by a run-length rule: any maximal run of

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from entroscope import (
-    Frequency, ReturnKind, Shock, ShockShape, SynthSpec, generate, serialize_csv,
+    BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable, SynthSpec,
+    WindowSequenceSpec, generate, serialize_csv, window_bounds,
 )
-from entroscope.cli import load_config, main
+from entroscope import codec
+from entroscope.cli import _spectrum_csv, load_config, main
 
 from _fixtures import make_daily, make_intraday
 
@@ -426,6 +428,43 @@ def test_spectrum_monthly_profile_written(tmp_path):
     assert monthly[0] == "month,mean_peak_entropy,max_peak_entropy,sequences"
     months = [row.split(",")[0] for row in monthly[1:]]
     assert months == sorted(months) and months[0].startswith("2025-")
+
+
+@pytest.mark.parametrize("frequency", [Frequency.FIVE_MINUTE, Frequency.DAILY])
+def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
+    # More sequences than one writer block, and indices, k and window
+    # lengths across the 9 -> 10 and 99 -> 100 digit widths.
+    n_windows = 12
+    n_sequences = codec.BLOCK_ROWS // n_windows + 150
+    geometry = WindowSequenceSpec(9, 9, n_windows - 1, sequence_count=n_sequences)
+    starts, ends = window_bounds(n_sequences + geometry.span, geometry)
+    rng = np.random.default_rng(31)
+    values = rng.random(starts.shape) * 3.0
+    values[::5, 0] = 0.0
+    values[3, :] = 1.25
+    step = np.timedelta64(86400 if frequency is Frequency.DAILY else 10807, "s")
+    anchors = np.datetime64("2024-11-30T22:00:00") + step * np.arange(n_sequences)
+    if frequency is Frequency.DAILY:
+        anchors = anchors.astype("datetime64[D]").astype("datetime64[s]")
+    table = SpectrumTable(values, starts, ends, anchors, BinningSpec(7))
+    spectrum, monthly = _spectrum_csv(table, frequency)
+
+    unit = "D" if frequency is Frequency.DAILY else "s"
+    stamps = [s.replace("T", " ") for s in np.datetime_as_string(anchors, unit=unit).tolist()]
+    want = ["sequence_index,anchor_timestamp,k,window_len,H\n"]
+    for j, stamp in enumerate(stamps):
+        for k, length in enumerate((ends[j] - starts[j]).tolist()):
+            want.append(f"{j},{stamp},{k},{length},{values[j, k]:.6f}\n")
+    assert spectrum == "".join(want).encode("ascii")
+
+    peaks = values.max(axis=1)
+    month_of = anchors.astype("datetime64[M]")
+    want = ["month,mean_peak_entropy,max_peak_entropy,sequences\n"]
+    for month in np.unique(month_of):
+        group = peaks[month_of == month]
+        want.append(f"{month},{np.mean(group):.6f},{group.max():.6f},{len(group)}\n")
+    assert len(want) > 3
+    assert monthly == "".join(want).encode("ascii")
 
 
 def test_spectrum_date_filter_restricts_sequences(tmp_path):

@@ -24,7 +24,9 @@ from entroscope import (
     velleman_bins,
     window_bounds,
 )
+from entroscope import cumulative
 from entroscope.cumulative import (
+    BLOCK_COUNTS,
     BLOCK_SEQUENCES,
     MAD_TO_SIGMA,
     PER_WINDOW_BLOCK_VALUES,
@@ -199,7 +201,10 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
     rng = np.random.default_rng(18)
     seq_spec = WindowSequenceSpec(base_length=6, increment=3, steps=2, stride=1,
                                   anchor_mode=anchor_mode)
-    block = PER_WINDOW_BLOCK_VALUES // seq_spec.span if per_window else BLOCK_SEQUENCES
+    if per_window:
+        block = PER_WINDOW_BLOCK_VALUES // seq_spec.span
+    else:
+        block = BLOCK_COUNTS // ((seq_spec.steps + 1) * n_bins)
     vals = rng.normal(0, 0.01, block + 300 + seq_spec.span - 1)
     if constant:
         for at in (0, 500, 2000, block - 10, len(vals) - 20):
@@ -215,6 +220,19 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
     assert np.max(np.abs(table.values - want)) <= 1e-12
     if constant:
         assert np.count_nonzero(table.values == 0.0) >= 5
+
+
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+def test_fixed_range_spectra_bits_do_not_depend_on_block_size(anchor_mode, monkeypatch):
+    rng = np.random.default_rng(19)
+    r = make_returns(rng.normal(0, 0.01, 400))
+    seq_spec = WindowSequenceSpec(base_length=9, increment=4, steps=3, stride=2,
+                                  anchor_mode=anchor_mode)
+    binning = BinningSpec(7, lo=-0.015, hi=0.015)
+    want = spectra_for_series(r, seq_spec, binning).values
+    for block_counts in (1, 7):
+        monkeypatch.setattr(cumulative, "BLOCK_COUNTS", block_counts)
+        assert spectra_for_series(r, seq_spec, binning).values.tobytes() == want.tobytes()
 
 
 def test_window_bounds_arrays():

@@ -18,6 +18,7 @@ from entroscope import (
     velleman_bins,
     window_entropy,
 )
+from entroscope.entropy import entropy_from_counts
 
 from _fixtures import make_returns
 
@@ -118,6 +119,41 @@ def test_shannon_frozen_mixed_masses():
     dist = bin_returns([0.1, 0.4, 0.4, 0.9], BinningSpec(3, lo=0.0, hi=0.9))
     assert dist.masses.tolist() == [0.25, 0.5, 0.25]
     assert shannon_entropy(dist) == pytest.approx(1.0397207708399179, abs=1e-12)
+
+
+def test_shannon_entropy_bits_equal_plain_mass_formula():
+    # shannon_entropy keeps -sum(p ln p) over the masses bit for bit.
+    rng = np.random.default_rng(22)
+    dists = [
+        bin_returns([0.0, 1.0, 2.0, 3.0], BinningSpec(4, lo=0.0, hi=4.0)),
+        bin_returns([0.3, 0.3, 0.3], BinningSpec(6)),
+        bin_returns([0.1, 0.4, 0.4, 0.9], BinningSpec(3, lo=0.0, hi=0.9)),
+        *(
+            bin_returns(rng.normal(0, 0.01, n), BinningSpec(velleman_bins(n)))
+            for n in (5, 78, 2000)
+        ),
+    ]
+    for dist in dists:
+        p = dist.masses
+        want = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum() + 0.0
+        assert shannon_entropy(dist).hex() == float(want).hex()
+    assert shannon_entropy(dists[2]).hex() == (1.0397207708399179).hex()
+
+
+def test_entropy_from_counts_table_agrees_with_masses():
+    # Integer counts take c ln c from a table, masses from a masked log.
+    rng = np.random.default_rng(23)
+    counts = rng.integers(0, 6, size=(300, 3, 9)) * rng.integers(0, 2, size=(300, 3, 9))
+    counts[:, :, 0] += 1  # no empty window
+    counts[::7] = 0
+    counts[::7, :, 4] = rng.integers(1, 200, size=(len(counts[::7]), 3))  # one value
+    totals = counts.sum(axis=-1)
+    got = entropy_from_counts(counts, totals)
+    want = entropy_from_counts(counts / totals[..., None], 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.all(got[::7] == 0.0)
+    for dtype in (np.int32, np.int64):
+        assert np.array_equal(entropy_from_counts(counts.astype(dtype), totals), got)
 
 
 def test_window_entropy_constant_slice():

@@ -21,7 +21,7 @@ from entroscope import (
     parse_csv_file,
     serialize_csv,
 )
-from entroscope.codec import fixed6, rows
+from entroscope.codec import fixed6, integers, rows, stamps
 from entroscope.ingest import _classify_timestamp, _normalize_intraday
 
 from _fixtures import intraday_timestamps, make_daily, make_intraday
@@ -258,7 +258,10 @@ _ODD_PRICES = [
     "1_0", "1e3", "inf", "-inf", "nan", "NaN", "-0", "0", "0.000000", "-1.5", "+1.5", ".5", "5.",
     "1..2", "", "abc", " 1.5", "1.5 ", "١٢", "9" * 40,
 ]
-_ODD_STAMPS = ["n/a", "", "2025/01/02", "09:30:00 2025-01-02", "2025-01-02 09:30", "٢025-01-02"]
+_ODD_STAMPS = [
+    "n/a", "", "2025/01/02", "09:30:00 2025-01-02", "2025-01-02 09:30", "٢025-01-02",
+    "2025-01-02 09-30:00", "2025-01-02 09:30-00",
+]
 
 
 _DATE = st.builds(
@@ -453,6 +456,26 @@ def test_fixed6_equals_python_format(scale):
     ])
     text = rows(fixed6(values), b"\n").decode("ascii")
     assert text.splitlines() == [f"{v:.6f}" for v in values.tolist()]
+
+
+def test_integers_equal_str():
+    values = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+    text = rows(integers(values), b"\n").decode("ascii")
+    assert text.splitlines() == [str(v) for v in values]
+
+
+@pytest.mark.parametrize("daily", [True, False])
+def test_stamps_equal_numpy(daily):
+    # Years outside 0..9999 and NaT are handed to numpy's own text.
+    stamps_in = np.array([
+        f"{y}-{md}T{hms}"
+        for y in ("0000", "0001", "1969", "1970", "9999", "10000", "-001")
+        for md, hms in (("01-01", "00:00:00"), ("02-28", "09:05:07"), ("12-31", "23:59:59"))
+    ] + ["0000-02-29T12:00:00", "NaT"], dtype="datetime64[s]")
+    want = np.datetime_as_string(stamps_in, unit="D" if daily else "s").tolist()
+    if not daily:
+        want = [s if s == "NaT" else s.replace("T", " ") for s in want]
+    assert rows(stamps(stamps_in, daily), b"\n").decode("ascii").splitlines() == want
 
 
 # ----------------------------------------------------------------------
