@@ -26,6 +26,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import EnumMeta
 from pathlib import Path
@@ -276,14 +278,20 @@ def _csv(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, content: str | bytes) -> None:
-    """Write ``content`` (text is encoded as UTF-8) to ``path`` through a
+def _write(path: Path, content: str | bytes | Iterable[bytes]) -> None:
+    """Write ``content`` (text is encoded as UTF-8; an iterable of byte
+    strings is written in order as it is produced) to ``path`` through a
     sibling temp file renamed over it, so that ``path`` never holds a
     partial file."""
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    if isinstance(content, bytes):
+        content = (content,)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        with tmp.open("wb") as f:
+            f.writelines(content)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -310,7 +318,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def _compare_row(config: RunConfig, entry: InstrumentEntry, rows: list[str]) -> None:
     returns = _load_returns(config, entry)
-    before, after = bracket_windows(returns, config.anchor_date, config.window_days)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            before, after = bracket_windows(returns, config.anchor_date, config.window_days)
+        finally:
+            for warning in caught:
+                print(f"{entry.id}: warning: {warning.message}", file=sys.stderr)
     n_bins = config.bins if config.bins is not None else velleman_bins(len(before))
     entropy_cmp = compare_windows(
         returns, before, after, Metric.ENTROPY, binning=BinningSpec(n_bins)
@@ -336,7 +350,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return code
 
 
-def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> tuple[bytes, bytes]:
+def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]:
+    """The bytes of ``spectrum.csv``, one block of rows at a time."""
     n_sequences, n_windows = table.values.shape
     # Row (j, k) is sequence j's "j,anchor", window k's ",k,window_len,"
     # and H; each of the first two is rendered once and broadcast.
@@ -345,27 +360,28 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> tuple[bytes, by
         codec.integers(table.ends[0] - table.starts[0]), b",",
     ])
     anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
-    rows = [b"sequence_index,anchor_timestamp,k,window_len,H\n"]
+    yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
     block = max(1, codec.BLOCK_ROWS // n_windows)
     for lo in range(0, n_sequences, block):
         hi = min(lo + block, n_sequences)
         head = codec.columns([codec.integers(np.arange(lo, hi)), b",", anchors[lo:hi]])
         h = codec.fixed6(table.values[lo:hi].ravel()).reshape(hi - lo, n_windows, -1)
-        rows.append(codec.rows(head[:, None], middle, h, b"\n"))
+        yield codec.rows(head[:, None], middle, h, b"\n")
 
+
+def _monthly_csv(table: SpectrumTable) -> bytes:
     # Anchors ascend, so each month's sequences are contiguous.
     peaks = table.peaks
     months, firsts, counts = np.unique(
         table.anchor_timestamps.astype("datetime64[M]"), return_index=True, return_counts=True
     )
     groups = [peaks[first : first + count] for first, count in zip(firsts, counts)]
-    monthly = b"month,mean_peak_entropy,max_peak_entropy,sequences\n" + codec.rows(
+    return b"month,mean_peak_entropy,max_peak_entropy,sequences\n" + codec.rows(
         codec.stamps(months, daily=True)[:, :7], b",",  # YYYY-MM
         codec.fixed6([np.mean(group) for group in groups]), b",",
         codec.fixed6([group.max() for group in groups]), b",",
         codec.integers(counts), b"\n",
     )
-    return b"".join(rows), monthly
 
 
 def _events_csv(events: list[EventSignature], frequency: Frequency) -> bytes:
@@ -408,10 +424,9 @@ def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date)
         min_persistence=config.min_persistence,
         baseline=config.baseline,
     )
-    rows, monthly = _spectrum_csv(table, returns.frequency)
     out_dir = Path(config.out_dir)
-    _write(out_dir / f"{entry.id}_spectrum.csv", rows)
-    _write(out_dir / f"{entry.id}_monthly.csv", monthly)
+    _write(out_dir / f"{entry.id}_spectrum.csv", _spectrum_csv(table, returns.frequency))
+    _write(out_dir / f"{entry.id}_monthly.csv", _monthly_csv(table))
     _write(out_dir / f"{entry.id}_events.csv", _events_csv(events, returns.frequency))
     print(f"{entry.id}: sequences={len(table)} events={len(events)}")
 

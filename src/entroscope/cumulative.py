@@ -49,8 +49,9 @@ BLOCK_COUNTS = 1 << 15
 BLOCK_SEQUENCES = 4096
 
 # Values per block of the per-window table: a block of
-# PER_WINDOW_BLOCK_VALUES // span sequences holds their values twice over
-# (running minima and maxima) and one window's values at a time.
+# PER_WINDOW_BLOCK_VALUES // max(span, (steps + 1) * n_bins) sequences (at
+# least one) holds at most that many values, as one transposed copy, and
+# at most that many window counts.
 PER_WINDOW_BLOCK_VALUES = 65536
 
 
@@ -221,18 +222,41 @@ def _prefix_counts(
 def _per_window_counts(rows: np.ndarray, lengths: np.ndarray, n_bins: int) -> np.ndarray:
     """Window counts of one block of sequences under per-window ranges. Row
     j holds sequence j's values ordered from the edge its windows share, so
-    window k is ``rows[j, :lengths[k]]`` and its range is read off running
-    minima and maxima. A window whose values are all equal falls in bin 0,
-    so its entropy is 0."""
-    lows = np.minimum.accumulate(rows, axis=1)[:, lengths - 1]
-    highs = np.maximum.accumulate(rows, axis=1)[:, lengths - 1]
-    highs[highs == lows] = np.inf  # (v - lo) / inf = 0
-    n = len(rows)
-    offsets = np.arange(n)[:, None] * n_bins
+    window k is ``rows[j, :lengths[k]]``.
+
+    Window k's range is the running minimum and maximum of window k - 1's
+    range and the values window k adds. Where the range stays window k -
+    1's, each value lands in the same bin as before, so window k's counts
+    are window k - 1's plus those of the added values. A window whose range
+    changed is binned whole. Reuse bins the added values of every sequence
+    and the changed windows whole; when that is at least as many values as
+    all the block's windows k, those are binned whole instead. A window
+    whose values are all equal falls in bin 0, so its entropy is 0."""
+    cols = np.ascontiguousarray(rows.T)  # cols[i, j] is value i of sequence j
+    n = cols.shape[1]
+    offsets = np.arange(n) * n_bins
+
+    def count(values, lows, highs):
+        idx = bin_indices(values, n_bins, lows, highs)
+        idx += offsets[: len(lows)]
+        return np.bincount(idx.ravel(), minlength=len(lows) * n_bins).reshape(-1, n_bins)
+
     counts = np.empty((n, len(lengths), n_bins), dtype=np.int64)
+    lows, highs = np.full(n, np.inf), np.full(n, -np.inf)  # window 0 changes every range
+    edge = 0
     for k, length in enumerate(lengths.tolist()):
-        idx = bin_indices(rows[:, :length], n_bins, lows[:, k, None], highs[:, k, None])
-        counts[:, k] = np.bincount((idx + offsets).ravel(), minlength=n * n_bins).reshape(n, -1)
+        added = cols[edge:length]
+        new_lows = np.minimum(lows, added.min(axis=0))
+        new_highs = np.maximum(highs, added.max(axis=0))
+        changed = np.flatnonzero((new_lows != lows) | (new_highs != highs))
+        lows, highs = new_lows, new_highs
+        tops = np.where(highs == lows, np.inf, highs)  # (v - lo) / inf = 0
+        if len(changed) * length >= n * edge:  # whole windows bin no more values
+            counts[:, k] = count(cols[:length], lows, tops)
+        else:
+            counts[:, k] = counts[:, k - 1] + count(added, lows, tops)
+            counts[changed, k] = count(cols[:length, changed], lows[changed], tops[changed])
+        edge = length
     return counts
 
 
@@ -243,9 +267,12 @@ def spectra_for_series(
 
     Sequences go in blocks, and each block's window counts end in one
     ``entropy_from_counts`` call. A fixed range bins every value once and
-    takes counts from prefix counts; a per-window range bins each window
-    of the block over its own minimum and maximum. Counts are exact
-    integers; entropies agree with rebinning each window alone to rounding.
+    takes counts from prefix counts. A per-window range takes each
+    window's minimum and maximum as running extrema over the values it
+    adds; a window whose range equals the previous window's reuses its
+    counts plus those of the added values, and any other window is binned
+    whole over its own range. Counts are exact integers; entropies agree
+    with rebinning each window alone to rounding.
     """
     starts, ends = window_bounds(len(returns), seq_spec)
     lengths = ends[0] - starts[0]
@@ -258,7 +285,9 @@ def spectra_for_series(
         rows = rows[: len(starts)]
         if seq_spec.anchor_mode == GROW_LEFT:
             rows = rows[:, ::-1]  # the windows share the right edge
-        block = max(1, PER_WINDOW_BLOCK_VALUES // seq_spec.span)
+        block = max(
+            1, PER_WINDOW_BLOCK_VALUES // max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
+        )
     values = np.empty(starts.shape)
     for lo in range(0, len(starts), block):
         part = slice(lo, lo + block)

@@ -123,7 +123,7 @@ def slice_window(
     available = np.unique(dates[start_index:])
     if len(available) < trading_days:
         warnings.warn(
-            f"{returns.instrument_id}: only {len(available)} trading days available "
+            f"only {len(available)} trading days available "
             f"at or after {start} (requested {trading_days})",
             stacklevel=2,
         )
@@ -148,7 +148,7 @@ def bracket_windows(
         raise OutOfRange(f"no data before {anchor}")
     if len(before_dates) < trading_days:
         warnings.warn(
-            f"{returns.instrument_id}: only {len(before_dates)} trading days before "
+            f"only {len(before_dates)} trading days before "
             f"{anchor} (requested {trading_days})",
             stacklevel=2,
         )

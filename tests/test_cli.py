@@ -11,7 +11,7 @@ from entroscope import (
     WindowSequenceSpec, generate, serialize_csv, window_bounds,
 )
 from entroscope import codec
-from entroscope.cli import _spectrum_csv, load_config, main
+from entroscope.cli import _monthly_csv, _spectrum_csv, _write, load_config, main
 
 from _fixtures import make_daily, make_intraday
 
@@ -376,6 +376,34 @@ def test_compare_continues_past_single_failure(tmp_path, capsys):
     assert len(rows) == 2 and rows[1].startswith("good,")
 
 
+TRUNCATED_COMPARE = {
+    "both sides truncated": ("2025-01-17", 0, (
+        "short: warning: only 14 trading days before 2025-01-17 (requested 100)\n"
+        "short: warning: only 16 trading days available at or after 2025-01-17"
+        " (requested 100)\n"
+    )),
+    "warning then error": ("2025-03-01", 2, (
+        "short: warning: only 30 trading days before 2025-03-01 (requested 100)\n"
+        "short: error: 2025-03-01 is after the last observation\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(TRUNCATED_COMPARE))
+def test_compare_truncated_windows_warn_in_one_line_each(tmp_path, capsys, case):
+    anchor, code, stderr = TRUNCATED_COMPARE[case]
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0, 0.01, 31)))
+    path = tmp_path / "short.csv"
+    path.write_text(serialize_csv(make_daily(prices, instrument="short")))
+    config = write_config(
+        tmp_path, [("short", path, "daily")], anchor_date=anchor, window_days=100
+    )
+    assert main(["compare", "--config", str(config)]) == code
+    assert capsys.readouterr().err == stderr
+    rows = (tmp_path / "out" / "compare.csv").read_text().strip().splitlines()
+    assert len(rows) == (2 if code == 0 else 1)
+
+
 def test_compare_all_failures_exit_3(tmp_path, capsys):
     bad = tmp_path / "short.csv"
     bad.write_text("timestamp,close\n2025-01-02 09:30:00,100.0\n")
@@ -447,7 +475,8 @@ def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
     if frequency is Frequency.DAILY:
         anchors = anchors.astype("datetime64[D]").astype("datetime64[s]")
     table = SpectrumTable(values, starts, ends, anchors, BinningSpec(7))
-    spectrum, monthly = _spectrum_csv(table, frequency)
+    spectrum = b"".join(_spectrum_csv(table, frequency))
+    monthly = _monthly_csv(table)
 
     unit = "D" if frequency is Frequency.DAILY else "s"
     stamps = [s.replace("T", " ") for s in np.datetime_as_string(anchors, unit=unit).tolist()]
@@ -465,6 +494,17 @@ def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
         want.append(f"{month},{np.mean(group):.6f},{group.max():.6f},{len(group)}\n")
     assert len(want) > 3
     assert monthly == "".join(want).encode("ascii")
+
+
+def test_write_failing_mid_stream_leaves_no_file(tmp_path):
+    def blocks():
+        yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
+        raise RuntimeError("block failed")
+
+    target = tmp_path / "out" / "x_spectrum.csv"
+    with pytest.raises(RuntimeError, match="block failed"):
+        _write(target, blocks())
+    assert list(target.parent.iterdir()) == []
 
 
 def test_spectrum_date_filter_restricts_sequences(tmp_path):

@@ -32,7 +32,9 @@ from entroscope.cumulative import (
     PER_WINDOW_BLOCK_VALUES,
     EventSignature,
     _flags,
+    _per_window_counts,
 )
+from entroscope.entropy import bin_indices, entropy_from_counts
 
 from _fixtures import make_returns
 
@@ -202,7 +204,7 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
     seq_spec = WindowSequenceSpec(base_length=6, increment=3, steps=2, stride=1,
                                   anchor_mode=anchor_mode)
     if per_window:
-        block = PER_WINDOW_BLOCK_VALUES // seq_spec.span
+        block = PER_WINDOW_BLOCK_VALUES // max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
     else:
         block = BLOCK_COUNTS // ((seq_spec.steps + 1) * n_bins)
     vals = rng.normal(0, 0.01, block + 300 + seq_spec.span - 1)
@@ -233,6 +235,111 @@ def test_fixed_range_spectra_bits_do_not_depend_on_block_size(anchor_mode, monke
     for block_counts in (1, 7):
         monkeypatch.setattr(cumulative, "BLOCK_COUNTS", block_counts)
         assert spectra_for_series(r, seq_spec, binning).values.tobytes() == want.tobytes()
+
+
+def _sequence_rows(patterns, anchor_mode):
+    # One sequence per row of ``patterns``, each ordered from the edge its
+    # windows share, laid end to end in a series and read back as
+    # spectra_for_series reads it: a strided view, reversed for grow-left.
+    span = patterns.shape[1]
+    values = patterns if anchor_mode == "grow-right" else patterns[:, ::-1]
+    rows = sliding_window_view(values.ravel(), span)[::span]
+    return rows if anchor_mode == "grow-right" else rows[:, ::-1]
+
+
+def _counts_oracle(window, n_bins):
+    lo, hi = window.min(), window.max()
+    if lo == hi:
+        return np.bincount(np.zeros(len(window), dtype=np.int64), minlength=n_bins)
+    return np.bincount(bin_indices(window, n_bins, lo, hi), minlength=n_bins)
+
+
+def _monotone(n, span, sign):
+    return sign * (np.arange(n)[:, None] * 0.1 + np.linspace(0.0, 1.0, span))
+
+
+def _per_window_patterns(case, rng, n, base, span):
+    values = rng.normal(0.0, 0.01, (n, span))
+    if case == "range-never-changes":
+        values[:, 0], values[:, base - 1] = -1.0, 1.0
+    elif case == "range-changes-every-window":
+        values = _monotone(n, span, 1.0)
+    elif case == "only-min-changes":
+        values = _monotone(n, span, -1.0)
+        values[:, 0] = 1.0
+    elif case == "only-max-changes":
+        values = _monotone(n, span, 1.0)
+        values[:, 0] = -1.0
+    elif case == "mixed":
+        values[::3, 0], values[::3, 1] = -1.0, 1.0
+        values[1::3] = _monotone(len(values[1::3]), span, 1.0)
+    elif case == "constant-stretches":
+        values[0] = 0.25                  # every window degenerate
+        values[1, :base] = -0.5           # degenerate base, then a range
+        values[2, base:] = values[2, 0]   # a range that repeats its first value
+        values[3::2] = np.round(values[3::2], 2)  # ties inside each window
+    return values
+
+
+PER_WINDOW_CASES = [
+    "range-never-changes", "range-changes-every-window", "only-min-changes",
+    "only-max-changes", "mixed", "constant-stretches",
+]
+
+
+@pytest.mark.filterwarnings("error")  # a constant window must not divide 0 by 0
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+@pytest.mark.parametrize("case", PER_WINDOW_CASES)
+def test_per_window_counts_equal_rebinning_each_window(case, anchor_mode):
+    n_bins, base, increment, steps, n = 5, 6, 3, 4, 9
+    lengths = base + increment * np.arange(steps + 1)
+    patterns = _per_window_patterns(case, np.random.default_rng(23), n, base, lengths[-1])
+    rows = _sequence_rows(patterns, anchor_mode)
+    counts = _per_window_counts(rows, lengths, n_bins)
+    assert counts.dtype == np.int64
+    for j in range(n):
+        for k, length in enumerate(lengths):
+            assert counts[j, k].tolist() == _counts_oracle(patterns[j, :length], n_bins).tolist()
+    h = entropy_from_counts(counts, lengths)
+    if case == "constant-stretches":
+        assert (h[0] == 0.0).all() and (h[1, 0] == 0.0)
+    else:
+        assert (h > 0.0).all()
+
+
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+def test_per_window_spectra_bits_do_not_depend_on_block_size(anchor_mode, monkeypatch):
+    rng = np.random.default_rng(29)
+    vals = rng.normal(0, 0.01, 400)
+    vals[100:130] = vals[100]
+    r = make_returns(vals)
+    seq_spec = WindowSequenceSpec(base_length=9, increment=4, steps=3, stride=2,
+                                  anchor_mode=anchor_mode)
+    want = spectra_for_series(r, seq_spec, BinningSpec(7)).values
+    for block_values in (1, 7):
+        monkeypatch.setattr(cumulative, "PER_WINDOW_BLOCK_VALUES", block_values)
+        got = spectra_for_series(r, seq_spec, BinningSpec(7)).values
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_bins", [3, 40])
+def test_per_window_blocks_bound_counts_by_bins(n_bins, monkeypatch):
+    # Blocks hold at most PER_WINDOW_BLOCK_VALUES values and window counts
+    # (or one sequence), whichever of span and windows * n_bins is larger.
+    seq_spec = WindowSequenceSpec(base_length=6, increment=2, steps=2, stride=1)
+    r = make_returns(np.random.default_rng(31).normal(0, 0.01, 200))
+    monkeypatch.setattr(cumulative, "PER_WINDOW_BLOCK_VALUES", 300)
+    blocks = []
+
+    def recording(rows, lengths, bins):
+        blocks.append(len(rows))
+        return _per_window_counts(rows, lengths, bins)
+
+    monkeypatch.setattr(cumulative, "_per_window_counts", recording)
+    spectra_for_series(r, seq_spec, BinningSpec(n_bins))
+    per_sequence = max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
+    assert sum(blocks) == 200 - seq_spec.span + 1
+    assert max(blocks) == max(1, 300 // per_sequence)
 
 
 def test_window_bounds_arrays():
