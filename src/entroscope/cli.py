@@ -55,7 +55,14 @@ from .ingest import (
     parse_csv_file,
     serialize_csv,
 )
-from .returns import ReturnKind, ReturnSeries, bracket_windows, log_returns, nominal_returns
+from .returns import (
+    ReturnKind,
+    ReturnSeries,
+    bracket_windows,
+    distinct_days,
+    log_returns,
+    nominal_returns,
+)
 from .stats import Metric, compare_windows
 from .synth import Shock, ShockShape, SynthSpec, generate
 
@@ -64,8 +71,10 @@ EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
 # What one instrument, or one command, may fail with and still end in a
-# one-line message and an exit code rather than a traceback.
-_FAILURES = (PipelineError, OSError, ValueError)
+# one-line message and an exit code rather than a traceback. A
+# MemoryError comes from arrays sized by the input or the config (a huge
+# ``bins``), not from the interpreter running dry.
+_FAILURES = (PipelineError, OSError, ValueError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -237,9 +246,10 @@ def _load_returns(config: RunConfig, entry: InstrumentEntry) -> ReturnSeries:
 
 
 def _bars_per_day(returns: ReturnSeries) -> int:
-    _, counts = np.unique(returns.dates(), return_counts=True)
-    values, freq = np.unique(counts, return_counts=True)
-    return int(values[np.argmax(freq)])
+    """The most common number of bars in a trading day (the smallest of
+    equally common ones)."""
+    _, counts = distinct_days(returns.dates())
+    return int(np.bincount(counts).argmax())
 
 
 def _resolve_sequence(config: RunConfig, returns: ReturnSeries) -> WindowSequenceSpec:
@@ -370,11 +380,15 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
 
 
 def _monthly_csv(table: SpectrumTable) -> bytes:
-    # Anchors ascend, so each month's sequences are contiguous.
-    peaks = table.peaks
-    months, firsts, counts = np.unique(
-        table.anchor_timestamps.astype("datetime64[M]"), return_index=True, return_counts=True
-    )
+    # Anchors ascend, so each month's sequences are contiguous: they start
+    # where the month's first second sorts among the anchors. Months with
+    # no anchor get no row.
+    anchors, peaks = table.anchor_timestamps, table.peaks
+    months = np.arange(anchors[0].astype("datetime64[M]"), anchors[-1].astype("datetime64[M]") + 2)
+    bounds = np.searchsorted(anchors, months.astype(anchors.dtype))
+    counts = np.diff(bounds)
+    held = counts > 0
+    months, firsts, counts = months[:-1][held], bounds[:-1][held], counts[held]
     groups = [peaks[first : first + count] for first, count in zip(firsts, counts)]
     return b"month,mean_peak_entropy,max_peak_entropy,sequences\n" + codec.rows(
         codec.stamps(months, daily=True)[:, :7], b",",  # YYYY-MM

@@ -17,9 +17,11 @@ to the caller's row function.
 Writing. ``fixed6``, ``integers``, ``stamps`` and ``text`` render arrays
 as byte matrices with one text row per value; NUL bytes in them are
 padding. Decimal digits come two at a time from a table of the pairs
-"00".."99", one division by 100 per pair. ``columns`` lays such matrices
-and constant separators side by side, broadcasting their leading axes, and
-``rows`` returns the text of all rows with the padding dropped.
+"00".."99", one division by 100 per pair. ``stamps`` renders a date once
+per run of equal days, so the bars of one trading day share one civil-date
+conversion. ``columns`` lays such matrices and constant separators side
+by side, broadcasting their leading axes, and ``rows`` returns the text of
+all rows with the padding dropped.
 """
 from __future__ import annotations
 
@@ -83,6 +85,9 @@ _MONTH_FIRSTS = np.array(
 )
 _MONTH_START = np.pad(_MONTH_FIRSTS[:, :12], ((0, 0), (1, 1)))
 _MONTH_LEN = np.pad(np.diff(_MONTH_FIRSTS, axis=1), ((0, 0), (1, 1)))
+# The day numbers of 0000-01-01 and 9999-12-31, the dates ``stamps``
+# renders by arithmetic.
+_FIRST_DAY, _LAST_DAY = int(_YEAR_START[0]), int(_days_from_civil(10000, 1, 1)) - 1
 
 
 def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -243,17 +248,27 @@ def fixed6(values) -> np.ndarray:
 def stamps(timestamps, daily: bool) -> np.ndarray:
     """``YYYY-MM-DD`` (``daily``) or ``YYYY-MM-DD HH:MM:SS`` of each
     timestamp; years outside 0..9999 and NaT are written as numpy writes
-    them."""
+    them.
+
+    A date is rendered once per run of equal days (the bars of one trading
+    day) and repeated over its run; when every row has its own day, the
+    dates are rendered row by row with no repeat. The clock is taken in
+    int32."""
     seconds = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64)
     days, second_of_day = np.divmod(seconds, 86400)
-    year, month, day = _civil_from_days(days)
-    fields = [_digits(year, 4), b"-", _digits(month, 2), b"-", _digits(day, 2)]
+    new_day = days[1:] != days[:-1]
+    runs = None if new_day.all() else np.flatnonzero(np.concatenate(([True], new_day)))
+    year, month, day = _civil_from_days(days if runs is None else days[runs])
+    out = columns([_digits(year, 4), b"-", _digits(month, 2), b"-", _digits(day, 2)])
+    if runs is not None:
+        out = np.repeat(out, np.diff(runs, append=len(days)), axis=0)
     if not daily:
-        hour, rest = np.divmod(second_of_day, 3600)
-        fields += [b" ", _digits(hour, 2), b":", _digits(rest // 60, 2), b":"]
-        fields.append(_digits(rest % 60, 2))
-    out = columns(fields)
-    outside = np.flatnonzero((year < 0) | (year > 9999))
+        hour, rest = np.divmod(second_of_day.astype(np.int32), 3600)
+        minute, second = np.divmod(rest, 60)
+        out = columns([
+            out, b" ", _digits(hour, 2), b":", _digits(minute, 2), b":", _digits(second, 2)
+        ])
+    outside = np.flatnonzero((days < _FIRST_DAY) | (days > _LAST_DAY))
     if len(outside):
         numpy_text = np.datetime_as_string(
             seconds[outside].view("datetime64[s]"), unit="D" if daily else "s"

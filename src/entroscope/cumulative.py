@@ -14,13 +14,17 @@ normal-consistent sigma, floored at a small fraction of ln(n_bins): the
 MAD of a short baseline of near-identical peaks collapses toward zero,
 and without the floor ordinary fluctuation would flag constantly. Flags
 must persist over consecutive sequences to become an event, and events
-are separated by at least one baseline width.
+are separated by at least one baseline width. Peaks are a running
+maximum over the window columns, taken once per table; the screen's
+trailing minima come from block prefix and suffix minima (``sliding_min``),
+in time linear in the number of sequences whatever the baseline.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -143,9 +147,14 @@ class SpectrumTable:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    @property
+    @cached_property
     def peaks(self) -> np.ndarray:
-        return self.values.max(axis=1)
+        """Each sequence's largest entropy, ``values.max(axis=1)``, taken
+        once per table as a running maximum over the window columns."""
+        peaks = self.values[:, 0].copy()
+        for k in range(1, self.values.shape[1]):
+            np.maximum(peaks, self.values[:, k], out=peaks)
+        return peaks
 
 
 @dataclass(frozen=True)
@@ -300,6 +309,26 @@ def spectra_for_series(
     return SpectrumTable(values, starts, ends, anchors, binning)
 
 
+def sliding_min(x: np.ndarray, width: int) -> np.ndarray:
+    """``min(x[i : i + width])`` for every i in 0..len(x) - width (none when
+    width > len(x)), for width >= 1, in O(len(x)) whatever the width.
+
+    The van Herk/Gil-Werman method: cut x into blocks of ``width``; every
+    window is one whole block or spans the tail of one block and the head
+    of the next, so its minimum is the smaller of a suffix minimum and a
+    prefix minimum within blocks. Minima are exact, so the result equals
+    the direct one."""
+    n = len(x)
+    blocks = -(-n // width)
+    cut = np.empty(blocks * width, dtype=x.dtype)
+    cut[:n] = x
+    cut[n:] = x[-1:]  # padding past every window's last value: no result reads it
+    cut = cut.reshape(blocks, width)
+    prefix = np.minimum.accumulate(cut, axis=1).ravel()
+    suffix = np.minimum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.minimum(suffix[: n - width + 1], prefix[width - 1 : n])
+
+
 def _flags(
     peaks: np.ndarray, threshold: float, baseline: int, dispersion_floor: float
 ) -> np.ndarray:
@@ -312,11 +341,12 @@ def _flags(
     The screen is exact for threshold >= 0. The minimum is at most the
     median, the dispersion is at least the floor and IEEE rounding is
     monotone, so peak - median <= peak - minimum <= threshold * floor <=
-    threshold * dispersion for every sequence screened out."""
+    threshold * dispersion for every sequence screened out. The trailing
+    minima come from ``sliding_min``, in O(n) for any ``baseline``."""
     n = len(peaks)
     flagged = np.zeros(n, dtype=bool)
     trailing = sliding_window_view(peaks, baseline)  # row i: peaks[i : i + baseline]
-    low = trailing[: n - baseline].min(axis=1)
+    low = sliding_min(peaks[:-1], baseline)  # low[i]: min(trailing[i])
     candidates = baseline + np.flatnonzero(peaks[baseline:] - low > threshold * dispersion_floor)
     for lo in range(0, len(candidates), BLOCK_SEQUENCES):
         c = candidates[lo : lo + BLOCK_SEQUENCES]

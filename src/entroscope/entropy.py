@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindow, OutOfRange
-from .returns import ReturnSeries, WindowSlice, slice_values
+from .returns import ReturnSeries, WindowSlice, distinct_days, slice_values
 
 
 def velleman_bins(sample_count: int) -> int:
@@ -183,7 +183,7 @@ def pmf_snapshot(
     if not day_mask.any():
         raise OutOfRange(f"no observations on {target}")
 
-    prior = np.unique(dates[dates < target])
+    prior, _ = distinct_days(dates[: np.searchsorted(dates, target)])
     if len(prior) < preceding_days:
         raise OutOfRange(
             f"only {len(prior)} trading days precede {target} (requested {preceding_days})"

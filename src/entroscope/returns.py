@@ -97,6 +97,16 @@ def nominal_returns(series: PriceSeries) -> ReturnSeries:
     )
 
 
+def distinct_days(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct dates of ascending ``dates`` and the number of
+    observations on each, as ``np.unique(dates, return_counts=True)`` gives
+    them, taken from runs of equal dates without a sort."""
+    first = np.ones(len(dates), dtype=bool)
+    first[1:] = dates[1:] != dates[:-1]
+    starts = np.flatnonzero(first)
+    return dates[starts], np.diff(starts, append=len(dates))
+
+
 def _as_date(value) -> np.datetime64:
     return np.datetime64(value, "D")
 
@@ -120,7 +130,7 @@ def slice_window(
         raise OutOfRange(f"{start} is after the last observation")
 
     start_index = int(np.searchsorted(dates, start, side="left"))
-    available = np.unique(dates[start_index:])
+    available, _ = distinct_days(dates[start_index:])
     if len(available) < trading_days:
         warnings.warn(
             f"only {len(available)} trading days available "
@@ -143,7 +153,8 @@ def bracket_windows(
     runs out."""
     anchor = _as_date(anchor_date)
     dates = returns.dates()
-    before_dates = np.unique(dates[dates < anchor])
+    before_end = int(np.searchsorted(dates, anchor, side="left"))
+    before_dates, _ = distinct_days(dates[:before_end])
     if len(before_dates) == 0:
         raise OutOfRange(f"no data before {anchor}")
     if len(before_dates) < trading_days:
@@ -156,7 +167,6 @@ def bracket_windows(
     else:
         first_date = before_dates[-trading_days]
     before_start = int(np.searchsorted(dates, first_date, side="left"))
-    before_end = int(np.searchsorted(dates, anchor, side="left"))
     before = WindowSlice(before_start, before_end, "before")
     after = slice_window(returns, anchor, trading_days, label="after")
     return before, after

@@ -47,14 +47,25 @@ class BeforeAfterComparison:
     pct_difference: float
 
 
+def _sample(values) -> np.ndarray:
+    """``values`` as float64; TooShort when there are fewer than 4."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.size < 4:
+        raise TooShort(f"need at least 4 observations, got {vals.size}")
+    return vals
+
+
+def _std_dev(values) -> float:
+    """The ``std_dev`` of ``summarize_values``, without the other statistics."""
+    return math.sqrt(float(_sample(values).var(ddof=1)))
+
+
 def summarize_values(values) -> SummaryStats:
     """Summary statistics of a raw sample. Requires at least 4 observations
     (the kurtosis correction needs N > 3). A constant sample reports zero
     skewness and zero excess kurtosis."""
-    vals = np.asarray(values, dtype=np.float64)
+    vals = _sample(values)
     n = vals.size
-    if n < 4:
-        raise TooShort(f"need at least 4 observations, got {n}")
 
     mean = float(vals.mean())
     variance = float(vals.var(ddof=1))
@@ -119,8 +130,8 @@ def compare_windows(
         b = window_entropy(returns, before, binning)
         a = window_entropy(returns, after, binning)
     elif metric is Metric.STD_DEV:
-        b = summarize(returns, before).std_dev
-        a = summarize(returns, after).std_dev
+        b = _std_dev(slice_values(returns, before))
+        a = _std_dev(slice_values(returns, after))
     else:
         b = summarize(returns, before).kurtosis
         a = summarize(returns, after).kurtosis

@@ -10,7 +10,7 @@ from entroscope import (
     BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable, SynthSpec,
     WindowSequenceSpec, generate, serialize_csv, window_bounds,
 )
-from entroscope import codec
+from entroscope import cli, codec
 from entroscope.cli import _monthly_csv, _spectrum_csv, _write, load_config, main
 
 from _fixtures import make_daily, make_intraday
@@ -486,14 +486,42 @@ def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
             want.append(f"{j},{stamp},{k},{length},{values[j, k]:.6f}\n")
     assert spectrum == "".join(want).encode("ascii")
 
+    assert monthly.count(b"\n") > 3
+    assert monthly == _monthly_rows(values, anchors)
+
+
+def _monthly_rows(values, anchors):
+    """``_monthly_csv`` of a table of ``values`` and ``anchors``, from
+    f-strings over ``np.unique`` months."""
     peaks = values.max(axis=1)
     month_of = anchors.astype("datetime64[M]")
     want = ["month,mean_peak_entropy,max_peak_entropy,sequences\n"]
     for month in np.unique(month_of):
         group = peaks[month_of == month]
         want.append(f"{month},{np.mean(group):.6f},{group.max():.6f},{len(group)}\n")
-    assert len(want) > 3
-    assert monthly == "".join(want).encode("ascii")
+    return "".join(want).encode("ascii")
+
+
+_MONTHLY_ANCHORS = {
+    # Anchors in January, April, December and the next February only: the
+    # months between get no row.
+    "skipped months": np.concatenate([
+        np.datetime64(day) + np.arange(0, 7 * 3600, 1800) * np.timedelta64(1, "s")
+        for day in ("2025-01-31", "2025-04-01", "2025-04-02", "2025-12-31", "2026-02-27")
+    ]),
+    "one month": np.datetime64("2025-03-03T09:30:00") + np.arange(200) * np.timedelta64(300, "s"),
+    "daily anchors": np.datetime64("2024-12-30T00:00:00") + np.arange(100) * np.timedelta64(1, "D"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MONTHLY_ANCHORS))
+def test_monthly_csv_bytes_equal_fstring_rows(case):
+    anchors = _MONTHLY_ANCHORS[case].astype("datetime64[s]")
+    geometry = WindowSequenceSpec(5, 2, 2, sequence_count=len(anchors))
+    starts, ends = window_bounds(len(anchors) + geometry.span, geometry)
+    values = np.random.default_rng(43).random(starts.shape) * 2.0
+    table = SpectrumTable(values, starts, ends, anchors, BinningSpec(7))
+    assert _monthly_csv(table) == _monthly_rows(values, anchors)
 
 
 def test_write_failing_mid_stream_leaves_no_file(tmp_path):
@@ -524,6 +552,21 @@ def test_spectrum_too_short_exits_3(tmp_path, capsys):
     config = write_config(tmp_path, [("synth", path, "5min")], sequence=SEQ_SHORT)
     assert main(["spectrum", "--config", str(config)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_spectrum_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A huge bin count can ask for more memory than there is. A stub that
+    # raises stands in for the spectra, so the test allocates nothing.
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.37 GiB for an array")
+
+    monkeypatch.setattr(cli, "spectra_for_series", too_large)
+    path, _, _ = write_synth_fixture(tmp_path, seed=37)
+    config = write_config(tmp_path, [("synth", path, "5min")], sequence=SEQ_SHORT)
+    assert main(["spectrum", "--config", str(config), "--bins", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "synth: error: Unable to allocate 4.37 GiB for an array\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_spectrum_continues_past_failing_instrument(tmp_path, capsys):

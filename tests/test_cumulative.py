@@ -33,6 +33,7 @@ from entroscope.cumulative import (
     EventSignature,
     _flags,
     _per_window_counts,
+    sliding_min,
 )
 from entroscope.entropy import bin_indices, entropy_from_counts
 
@@ -374,6 +375,15 @@ def test_spectrum_table_views():
             table[bad]
 
 
+@pytest.mark.parametrize("steps", [0, 3])
+def test_spectrum_table_peaks_taken_once(steps):
+    rng = np.random.default_rng(37)
+    r = make_returns(rng.normal(0, 0.01, 300))
+    table = spectra_for_series(r, WindowSequenceSpec(20, 10, steps, 3), BinningSpec(9))
+    assert table.peaks is table.peaks
+    assert table.peaks.tobytes() == table.values.max(axis=1).tobytes()
+
+
 def test_spectrum_values_within_bounds():
     rng = np.random.default_rng(15)
     r = make_returns(rng.normal(0, 0.01, 200))
@@ -489,9 +499,10 @@ def test_detect_matches_loop_oracle(threshold, min_persistence, baseline, disper
 
 def test_detect_matches_loop_oracle_with_baseline_sequences_only():
     rng = np.random.default_rng(23)
-    table = _table_of(rng.integers(0, 6, size=(8, 3)) * 0.25)
-    flags, events = _assert_matches_oracle(table, 0.0, 2, 8, 0.0)
-    assert not flags.any() and events == []
+    for baseline in (8, 78):
+        table = _table_of(rng.integers(0, 6, size=(baseline, 3)) * 0.25)
+        flags, events = _assert_matches_oracle(table, 0.0, 2, baseline, 0.0)
+        assert not flags.any() and events == []
 
 
 def test_detect_matches_loop_oracle_second_event_starts_mid_run():
@@ -503,6 +514,17 @@ def test_detect_matches_loop_oracle_second_event_starts_mid_run():
     flags, events = _assert_matches_oracle(table, 1.0, 2, 8, 0.1)
     assert np.flatnonzero(flags).tolist() == [20, 21, 27, 28, 29, 30]
     assert [(ev.onset_index, ev.persistence) for ev in events] == [(20, 2), (28, 3)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=300), st.data())
+def test_sliding_min_equals_direct_minimum(ints, data):
+    # Four distinct values: ties within and across the blocks of the width.
+    x = np.array(ints, dtype=float)
+    n = len(x)
+    widths = sorted({w for w in (1, 2, 78, n - 1, n) if 1 <= w <= n})
+    width = data.draw(st.sampled_from(widths) | st.integers(1, n))
+    assert np.array_equal(sliding_min(x, width), sliding_window_view(x, width).min(axis=1))
 
 
 @pytest.mark.parametrize(

@@ -464,6 +464,15 @@ def test_integers_equal_str():
     assert text.splitlines() == [str(v) for v in values]
 
 
+def _assert_stamps_equal_numpy(stamps_in, daily):
+    want = np.datetime_as_string(stamps_in, unit="D" if daily else "s").tolist()
+    if not daily:
+        want = [s if s == "NaT" else s.replace("T", " ") for s in want]
+    out = stamps(stamps_in, daily)
+    assert len(out) == len(stamps_in)
+    assert rows(out, b"\n").decode("ascii").splitlines() == want
+
+
 @pytest.mark.parametrize("daily", [True, False])
 def test_stamps_equal_numpy(daily):
     # Years outside 0..9999 and NaT are handed to numpy's own text.
@@ -472,10 +481,27 @@ def test_stamps_equal_numpy(daily):
         for y in ("0000", "0001", "1969", "1970", "9999", "10000", "-001")
         for md, hms in (("01-01", "00:00:00"), ("02-28", "09:05:07"), ("12-31", "23:59:59"))
     ] + ["0000-02-29T12:00:00", "NaT"], dtype="datetime64[s]")
-    want = np.datetime_as_string(stamps_in, unit="D" if daily else "s").tolist()
-    if not daily:
-        want = [s if s == "NaT" else s.replace("T", " ") for s in want]
-    assert rows(stamps(stamps_in, daily), b"\n").decode("ascii").splitlines() == want
+    _assert_stamps_equal_numpy(stamps_in, daily)
+
+
+_BARS = intraday_timestamps(5 * 78, 78, start="2024-12-30")  # runs of 78 bars a day
+_RUNS_OF_DAYS = {
+    "bars": _BARS,
+    "shuffled bars": np.random.default_rng(3).permutation(_BARS),
+    "NaT and outside years inside runs": np.array([
+        "2025-01-02T09:30:00", "NaT", "2025-01-02T09:35:00", "NaT", "NaT",
+        "10000-01-01T00:00:00", "10000-01-01T00:05:00", "10000-01-01T23:59:59",
+        "-001-12-31T23:55:00", "-001-12-31T23:59:59", "0000-01-01T00:00:00",
+        "9999-12-31T23:59:59", "9999-12-31T23:59:59",
+    ], dtype="datetime64[s]"),
+    "empty": np.array([], dtype="datetime64[s]"),
+}
+
+
+@pytest.mark.parametrize("daily", [True, False])
+@pytest.mark.parametrize("case", list(_RUNS_OF_DAYS))
+def test_stamps_equal_numpy_over_runs_of_one_day(case, daily):
+    _assert_stamps_equal_numpy(_RUNS_OF_DAYS[case], daily)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from entroscope import (
     slice_window,
 )
 
+from entroscope.returns import distinct_days
+
 from _fixtures import make_daily, make_returns
 
 
@@ -75,6 +77,16 @@ def test_values_invariant_under_time_shift():
 # ----------------------------------------------------------------------
 # window selection
 # ----------------------------------------------------------------------
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-3, 40), max_size=60))
+def test_distinct_days_equal_unique(offsets):
+    dates = np.datetime64("2025-01-02") + np.sort(offsets).astype("timedelta64[D]")
+    days, counts = distinct_days(dates)
+    want_days, want_counts = np.unique(dates, return_counts=True)
+    assert days.dtype == dates.dtype
+    assert np.array_equal(days, want_days) and np.array_equal(counts, want_counts)
+
 
 def test_slice_window_full():
     r = make_returns(np.arange(200, dtype=float) / 1e4, start="2025-01-02")

@@ -163,6 +163,16 @@ def test_compare_stddev_scale_ratio():
     assert cmp.pct_difference == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
+def test_compare_stddev_equals_summarize_and_needs_four_values():
+    rng = np.random.default_rng(5)
+    r = make_returns(rng.normal(0, 0.01, 50))
+    before, after = WindowSlice(0, 20), WindowSlice(20, 50)
+    cmp = compare_windows(r, before, after, Metric.STD_DEV)
+    assert (cmp.before, cmp.after) == (summarize(r, before).std_dev, summarize(r, after).std_dev)
+    with pytest.raises(TooShort, match="got 3"):
+        compare_windows(r, WindowSlice(0, 3), after, Metric.STD_DEV)
+
+
 def test_compare_entropy_uniform_vs_single_bin():
     n = 8
     before_vals = np.arange(n) + 0.5
