@@ -255,20 +255,13 @@ def _bars_per_day(returns: ReturnSeries) -> int:
 def _resolve_sequence(config: RunConfig, returns: ReturnSeries) -> WindowSequenceSpec:
     seq = config.sequence
     day = _bars_per_day(returns)
-    if day >= 2:
-        base = seq.base_length if seq.base_length is not None else day
-        increment = seq.increment if seq.increment is not None else day
-        stride = seq.stride if seq.stride is not None else day
-    else:
-        # Daily data: one bar per day, so day-based defaults degenerate.
-        base = seq.base_length if seq.base_length is not None else 10
-        increment = seq.increment if seq.increment is not None else 5
-        stride = seq.stride if seq.stride is not None else 5
+    # Daily data has one bar per day, so day-based defaults degenerate.
+    base, increment, stride = (day, day, day) if day >= 2 else (10, 5, 5)
     return WindowSequenceSpec(
-        base_length=base,
-        increment=increment,
+        base_length=seq.base_length if seq.base_length is not None else base,
+        increment=seq.increment if seq.increment is not None else increment,
         steps=seq.steps,
-        stride=stride,
+        stride=seq.stride if seq.stride is not None else stride,
         anchor_mode=seq.anchor_mode,
     )
 

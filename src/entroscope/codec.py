@@ -11,8 +11,9 @@ over a power of ten. A mantissa below 2**53 (so every mantissa of at most
 15 digits) and a power of at most 10**22 are exact doubles, so one
 division gives the correctly rounded value, the double ``float`` gives
 (Clinger's fast path). A larger mantissa, or more than 22 digits after the
-dot, is converted by ``float`` one row at a time. Any other line is left
-to the caller's row function.
+dot, is converted by ``float`` one row at a time. Any other line is shaped
+OTHER and left to the caller; ``ingest`` splits such records with ``csv``
+and decodes their stamps here too, so there is one stamp decoder.
 
 Writing. ``fixed6``, ``integers``, ``stamps`` and ``text`` render arrays
 as byte matrices with one text row per value; NUL bytes in them are

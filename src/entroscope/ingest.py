@@ -7,15 +7,17 @@ normalized to a single target format: ``YYYY-MM-DD`` for daily data and
 timestamps or non-positive/non-finite prices are dropped and counted
 rather than interpolated.
 
-Parsing has one fast path and one row function. Under a header that is
+Parsing has one stamp decoder and one drop rule. Under a header that is
 exactly ``<dt_col>,<close_col>``, every line shaped ``YYYY-MM-DD,P``,
 ``YYYY-MM-DD HH:MM:SS,P`` or ``YYYY-MM-DD HH-MM-SS,P``, with ``P`` a plain
 decimal (``\d+(\.\d+)?``, at most 32 bytes), is decoded by whole-column
 numpy work in ``codec``. Every other record (quoted fields, ``\r``,
 padding whitespace, signs, exponents, ``nan``, ``T``-separated times,
-blank lines, extra or missing columns, any other header) is read by
-``csv.DictReader`` and judged by ``_parse_row``; both paths drop rows for
-the same reasons.
+blank lines, extra or missing columns, any other header) is only split
+by ``csv.DictReader``: its stripped stamp goes through the same
+``codec.scan_rows`` and its price through ``float``. Every row is then
+judged by one rule over the codec's shape codes. Stamps with non-ASCII
+digits have no shape and are dropped as unparseable.
 
 Closed-market artifacts, where a feed keeps emitting copies of the last
 open-market close, are removed by a run-length rule: any maximal run of
@@ -25,8 +27,6 @@ first point.
 from __future__ import annotations
 
 import csv
-import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -41,10 +41,6 @@ class Frequency(Enum):
     DAILY = "daily"
     FIVE_MINUTE = "5min"
 
-
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_DT_COLON_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}$")
-_DT_HYPHEN_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}-\d{2}-\d{2}$")
 
 DEFAULT_DEDUP_RUN_LENGTH = 6  # 6 five-minute bars = 30 minutes
 
@@ -94,22 +90,6 @@ class PriceSeries:
         return self.timestamps.astype("datetime64[D]")
 
 
-def _classify_timestamp(text: str) -> str | None:
-    """Return 'date', 'intraday', or None for unrecognized shapes."""
-    if _DATE_RE.match(text):
-        return "date"
-    if _DT_COLON_RE.match(text) or _DT_HYPHEN_RE.match(text):
-        return "intraday"
-    return None
-
-
-def _normalize_intraday(text: str) -> str:
-    if _DT_HYPHEN_RE.match(text):
-        date_part, time_part = text.split(" ")
-        return date_part + " " + time_part.replace("-", ":")
-    return text
-
-
 class _Lines:
     """The text's lines, each with its line end, from line ``pos`` on.
 
@@ -137,25 +117,6 @@ class _Lines:
         line = self.data[self.starts[self.pos] : self.ends[self.pos] + 1]
         self.pos += 1
         return line.decode("utf-8", "surrogatepass")
-
-
-def _parse_row(row: dict, dt_col: str, close_col: str, wanted_shape: str):
-    """The rule for one record of the CSV: ``(shape, parsed)``, where
-    ``shape`` is the stamp's shape ('date', 'intraday' or None) and
-    ``parsed`` is ``(seconds, price)``, or None when the row is dropped."""
-    ts_text = (row.get(dt_col) or "").strip()
-    price_text = (row.get(close_col) or "").strip()
-    shape = _classify_timestamp(ts_text)
-    if shape != wanted_shape:
-        return shape, None
-    try:
-        ts = np.datetime64(_normalize_intraday(ts_text), "s")
-        price = float(price_text)
-    except ValueError:
-        return shape, None
-    if not math.isfinite(price) or price <= 0:
-        return shape, None
-    return shape, (int(ts.astype(np.int64)), price)
 
 
 def _read(step):
@@ -188,9 +149,9 @@ def parse_csv(
     reads the UTF-8 bytes.
 
     Under a ``dt_col,close_col`` header, lines of the fast shapes (see
-    ``codec.scan_rows``) are decoded together by whole-column numpy work;
-    every other record goes through ``csv`` and ``_parse_row``, with the
-    same drop reasons.
+    ``codec.scan_rows``) are decoded together by whole-column numpy work.
+    ``csv`` only splits every other record; the records' stamps are decoded
+    by the same ``codec.scan_rows``, and every row meets the same drop rule.
     """
     data = raw_text
     if isinstance(data, str):
@@ -208,23 +169,21 @@ def parse_csv(
     if dt_col not in header or close_col not in header:
         raise EmptyInput(f"required columns {dt_col!r}/{close_col!r} not in header {header}")
 
-    wanted_shape = "date" if frequency is Frequency.DAILY else "intraday"
+    wanted = codec.DATE if frequency is Frequency.DAILY else codec.INTRADAY
     first = lines.pos
     shape, seconds, valid, prices = codec.scan_rows(
         lines.buf, lines.starts[first:], lines.ends[first:]
     )
     if header != [dt_col, close_col] or dt_col == close_col:
         shape[:] = codec.OTHER  # the fast shapes hold exactly these two columns
-    fast = shape != codec.OTHER
+    counted = shape != codec.OTHER
 
     # Records outside the fast shapes, in file order. A record may span
-    # lines (a quoted field holding a line end); lines it takes in are
-    # taken off the fast path. Its result is kept at its first line, so
-    # that accepted rows stay in file order.
-    seen_shapes: set[str] = set()
-    slow: list[tuple[int, int, float]] = []
-    dropped = 0
-    for i in np.flatnonzero(~fast).tolist():
+    # lines (a quoted field holding a line end); lines it takes in after
+    # its first are not counted. Its stamp and price are kept at its first
+    # line, so that accepted rows stay in file order.
+    at, stamp_lines, record_prices = [], [], []
+    for i in np.flatnonzero(~counted).tolist():
         if first + i < lines.pos:
             continue
         lines.pos = first + i
@@ -232,29 +191,30 @@ def parse_csv(
             row = _read(reader.__next__)
         except StopIteration:
             break
-        fast[i : lines.pos - first] = False
-        row_shape, parsed = _parse_row(row, dt_col, close_col, wanted_shape)
-        if row_shape is not None:
-            seen_shapes.add(row_shape)
-        if parsed is None:
-            dropped += 1
-        else:
-            slow.append((i, *parsed))
+        counted[i : lines.pos - first] = False
+        at.append(i)
+        stamp = (row.get(dt_col) or "").strip()
+        stamp_lines.append(stamp.encode("utf-8", "surrogatepass") + b",1")
+        try:
+            record_prices.append(float((row.get(close_col) or "").strip()))
+        except ValueError:
+            record_prices.append(np.nan)
 
-    for code, name in ((codec.DATE, "date"), (codec.INTRADAY, "intraday")):
-        if np.any(fast & (shape == code)):
-            seen_shapes.add(name)
-    wanted_code = codec.DATE if frequency is Frequency.DAILY else codec.INTRADAY
-    accept = fast & (shape == wanted_code) & valid & (prices > 0)
-    dropped += int(fast.sum() - accept.sum())
+    # The records' stamps, as lines "<stamp>,1" for the codec. A quoted
+    # stamp may hold a line end, so each line is bounded by its length.
+    lengths = np.array([len(line) for line in stamp_lines], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    shape[at], seconds[at], valid[at], _ = codec.scan_rows(
+        np.frombuffer(b"".join(stamp_lines), dtype=np.uint8), ends - lengths, ends
+    )
+    prices[at] = record_prices
+    counted[at] = True
+    shape[~counted] = codec.OTHER
 
-    if len(seen_shapes) > 1:
+    accept = (shape == wanted) & valid & (prices > 0) & (prices < np.inf)
+    dropped = int(counted.sum() - accept.sum())
+    if np.any(shape == codec.DATE) and np.any(shape == codec.INTRADAY):
         raise AmbiguousTimestampFormat("file mixes date-only and intraday timestamps")
-    if slow:
-        at, slow_seconds, slow_prices = zip(*slow)
-        accept[list(at)] = True
-        seconds[list(at)] = slow_seconds
-        prices[list(at)] = slow_prices
     if not accept.any():
         raise EmptyInput("no valid rows")
 

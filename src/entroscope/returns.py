@@ -27,7 +27,8 @@ class ReturnSeries:
     """Ordered return observations derived from a PriceSeries.
 
     Each value is timestamped with the later price of its pair, so a
-    series of N prices yields N-1 returns.
+    series of N prices yields N-1 returns. Timestamps are strictly
+    increasing, as in the PriceSeries; window selection relies on it.
     """
 
     instrument_id: str
@@ -43,6 +44,8 @@ class ReturnSeries:
         object.__setattr__(self, "values", vals)
         if ts.shape != vals.shape or ts.ndim != 1:
             raise ValueError("timestamps and values must be 1-d arrays of equal length")
+        if len(ts) > 1 and not np.all(ts[1:] > ts[:-1]):
+            raise ValueError("timestamps must be strictly increasing")
         if len(vals) and not np.all(np.isfinite(vals)):
             raise ValueError("returns must be finite")
 

@@ -12,6 +12,9 @@ def make_daily(closes, start="2025-01-02", instrument="test") -> PriceSeries:
 
 
 def intraday_timestamps(n_bars, bars_per_day, start="2025-01-02") -> np.ndarray:
+    # 5-minute bars from 09:30: at most 174 fit before midnight.
+    if 9 * 60 + 30 + 5 * bars_per_day > 24 * 60:
+        raise ValueError(f"{bars_per_day} bars from 09:30 run past midnight")
     days = np.datetime64(start, "D") + np.arange(-(-n_bars // bars_per_day))
     offsets = (9 * 60 + 30 + 5 * np.arange(bars_per_day)) * np.timedelta64(60, "s")
     grid = (days.astype("datetime64[s]")[:, None] + offsets[None, :]).ravel()

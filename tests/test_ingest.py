@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from datetime import datetime
 
 import numpy as np
@@ -22,7 +23,6 @@ from entroscope import (
     serialize_csv,
 )
 from entroscope.codec import fixed6, integers, rows, stamps
-from entroscope.ingest import _classify_timestamp, _normalize_intraday
 
 from _fixtures import intraday_timestamps, make_daily, make_intraday
 
@@ -122,11 +122,25 @@ def test_parse_missing_column():
 
 
 def test_parse_mixed_granularity_is_ambiguous():
-    text = "timestamp,close\n2025-01-21,100.0\n2025-01-22 09:30:00,101.0\n"
-    with pytest.raises(AmbiguousTimestampFormat):
-        parse_csv(text, Frequency.DAILY, "t")
-    with pytest.raises(AmbiguousTimestampFormat):
-        parse_csv(text, Frequency.FIVE_MINUTE, "t")
+    # The intraday stamp bare (a fast line) and quoted (a csv record).
+    for other in ("2025-01-22 09:30:00", '"2025-01-22 09:30:00"'):
+        text = f"timestamp,close\n2025-01-21,100.0\n{other},101.0\n"
+        for frequency in Frequency:
+            with pytest.raises(AmbiguousTimestampFormat):
+                parse_csv(text, frequency, "t")
+
+
+@pytest.mark.parametrize("frequency, good, odd", [
+    (Frequency.FIVE_MINUTE, "2025-01-02 09:30:00", "\u0662025-01-02"),
+    (Frequency.DAILY, "2025-01-02", "\u0662025-01-02 09:30:00"),
+], ids=["intraday", "daily"])
+def test_parse_drops_stamp_with_non_ascii_digits(frequency, good, odd):
+    # An Arabic-Indic digit makes the stamp unparseable, not a stamp of the
+    # other shape: its row is dropped and the file is not ambiguous.
+    text = f"timestamp,close\n{good},100\n{odd},100\n"
+    series, diag = parse_csv(text, frequency, "t")
+    assert series.closes.tolist() == [100.0]
+    assert diag.dropped == 1
 
 
 def test_parse_normalizes_hyphenated_times():
@@ -166,6 +180,29 @@ def test_serialize_parse_roundtrip(micro, daily):
 # ----------------------------------------------------------------------
 # the codec against the whole-file row parser
 # ----------------------------------------------------------------------
+
+# The stamp grammar of the oracle. ASCII digits only: a stamp with other
+# digits is unparseable, not date-shaped.
+_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$", re.ASCII)
+_DT_COLON_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}$", re.ASCII)
+_DT_HYPHEN_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}-\d{2}-\d{2}$", re.ASCII)
+
+
+def _classify_timestamp(text):
+    """Return 'date', 'intraday', or None for unrecognized shapes."""
+    if _DATE_RE.match(text):
+        return "date"
+    if _DT_COLON_RE.match(text) or _DT_HYPHEN_RE.match(text):
+        return "intraday"
+    return None
+
+
+def _normalize_intraday(text):
+    if _DT_HYPHEN_RE.match(text):
+        date_part, time_part = text.split(" ")
+        return date_part + " " + time_part.replace("-", ":")
+    return text
+
 
 def _parse_csv_oracle(raw_text, frequency, instrument_id, dt_col="timestamp", close_col="close"):
     """The whole-file DictReader parser that the codec replaced."""
@@ -256,11 +293,11 @@ _HEADERS = [
 ]
 _ODD_PRICES = [
     "1_0", "1e3", "inf", "-inf", "nan", "NaN", "-0", "0", "0.000000", "-1.5", "+1.5", ".5", "5.",
-    "1..2", "", "abc", " 1.5", "1.5 ", "١٢", "9" * 40,
+    "1..2", "", "abc", " 1.5", "1.5 ", "1.5\x1c", "١٢", "9" * 40,
 ]
 _ODD_STAMPS = [
     "n/a", "", "2025/01/02", "09:30:00 2025-01-02", "2025-01-02 09:30", "٢025-01-02",
-    "2025-01-02 09-30:00", "2025-01-02 09:30-00",
+    "2025-01-02 09-30:00", "2025-01-02 09:30-00", "2025-01-02\u3000",
 ]
 
 
@@ -425,6 +462,12 @@ def test_codec_matches_row_oracle_on_long_and_quoted_fields():
         "timestamp,close\n2025-01-02,1.5\r2025-01-03,2.5\n",
         "timestamp,close\n\n\n2025-01-02,1.5\n\n",
         "timestamp,close\n2025-01-02,1.5\n\x002025-01-03,2.5\n",
+        # a fast-shaped line taken into the record before it is not a row
+        'timestamp,close\n2025-01-02,"1.5\n2025-01-03,2.5\n"\n2025-01-04,3.5\n',
+        # row-path records: padding that str.strip removes and float keeps,
+        # an infinite price, a lone surrogate
+        "timestamp,close\n2025-01-02\u3000,1.5\x1c\n2025-01-03, inf\n2025-01-04,2\n",
+        "timestamp,close\n2025-01-02\ud800,1.5\n2025-01-03,2.5\n",
         "",
         "\n",
         "timestamp,close",

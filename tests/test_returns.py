@@ -10,6 +10,7 @@ from entroscope import (
     OutOfRange,
     PriceSeries,
     ReturnKind,
+    ReturnSeries,
     TooShort,
     bracket_windows,
     log_returns,
@@ -65,6 +66,16 @@ def test_nominal_equals_exp_log_minus_one(closes):
     nominal = nominal_returns(series).values
     via_log = np.exp(log_returns(series).values) - 1.0
     assert np.all(np.abs(nominal - via_log) < 1e-12)
+
+
+@pytest.mark.parametrize("order", ["descending", "repeated"])
+def test_return_series_timestamps_must_increase(order):
+    # Window selection reads the stamps as ascending: a descending series
+    # would put every anchor after the "last" observation.
+    r = make_returns(np.full(60, 0.01))
+    ts = r.timestamps[::-1] if order == "descending" else np.repeat(r.timestamps[:30], 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, ts, r.values)
 
 
 def test_values_invariant_under_time_shift():

@@ -158,7 +158,7 @@ def test_compare_stddev_scale_ratio():
     rng = np.random.default_rng(3)
     n = 20_000
     vals = np.concatenate([rng.normal(0, 0.01, n), rng.normal(0, 0.02, n)])
-    r = make_returns(vals, frequency=Frequency.FIVE_MINUTE, bars_per_day=400)
+    r = make_returns(vals, frequency=Frequency.FIVE_MINUTE)
     cmp = compare_windows(r, WindowSlice(0, n), WindowSlice(n, 2 * n), Metric.STD_DEV)
     assert cmp.pct_difference == pytest.approx(2.0 / 3.0, abs=0.02)
 
