@@ -18,6 +18,17 @@ are separated by at least one baseline width. Peaks are a running
 maximum over the window columns, taken once per table; the screen's
 trailing minima come from block prefix and suffix minima (``sliding_min``),
 in time linear in the number of sequences whatever the baseline.
+
+A window's entropy comes from the int64 sum of its bins' fixed-point
+c ln c terms (``entropy._c_log_c_table``), which is exact. At stride 1
+under a fixed range, consecutive sequences differ by one observation at
+each end of every window, so a window's sum is the previous sequence's
+plus the change of the two bin counts the step touches: two cells of a
+prefix-count matrix per window instead of all ``n_bins``. Such a chain
+of single-observation steps costs about half the full recount at stride
+1, about as much at stride 2 and more from stride 4 on, so strides above
+1 and per-window ranges count every window whole. Both ways reach the
+same integers, hence the same bits.
 """
 from __future__ import annotations
 
@@ -29,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .entropy import BinningSpec, bin_indices, entropy_from_counts
+from .entropy import BinningSpec, _c_log_c_table, _entropy_from_sums, bin_indices
 from .entropy import window_entropy  # unused here: benchmark/tracing.py wraps it by this name
 from .errors import InsufficientBaseline, SeriesTooShort
 from .returns import ReturnSeries, WindowSlice
@@ -40,12 +51,15 @@ DEFAULT_DISPERSION_FLOOR_FRACTION = 0.05
 GROW_RIGHT = "grow-right"
 GROW_LEFT = "grow-left"
 
-# Window counts per block of the fixed-range table: a block of
+# Count cells per block of the fixed-range table. At stride > 1 a block of
 # BLOCK_COUNTS // ((steps + 1) * n_bins) sequences holds at most
-# BLOCK_COUNTS window counts and as many c ln c terms (256 KiB as float64,
+# BLOCK_COUNTS window counts and as many c ln c terms (256 KiB as int64,
 # well inside a core's L2 cache), and a prefix-count matrix over its
-# (block - 1) * stride + span observations. Working memory grows with the
-# block, never with the series.
+# (block - 1) * stride + span observations. At stride 1 only the
+# prefix-count matrix holds counts: a block of BLOCK_COUNTS // n_bins
+# sequences has BLOCK_COUNTS + span * n_bins of them, and (steps + 1)
+# window steps per sequence. Working memory grows with the block, never
+# with the series.
 BLOCK_COUNTS = 1 << 15
 
 # Candidate sequences per block of the detector's baseline medians and
@@ -214,18 +228,56 @@ def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[W
     ]
 
 
+def _prefix_matrix(idx: np.ndarray, n_bins: int) -> np.ndarray:
+    """Prefix counts (an integral histogram) of the bin indices ``idx``: row
+    i holds the bin counts of the first i values."""
+    prefix = np.zeros((len(idx) + 1, n_bins), dtype=np.int32)
+    prefix[np.arange(1, len(idx) + 1), idx] = 1
+    np.cumsum(prefix, axis=0, out=prefix)
+    return prefix
+
+
 def _prefix_counts(
     idx: np.ndarray, n_bins: int, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
     """Window counts of one block of sequences under a fixed range, from
-    prefix counts (an integral histogram) of the bin indices ``idx``: row i
-    of the prefix-count matrix C holds the bin counts of the block's first i
-    values, so window [a, b) counts C[b] - C[a]."""
+    the prefix counts C of the bin indices ``idx`` that the block covers:
+    window [a, b) counts C[b] - C[a]."""
     first, last = int(starts.min()), int(ends.max())
-    prefix = np.zeros((last - first + 1, n_bins), dtype=np.int32)
-    prefix[np.arange(1, last - first + 1), idx[first:last]] = 1
-    np.cumsum(prefix, axis=0, out=prefix)
+    prefix = _prefix_matrix(idx[first:last], n_bins)
     return prefix.take(ends - first, axis=0) - prefix.take(starts - first, axis=0)
+
+
+def _stride_one_sums(
+    idx: np.ndarray, n_bins: int, starts: np.ndarray, ends: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """Sums S of ``table[c]`` over the window counts c of one block of
+    stride-1 sequences under a fixed range: the sums of ``table.take(
+    _prefix_counts(...)).sum(-1)``, bit for bit.
+
+    Only the block's first sequence is counted whole. Sequence j's window
+    k is sequence j - 1's without the value at a = starts[j - 1, k] and
+    with the value at b = ends[j - 1, k]. Removing a from its bin's count
+    c_out, then adding b to its bin's remaining count c_in, changes S by
+    [F(c_in + 1) - F(c_in)] - [F(c_out) - F(c_out - 1)], which is 0 when
+    both share a bin. With prefix counts C and r[i] = C[i, idx[i]], the
+    values before i in i's bin, c_out = C[b, idx[a]] - r[a] and c_in = r[b]
+    - C[a + 1, idx[b]]: two cells of C per window step. The int64 steps
+    accumulate exactly along the block."""
+    first, last = int(starts[0].min()), int(ends[-1].max())
+    seg = idx[first:last]
+    prefix = _prefix_matrix(seg, n_bins)
+    flat = prefix.ravel()
+    rank = flat.take(np.arange(len(seg)) * n_bins + seg)
+    a, b = starts[:-1] - first, ends[:-1] - first
+    bin_a, bin_b = seg.take(a), seg.take(b)
+    c_out = flat.take(b * n_bins + bin_a) - rank.take(a)
+    c_in = rank.take(b) - flat.take((a + 1) * n_bins + bin_b)
+    step = np.diff(table)  # step[c] = F(c + 1) - F(c)
+    sums = np.empty(starts.shape, dtype=np.int64)
+    sums[0] = table.take(prefix[ends[0] - first] - prefix[starts[0] - first]).sum(axis=-1)
+    sums[1:] = step.take(c_in) - step.take(c_out - 1)
+    return np.cumsum(sums, axis=0, out=sums)
 
 
 def _per_window_counts(rows: np.ndarray, lengths: np.ndarray, n_bins: int) -> np.ndarray:
@@ -274,21 +326,31 @@ def spectra_for_series(
 ) -> SpectrumTable:
     """Spectra of all sequences, in anchor order, as one table.
 
-    Sequences go in blocks, and each block's window counts end in one
-    ``entropy_from_counts`` call. A fixed range bins every value once and
-    takes counts from prefix counts. A per-window range takes each
-    window's minimum and maximum as running extrema over the values it
-    adds; a window whose range equals the previous window's reuses its
-    counts plus those of the added values, and any other window is binned
-    whole over its own range. Counts are exact integers; entropies agree
-    with rebinning each window alone to rounding.
+    Sequences go in blocks. Each window's entropy comes from the exact
+    int64 sum S of its fixed-point c ln c terms (``entropy._c_log_c_table``,
+    built once per call over 0..span), so a sum does not depend on how it
+    was reached. A fixed range bins every value once and counts windows
+    from prefix counts. At stride 1 a block counts only its first sequence
+    whole; every later window's S is the previous sequence's plus the
+    change of the two counts its step touches (``_stride_one_sums``). At
+    stride > 1 every window is counted whole (``_prefix_counts``). A
+    per-window range takes each window's minimum and maximum as running
+    extrema over the values it adds; a window whose range equals the
+    previous window's reuses its counts plus those of the added values,
+    and any other window is binned whole over its own range. Counts are
+    exact integers, so both fixed-range paths give identical bits, and
+    entropies agree with rebinning each window alone to the bound of
+    ``entropy._c_log_c_table``.
     """
     starts, ends = window_bounds(len(returns), seq_spec)
     lengths = ends[0] - starts[0]
     n_bins = binning.n_bins
+    table, q = _c_log_c_table(seq_spec.span)
+    stride_one = binning.is_fixed and seq_spec.stride == 1
     if binning.is_fixed:
         idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
-        block = max(1, BLOCK_COUNTS // ((seq_spec.steps + 1) * n_bins))
+        windows = 1 if stride_one else seq_spec.steps + 1
+        block = max(1, BLOCK_COUNTS // (windows * n_bins))
     else:
         rows = sliding_window_view(returns.values, seq_spec.span)[:: seq_spec.stride]
         rows = rows[: len(starts)]
@@ -300,11 +362,13 @@ def spectra_for_series(
     values = np.empty(starts.shape)
     for lo in range(0, len(starts), block):
         part = slice(lo, lo + block)
-        if binning.is_fixed:
-            counts = _prefix_counts(idx, n_bins, starts[part], ends[part])
+        if stride_one:
+            sums = _stride_one_sums(idx, n_bins, starts[part], ends[part], table)
+        elif binning.is_fixed:
+            sums = table.take(_prefix_counts(idx, n_bins, starts[part], ends[part])).sum(axis=-1)
         else:
-            counts = _per_window_counts(rows[part], lengths, n_bins)
-        values[part] = entropy_from_counts(counts, lengths)
+            sums = table.take(_per_window_counts(rows[part], lengths, n_bins)).sum(axis=-1)
+        values[part] = _entropy_from_sums(sums, lengths, table, q)
     anchors = returns.timestamps[starts.min(axis=1)]
     return SpectrumTable(values, starts, ends, anchors, binning)
 

@@ -135,17 +135,45 @@ def entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
     totals, as H = ln T - sum(c ln c) / T (0 ln 0 = 0); ``totals``
     broadcasts against the other axes.
 
-    Integer counts take c ln c from a table over 0..max(totals), built once
-    per call; float masses take it from a masked ``log``. H is evaluated as
-    (T ln T - sum(c ln c)) / T, so a window whose values share one bin has
-    entropy exactly 0."""
+    Integer counts take c ln c from the fixed-point table of
+    ``_c_log_c_table`` over 0..max(totals), built once per call, and sum it
+    exactly in int64, so the sum does not depend on the order or grouping
+    of its terms; H = (F(T) - S) * 2**-q / T (``_entropy_from_sums``). A
+    window whose values share one bin has S = F(T) and entropy exactly 0.
+    Float masses take c ln c from a masked ``log`` and evaluate
+    (T ln T - sum(c ln c)) / T."""
     totals = np.asarray(totals)
     if np.issubdtype(counts.dtype, np.integer):
-        c = np.arange(int(totals.max()) + 1, dtype=np.float64)
-        c_log_c = c * np.log(np.maximum(c, 1.0))
-        return (c_log_c.take(totals) - c_log_c.take(counts).sum(axis=-1)) / totals
+        table, q = _c_log_c_table(int(totals.max()))
+        return _entropy_from_sums(table.take(counts).sum(axis=-1), totals, table, q)
     log_c = np.log(counts, out=np.zeros_like(counts), where=counts > 0)
     return (totals * np.log(totals) - (counts * log_c).sum(axis=-1)) / totals
+
+
+def _c_log_c_table(max_total: int) -> tuple[np.ndarray, int]:
+    """F(c) = c ln c rounded at scale 2**q, as int64 for c in 0..max_total,
+    and q: the largest scale with max_total ln max_total * 2**q < 2**62.
+
+    A window of total T <= max_total has 0 <= sum(c ln c) <= T ln T, so its
+    sum S of table terms stays below 2**62 plus one per bin: no overflow.
+    F(0) = F(1) = 0 exactly; every other term is c ln c in float64 rounded
+    to a multiple of 2**-q. With k bins holding two or more values, H is
+    off by at most (k + 1) * 2**-(q + 1) / T from the float64 terms, and
+    2**-(q + 1) < max_total ln max_total / 2**62: 3.0e-12 for a max_total
+    of 10**6, 1.7e-16 for 156. The float64 terms themselves err by a few
+    units in the last place, as in the float formula."""
+    top = max_total * math.log(max_total) if max_total > 1 else 0.0
+    q = 62 - math.frexp(top)[1]  # top < 2**frexp(top)[1]
+    c = np.arange(max_total + 1, dtype=np.float64)
+    return np.rint(np.ldexp(c * np.log(np.maximum(c, 1.0)), q)).astype(np.int64), q
+
+
+def _entropy_from_sums(sums: np.ndarray, totals, table: np.ndarray, q: int) -> np.ndarray:
+    """H = (F(T) - S) * 2**-q / T from window sums S of ``_c_log_c_table``
+    terms and window totals T. F(T) - S is exact; the result is rounded
+    once converting it to float64 (when it exceeds 2**53) and once in the
+    division, so equal sums give equal bits."""
+    return np.ldexp((table.take(totals) - sums).astype(np.float64), -q) / totals
 
 
 def shannon_entropy(dist: BinnedDistribution) -> float:

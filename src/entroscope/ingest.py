@@ -202,14 +202,16 @@ def parse_csv(
 
     # The records' stamps, as lines "<stamp>,1" for the codec. A quoted
     # stamp may hold a line end, so each line is bounded by its length.
-    lengths = np.array([len(line) for line in stamp_lines], dtype=np.int64)
-    ends = np.cumsum(lengths)
-    shape[at], seconds[at], valid[at], _ = codec.scan_rows(
-        np.frombuffer(b"".join(stamp_lines), dtype=np.uint8), ends - lengths, ends
-    )
-    prices[at] = record_prices
-    counted[at] = True
-    shape[~counted] = codec.OTHER
+    # Without records no line was taken into one, and nothing changes.
+    if at:
+        lengths = np.array([len(line) for line in stamp_lines], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        shape[at], seconds[at], valid[at], _ = codec.scan_rows(
+            np.frombuffer(b"".join(stamp_lines), dtype=np.uint8), ends - lengths, ends
+        )
+        prices[at] = record_prices
+        counted[at] = True
+        shape[~counted] = codec.OTHER
 
     accept = (shape == wanted) & valid & (prices > 0) & (prices < np.inf)
     dropped = int(counted.sum() - accept.sum())

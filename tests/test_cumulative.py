@@ -33,6 +33,7 @@ from entroscope.cumulative import (
     EventSignature,
     _flags,
     _per_window_counts,
+    _prefix_counts,
     sliding_min,
 )
 from entroscope.entropy import bin_indices, entropy_from_counts
@@ -206,8 +207,8 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
                                   anchor_mode=anchor_mode)
     if per_window:
         block = PER_WINDOW_BLOCK_VALUES // max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
-    else:
-        block = BLOCK_COUNTS // ((seq_spec.steps + 1) * n_bins)
+    else:  # the stride-1 update's block
+        block = BLOCK_COUNTS // n_bins
     vals = rng.normal(0, 0.01, block + 300 + seq_spec.span - 1)
     if constant:
         for at in (0, 500, 2000, block - 10, len(vals) - 20):
@@ -216,8 +217,9 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
     binning = BinningSpec(n_bins) if per_window else BinningSpec(n_bins, lo=-0.01, hi=0.01)
     table = spectra_for_series(r, seq_spec, binning)
     assert len(table) == block + 300
+    values = vals.tolist()
     want = np.array([
-        _spectrum_oracle(vals.tolist(), seq, n_bins, binning.lo, binning.hi)
+        _spectrum_oracle(values, seq, n_bins, binning.lo, binning.hi)
         for seq in build_sequences(len(r), seq_spec)
     ])
     assert np.max(np.abs(table.values - want)) <= 1e-12
@@ -229,13 +231,42 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
 def test_fixed_range_spectra_bits_do_not_depend_on_block_size(anchor_mode, monkeypatch):
     rng = np.random.default_rng(19)
     r = make_returns(rng.normal(0, 0.01, 400))
-    seq_spec = WindowSequenceSpec(base_length=9, increment=4, steps=3, stride=2,
-                                  anchor_mode=anchor_mode)
     binning = BinningSpec(7, lo=-0.015, hi=0.015)
-    want = spectra_for_series(r, seq_spec, binning).values
-    for block_counts in (1, 7):
-        monkeypatch.setattr(cumulative, "BLOCK_COUNTS", block_counts)
-        assert spectra_for_series(r, seq_spec, binning).values.tobytes() == want.tobytes()
+    for stride in (2, 1):  # the full recount, then the stride-1 update
+        seq_spec = WindowSequenceSpec(base_length=9, increment=4, steps=3, stride=stride,
+                                      anchor_mode=anchor_mode)
+        monkeypatch.setattr(cumulative, "BLOCK_COUNTS", BLOCK_COUNTS)
+        want = spectra_for_series(r, seq_spec, binning).values
+        for block_counts in (1, 7, 30, 100):
+            monkeypatch.setattr(cumulative, "BLOCK_COUNTS", block_counts)
+            assert spectra_for_series(r, seq_spec, binning).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # a constant window must not divide 0 by 0
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+def test_stride_one_update_bits_equal_full_recount(anchor_mode):
+    # More sequences than one stride-1 block, clamped tails and constant
+    # stretches as long as a sequence; the full recount of every window in
+    # one block is the reference.
+    rng = np.random.default_rng(20)
+    n_bins = 7
+    seq_spec = WindowSequenceSpec(base_length=6, increment=3, steps=2, stride=1,
+                                  anchor_mode=anchor_mode)
+    vals = rng.normal(0, 0.01, BLOCK_COUNTS // n_bins + 500)
+    for at in (100, 2000, BLOCK_COUNTS // n_bins - 5, len(vals) - 30):
+        vals[at : at + 30] = vals[at]
+    r = make_returns(vals)
+    binning = BinningSpec(n_bins, lo=-0.01, hi=0.01)
+    table = spectra_for_series(r, seq_spec, binning)
+    assert len(table) > BLOCK_COUNTS // n_bins
+    idx = bin_indices(r.values, n_bins, binning.lo, binning.hi)
+    assert np.count_nonzero(idx == 0) and np.count_nonzero(idx == n_bins - 1)
+    counts = _prefix_counts(idx, n_bins, table.starts, table.ends)
+    want = entropy_from_counts(counts, table.ends[0] - table.starts[0])
+    assert table.values.tobytes() == want.tobytes()
+    constant = np.flatnonzero((counts == counts.sum(axis=-1, keepdims=True)).any(axis=-1))
+    assert len(constant) >= 4 * 15 and np.all(table.values.ravel()[constant] == 0.0)
+    assert np.all(table.values.ravel()[np.setdiff1d(np.arange(table.values.size), constant)] > 0)
 
 
 def _sequence_rows(patterns, anchor_mode):

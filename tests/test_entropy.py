@@ -18,7 +18,7 @@ from entroscope import (
     velleman_bins,
     window_entropy,
 )
-from entroscope.entropy import entropy_from_counts
+from entroscope.entropy import _c_log_c_table, entropy_from_counts
 
 from _fixtures import make_returns
 
@@ -154,6 +154,59 @@ def test_entropy_from_counts_table_agrees_with_masses():
     assert np.all(got[::7] == 0.0)
     for dtype in (np.int32, np.int64):
         assert np.array_equal(entropy_from_counts(counts.astype(dtype), totals), got)
+
+
+_FIXED_POINT_TOTALS = (1, 2, 78, 10**4, 10**6)
+
+
+def _count_rows(total, rng):
+    """Count rows over 1,000 bins summing to ``total``: one occupied bin at
+    either end, then even and skewed spreads over 2, 18 and 1,000 bins."""
+    rows = np.zeros((2, 1000), dtype=np.int64)
+    rows[0, 0] = rows[1, -1] = total
+    spreads = [rows]
+    for n_bins in (2, 18, 1000):
+        for p in (np.full(n_bins, 1 / n_bins), rng.dirichlet(np.full(n_bins, 0.3))):
+            spread = np.zeros((1, 1000), dtype=np.int64)
+            spread[0, :n_bins] = rng.multinomial(total, p)
+            spreads.append(spread)
+    return np.concatenate(spreads)
+
+
+def test_fixed_point_entropy_within_float_formula():
+    # Each total alone, then all of them in one call, where the fixed-point
+    # scale is set by the largest and is coarsest for the small totals.
+    rng = np.random.default_rng(41)
+    rows = {total: _count_rows(total, rng) for total in _FIXED_POINT_TOTALS}
+    mixed = entropy_from_counts(
+        np.concatenate(list(rows.values())),
+        np.repeat(_FIXED_POINT_TOTALS, [len(r) for r in rows.values()]),
+    )
+    at = 0
+    for total, counts in rows.items():
+        want = entropy_from_counts(counts / total, 1.0)
+        for got in (entropy_from_counts(counts, total), mixed[at : at + len(counts)]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.all(got >= 0.0)
+            assert got[0] == got[1] == 0.0  # one occupied bin
+            assert np.all((got == 0.0) == (counts.max(axis=1) == total))
+        at += len(counts)
+
+
+def test_fixed_point_table_cannot_overflow_at_largest_total():
+    # The scale is the largest with F(T) = T ln T * 2**q < 2**62; no window
+    # of total T sums its terms above F(T) plus half a unit per bin, so
+    # int64 sums and F(T) - S stay exact and H >= 0.
+    total = _FIXED_POINT_TOTALS[-1]
+    table, q = _c_log_c_table(total)
+    assert table.dtype == np.int64 and len(table) == total + 1
+    assert 2**61 <= table[-1] < 2**62
+    assert table[0] == table[1] == 0 and np.all(np.diff(table[1:]) > 0)
+    assert table[-1] == round(math.ldexp(total * math.log(total), q))
+    counts = _count_rows(total, np.random.default_rng(43))
+    sums = table.take(counts).sum(axis=-1)
+    assert np.all(sums <= table[-1]) and np.all(sums >= 0)
+    assert _c_log_c_table(1)[0].tolist() == [0, 0]
 
 
 def test_window_entropy_constant_slice():

@@ -382,6 +382,28 @@ def test_codec_matches_row_oracle_on_dirty_csv(header, intraday, mixed, specs, e
     )
 
 
+@pytest.mark.parametrize("intraday", [False, True], ids=["daily", "intraday"])
+@pytest.mark.parametrize("header", _HEADERS, ids=[h[0] for h in _HEADERS])
+def test_codec_matches_row_oracle_on_one_odd_row(header, intraday):
+    # Every odd stamp and every odd price as the only dirty row of an
+    # otherwise clean file, so that a drop-rule fault on any one of them
+    # fails deterministically, whatever the property test draws.
+    def row(day, kind=20, odd_stamp="", odd_price=""):
+        return (kind, f"2024-01-{day:02d}", "2024-02-30", "09:30:00", "24:00:00",
+                odd_stamp, "1.5", odd_price, 0)
+
+    frequency = Frequency.FIVE_MINUTE if intraday else Frequency.DAILY
+    kwargs = dict(dt_col=header[1], close_col=header[2])
+    odd_rows = [row(8, 1, odd_stamp=s) for s in _ODD_STAMPS]
+    odd_rows += [row(8, 13, odd_price=p) for p in _ODD_PRICES]
+    for odd in odd_rows:
+        specs = [row(2), row(3), odd, row(9), row(10)]
+        text = _dirty_csv(*header, intraday, False, specs, "\n")
+        assert _outcome(parse_csv, text, frequency, "t", **kwargs) == _outcome(
+            _parse_csv_oracle, text, frequency, "t", **kwargs
+        ), text
+
+
 def test_codec_checks_dates_and_times_like_numpy():
     dates = [
         f"{y:04d}-{m:02d}-{d:02d}"
