@@ -51,6 +51,7 @@ from .ingest import (
     DEFAULT_DEDUP_RUN_LENGTH,
     Frequency,
     aggregate_to_daily,
+    day_bounds,
     dedup_closed_market,
     parse_csv_file,
     serialize_csv,
@@ -59,7 +60,6 @@ from .returns import (
     ReturnKind,
     ReturnSeries,
     bracket_windows,
-    distinct_days,
     log_returns,
     nominal_returns,
 )
@@ -92,6 +92,20 @@ class AtLeast:
             raise ValueError(f"{where}: expected a finite number {bound}, got {value!r}")
 
 
+@dataclass(frozen=True)
+class IsDate:
+    """``Annotated`` metadata of a config field: the text names a day, as
+    ``np.datetime64(value, "D")`` reads it; NaT names none."""
+
+    def check(self, value, where: str) -> None:
+        try:
+            day = np.datetime64(value, "D")
+        except ValueError:
+            day = np.datetime64("NaT")
+        if np.isnat(day):
+            raise ValueError(f"{where}: expected a date YYYY-MM-DD, got {value!r}")
+
+
 PositiveInt = Annotated[int, AtLeast(1)]
 
 
@@ -117,7 +131,7 @@ class SequenceConfig:
 @dataclass
 class RunConfig:
     instruments: list[InstrumentEntry] = field(default_factory=list)
-    anchor_date: str | None = None
+    anchor_date: Annotated[str, IsDate()] | None = None
     window_days: PositiveInt = 100
     bins: PositiveInt | None = None
     dt_col: str = "timestamp"
@@ -248,8 +262,8 @@ def _load_returns(config: RunConfig, entry: InstrumentEntry) -> ReturnSeries:
 def _bars_per_day(returns: ReturnSeries) -> int:
     """The most common number of bars in a trading day (the smallest of
     equally common ones)."""
-    _, counts = distinct_days(returns.dates())
-    return int(np.bincount(counts).argmax())
+    _, bounds = day_bounds(returns.dates())
+    return int(np.bincount(np.diff(bounds)).argmax())
 
 
 def _resolve_sequence(config: RunConfig, returns: ReturnSeries) -> WindowSequenceSpec:
@@ -403,21 +417,15 @@ def _events_csv(events: list[EventSignature], frequency: Frequency) -> bytes:
 def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     if from_date is None and to_date is None:
         return returns
-    dates = returns.dates()
-    mask = np.ones(len(returns), dtype=bool)
-    if from_date is not None:
-        mask &= dates >= np.datetime64(from_date, "D")
+    days, bounds = day_bounds(returns.dates())
+    first = 0 if from_date is None else np.searchsorted(days, np.datetime64(from_date, "D"))
+    end = len(days)
     if to_date is not None:
-        mask &= dates <= np.datetime64(to_date, "D")
-    if not mask.any():
+        end = np.searchsorted(days, np.datetime64(to_date, "D"), side="right")
+    if first >= end:
         raise EmptyInput("no observations in requested date range")
-    return ReturnSeries(
-        returns.instrument_id,
-        returns.kind,
-        returns.frequency,
-        returns.timestamps[mask],
-        returns.values[mask],
-    )
+    kept = slice(bounds[first], bounds[end])
+    return replace(returns, timestamps=returns.timestamps[kept], values=returns.values[kept])
 
 
 def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> None:
@@ -439,9 +447,11 @@ def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    return _each_instrument(
-        _load(args), _spectrum_one, from_date=args.from_date, to_date=args.to_date
-    )
+    config = _load(args)
+    for flag, value in (("--from-date", args.from_date), ("--to-date", args.to_date)):
+        if value is not None:
+            IsDate().check(value, flag)
+    return _each_instrument(config, _spectrum_one, from_date=args.from_date, to_date=args.to_date)
 
 
 def _pmf_csv(dist: BinnedDistribution) -> str:
@@ -463,6 +473,7 @@ def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> 
 
 def cmd_pmf(args: argparse.Namespace) -> int:
     config = _load(args)
+    IsDate().check(args.day, "--day")
     entry = config.instruments[0]
     if args.instrument is not None:
         entry = next((e for e in config.instruments if e.id == args.instrument), None)

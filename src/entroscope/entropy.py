@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindow, OutOfRange
-from .returns import ReturnSeries, WindowSlice, distinct_days, slice_values
+from .ingest import day_bounds
+from .returns import ReturnSeries, WindowSlice, slice_values
 
 
 def velleman_bins(sample_count: int) -> int:
@@ -206,21 +207,14 @@ def pmf_snapshot(
     if preceding_days < 0:
         raise ValueError(f"preceding_days must be >= 0, got {preceding_days}")
     target = np.datetime64(day, "D")
-    dates = returns.dates()
-    day_mask = dates == target
-    if not day_mask.any():
+    days, bounds = day_bounds(returns.dates())
+    at = int(np.searchsorted(days, target))
+    if at == len(days) or days[at] != target:
         raise OutOfRange(f"no observations on {target}")
-
-    prior, _ = distinct_days(dates[: np.searchsorted(dates, target)])
-    if len(prior) < preceding_days:
-        raise OutOfRange(
-            f"only {len(prior)} trading days precede {target} (requested {preceding_days})"
-        )
-    span_start_date = prior[-preceding_days] if preceding_days else target
-    span_mask = (dates >= span_start_date) & (dates <= target)
-
-    day_values = returns.values[day_mask]
-    span_values = returns.values[span_mask]
+    if at < preceding_days:
+        raise OutOfRange(f"only {at} trading days precede {target} (requested {preceding_days})")
+    day_values = returns.values[bounds[at] : bounds[at + 1]]
+    span_values = returns.values[bounds[at - preceding_days] : bounds[at + 1]]
     if n_bins is None:
         n_bins = velleman_bins(len(day_values))
 

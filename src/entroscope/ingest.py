@@ -90,6 +90,17 @@ class PriceSeries:
         return self.timestamps.astype("datetime64[D]")
 
 
+def day_bounds(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct dates of ascending ``dates`` and where each begins:
+    day i's observations are ``[bounds[i], bounds[i + 1])``, and
+    ``bounds[-1] == len(dates)``. Taken from runs of equal dates, without
+    a sort; an empty input gives no days and ``bounds == [0]``."""
+    first = np.ones(len(dates), dtype=bool)
+    first[1:] = dates[1:] != dates[:-1]
+    starts = np.flatnonzero(first)
+    return dates[starts], np.append(starts, len(dates))
+
+
 class _Lines:
     """The text's lines, each with its line end, from line ``pos`` on.
 
@@ -313,12 +324,10 @@ def aggregate_to_daily(series: PriceSeries) -> PriceSeries:
     the last close of each date."""
     if len(series) == 0:
         raise EmptyInput("nothing to aggregate")
-    dates = series.dates()
-    uniq, first_idx = np.unique(dates, return_index=True)
-    last_idx = np.append(first_idx[1:], len(dates)) - 1
+    days, bounds = day_bounds(series.dates())
     return PriceSeries(
         series.instrument_id,
         Frequency.DAILY,
-        uniq.astype("datetime64[s]"),
-        series.closes[last_idx],
+        days.astype("datetime64[s]"),
+        series.closes[bounds[1:] - 1],
     )

@@ -3,7 +3,9 @@
 All downstream entropy and statistics default to log returns; nominal
 returns are kept for descriptive reporting. Windows are expressed in
 trading days actually present in the data, not calendar days, so holiday
-gaps shrink a window rather than shifting it.
+gaps shrink a window rather than shifting it. Every day window is a
+slice of one index, ``ingest.day_bounds``: the distinct dates and where
+each begins, so a window of days i..j-1 is ``[bounds[i], bounds[j])``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OutOfRange, TooShort
-from .ingest import Frequency, PriceSeries
+from .ingest import Frequency, PriceSeries, day_bounds
 
 
 class ReturnKind(Enum):
@@ -100,20 +102,6 @@ def nominal_returns(series: PriceSeries) -> ReturnSeries:
     )
 
 
-def distinct_days(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct dates of ascending ``dates`` and the number of
-    observations on each, as ``np.unique(dates, return_counts=True)`` gives
-    them, taken from runs of equal dates without a sort."""
-    first = np.ones(len(dates), dtype=bool)
-    first[1:] = dates[1:] != dates[:-1]
-    starts = np.flatnonzero(first)
-    return dates[starts], np.diff(starts, append=len(dates))
-
-
-def _as_date(value) -> np.datetime64:
-    return np.datetime64(value, "D")
-
-
 def slice_window(
     returns: ReturnSeries, start_date, trading_days: int, label: str = ""
 ) -> WindowSlice:
@@ -127,24 +115,19 @@ def slice_window(
     """
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
-    start = _as_date(start_date)
-    dates = returns.dates()
-    if start > dates[-1]:
+    start = np.datetime64(start_date, "D")
+    days, bounds = day_bounds(returns.dates())
+    if start > days[-1]:
         raise OutOfRange(f"{start} is after the last observation")
-
-    start_index = int(np.searchsorted(dates, start, side="left"))
-    available, _ = distinct_days(dates[start_index:])
-    if len(available) < trading_days:
+    first = int(np.searchsorted(days, start, side="left"))
+    end = min(first + trading_days, len(days))
+    if end - first < trading_days:
         warnings.warn(
-            f"only {len(available)} trading days available "
+            f"only {end - first} trading days available "
             f"at or after {start} (requested {trading_days})",
             stacklevel=2,
         )
-        last_date = available[-1]
-    else:
-        last_date = available[trading_days - 1]
-    end_index = int(np.searchsorted(dates, last_date, side="right"))
-    return WindowSlice(start_index, end_index, label)
+    return WindowSlice(int(bounds[first]), int(bounds[end]), label)
 
 
 def bracket_windows(
@@ -154,22 +137,18 @@ def bracket_windows(
     distinct dates strictly before it, and the first ``trading_days`` at or
     after it. Either side may be truncated (with a warning) when the data
     runs out."""
-    anchor = _as_date(anchor_date)
-    dates = returns.dates()
-    before_end = int(np.searchsorted(dates, anchor, side="left"))
-    before_dates, _ = distinct_days(dates[:before_end])
-    if len(before_dates) == 0:
+    if trading_days < 1:
+        raise ValueError("trading_days must be positive")
+    anchor = np.datetime64(anchor_date, "D")
+    days, bounds = day_bounds(returns.dates())
+    end = int(np.searchsorted(days, anchor, side="left"))
+    if end == 0:
         raise OutOfRange(f"no data before {anchor}")
-    if len(before_dates) < trading_days:
+    if end < trading_days:
         warnings.warn(
-            f"only {len(before_dates)} trading days before "
-            f"{anchor} (requested {trading_days})",
+            f"only {end} trading days before {anchor} (requested {trading_days})",
             stacklevel=2,
         )
-        first_date = before_dates[0]
-    else:
-        first_date = before_dates[-trading_days]
-    before_start = int(np.searchsorted(dates, first_date, side="left"))
-    before = WindowSlice(before_start, before_end, "before")
+    before = WindowSlice(int(bounds[max(end - trading_days, 0)]), int(bounds[end]), "before")
     after = slice_window(returns, anchor, trading_days, label="after")
     return before, after

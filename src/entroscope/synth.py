@@ -48,11 +48,19 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_days < 1 or self.bars_per_day < 1:
             raise ValueError("n_days and bars_per_day must be positive")
+        most = (24 * 60 - OPEN_MINUTES) // BAR_MINUTES  # bars from the open to midnight
+        if self.bars_per_day > most:
+            raise ValueError(f"bars_per_day must be at most {most}, got {self.bars_per_day}")
+        for name in ("drift", "volatility", "start_price"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.volatility < 0:
             raise ValueError("volatility must be >= 0")
         if self.start_price <= 0:
             raise ValueError("start_price must be positive")
         for shock in self.shocks:
+            if not np.isfinite(shock.magnitude_sigma):
+                raise ValueError(f"shock magnitude_sigma must be finite, got {shock.magnitude_sigma!r}")
             if not 0 <= shock.day_index < self.n_days:
                 raise ValueError(f"shock day {shock.day_index} outside [0, {self.n_days})")
 

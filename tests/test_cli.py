@@ -668,6 +668,57 @@ def test_synth_rejects_malformed_shock(tmp_path):
     assert main(["synth", "--seed", "1", "--shock", "oops", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--bars-per-day", "200"], "bars_per_day must be at most 174, got 200"),
+    (["--bars-per-day", "300"], "bars_per_day must be at most 174, got 300"),
+    (["--sigma", "nan"], "volatility must be finite, got nan"),
+    (["--mu", "inf"], "drift must be finite, got inf"),
+    (["--shock", "1:nan:single_bar"], "shock magnitude_sigma must be finite, got nan"),
+])
+def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, message):
+    out = tmp_path / "fixtures"
+    assert main(["synth", "--seed", "1", "--days", "3", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# Each case: the command and its flags, the config's anchor_date, and the
+# one-line message. Two instruments: a date is checked once, before either.
+BAD_DATES = {
+    "anchor_date day out of range": (["compare"], "2025-02-30", "config.anchor_date"),
+    "anchor_date not a date": (["spectrum"], "soon", "config.anchor_date"),
+    "anchor_date NaT": (["compare"], "NaT", "config.anchor_date"),
+    "from-date": (["spectrum", "--from-date", "2025-13-01"], None, "--from-date"),
+    "to-date": (["spectrum", "--to-date", "x"], None, "--to-date"),
+    "to-date empty": (["spectrum", "--to-date", ""], None, "--to-date"),
+    "pmf day": (["pmf", "--day", "2025-02-30"], None, "--day"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATES))
+def test_bad_date_exits_2_with_one_line_before_any_output(tmp_path, capsys, case):
+    command, anchor, where = BAD_DATES[case]
+    path, _, _ = write_synth_fixture(tmp_path)
+    config = write_config(
+        tmp_path, [("a", path, "5min"), ("b", path, "5min")], anchor_date=anchor
+    )
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = anchor if anchor is not None else command[-1]
+    assert captured.err == f"error: {where}: expected a date YYYY-MM-DD, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["2025-01-10", "2025-01", "2025-01-10T23:00", " 2025-01-10"])
+def test_anchor_date_accepts_what_numpy_reads_as_a_day(tmp_path, text):
+    path, _, _ = write_synth_fixture(tmp_path)
+    config = write_config(tmp_path, [("a", path, "5min")], anchor_date=text)
+    assert load_config(config).anchor_date == text
+
+
 def test_pipeline_outputs_byte_identical_across_runs(tmp_path):
     path, series, _ = write_synth_fixture(tmp_path, seed=53)
     anchor = str(series.timestamps[len(series) // 2].astype("datetime64[D]"))

@@ -1,8 +1,10 @@
+import dataclasses
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroscope import (
@@ -18,8 +20,11 @@ from entroscope import (
     slice_window,
 )
 
-from entroscope.returns import distinct_days
+from entroscope.cli import _bars_per_day, _restrict_dates
+from entroscope.entropy import pmf_snapshot
+from entroscope.ingest import aggregate_to_daily, day_bounds
 
+import _day_oracle as oracle
 from _fixtures import make_daily, make_returns
 
 
@@ -91,12 +96,96 @@ def test_values_invariant_under_time_shift():
 
 @settings(max_examples=100)
 @given(st.lists(st.integers(-3, 40), max_size=60))
-def test_distinct_days_equal_unique(offsets):
+@example([])
+def test_day_bounds_equal_unique(offsets):
     dates = np.datetime64("2025-01-02") + np.sort(offsets).astype("timedelta64[D]")
-    days, counts = distinct_days(dates)
-    want_days, want_counts = np.unique(dates, return_counts=True)
+    days, bounds = day_bounds(dates)
+    want_days, want_first, want_counts = np.unique(dates, return_index=True, return_counts=True)
     assert days.dtype == dates.dtype
-    assert np.array_equal(days, want_days) and np.array_equal(counts, want_counts)
+    assert np.array_equal(days, want_days)
+    assert np.array_equal(bounds, np.append(want_first, len(dates)))
+    assert np.array_equal(np.diff(bounds), want_counts)
+
+
+@st.composite
+def _calendar(draw):
+    """Returns on trading days with calendar gaps between them, 1-5 bars a
+    day from 09:30, and the day offsets (from 2025-01-02) that trade."""
+    gaps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    offsets = np.cumsum(gaps) - gaps[0]
+    bars = draw(st.lists(st.integers(1, 5), min_size=len(gaps), max_size=len(gaps)))
+    days = np.datetime64("2025-01-02", "D") + np.repeat(offsets, bars)
+    minutes = 9 * 60 + 30 + 5 * np.concatenate([np.arange(n) for n in bars])
+    ts = days.astype("datetime64[s]") + minutes * np.timedelta64(60, "s")
+    # Few distinct values, so that spans of equal returns occur.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-3, 4, len(ts)) / 100
+    return ReturnSeries("cal", ReturnKind.LOG, Frequency.FIVE_MINUTE, ts, values), offsets
+
+
+def _date(data, offsets):
+    """A date before the data, in a calendar gap, on a trading day or after
+    the data, as text."""
+    gaps = sorted(set(range(offsets[-1])) - set(offsets.tolist()))
+    choices = {
+        "before": range(-3, 0),
+        "gap": gaps or offsets.tolist(),
+        "day": offsets.tolist(),
+        "after": range(offsets[-1] + 1, offsets[-1] + 4),
+    }
+    kind = data.draw(st.sampled_from(sorted(choices)))
+    return str(np.datetime64("2025-01-02", "D") + data.draw(st.sampled_from(choices[kind])))
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return tuple(_plain(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return {key: _plain(item) for key, item in vars(value).items()}
+    return value
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as plain values, or its exception's type and text; and
+    the texts of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _plain(fn(*args))
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(calendar=_calendar(), data=st.data())
+def test_day_index_matches_mask_oracle(calendar, data):
+    returns, offsets = calendar
+    n_days = len(offsets)
+    anchor = _date(data, offsets)
+    trading_days = data.draw(st.integers(1, n_days + 2), label="trading_days")
+    for ours, theirs, args in [
+        (slice_window, oracle.slice_window, (returns, anchor, trading_days)),
+        (bracket_windows, oracle.bracket_windows, (returns, anchor, trading_days)),
+    ]:
+        assert _outcome(ours, *args) == _outcome(theirs, *args)
+
+    preceding = data.draw(st.integers(0, n_days + 1), label="preceding_days")
+    n_bins = data.draw(st.sampled_from([None, 1, 4]), label="n_bins")
+    args = (returns, anchor, preceding, n_bins)
+    assert _outcome(pmf_snapshot, *args) == _outcome(oracle.pmf_snapshot, *args)
+
+    date_range = [data.draw(st.none() | st.just(_date(data, offsets))) for _ in range(2)]
+    assert _outcome(_restrict_dates, returns, *date_range) == _outcome(
+        oracle.restrict_dates, returns, *date_range
+    )
+    assert _bars_per_day(returns) == oracle.bars_per_day(returns)
+    prices = PriceSeries(
+        "cal", Frequency.FIVE_MINUTE, returns.timestamps, 100 * np.exp(np.cumsum(returns.values))
+    )
+    assert _plain(aggregate_to_daily(prices)) == _plain(oracle.aggregate_to_daily(prices))
 
 
 def test_slice_window_full():

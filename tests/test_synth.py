@@ -112,6 +112,34 @@ def test_spec_validation():
                   shocks=(Shock(5, 10.0, ShockShape.SINGLE_BAR),))
 
 
+def test_last_bar_before_midnight_is_accepted():
+    series, _ = generate(SynthSpec(seed=1, n_days=2, bars_per_day=174))
+    assert str(series.timestamps[173]) == "2025-01-02T23:55:00"
+    assert str(series.timestamps[174]) == "2025-01-03T09:30:00"
+
+
+@pytest.mark.parametrize("bars", [175, 200, 300])
+def test_bars_past_midnight_rejected(bars):
+    # 174 five-minute bars from 09:30 end at 23:55; one more lands on the
+    # next date, and more still collide with that date's own bars.
+    with pytest.raises(ValueError, match=f"^bars_per_day must be at most 174, got {bars}$"):
+        SynthSpec(seed=1, n_days=3, bars_per_day=bars)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["drift", "volatility", "start_price"])
+def test_non_finite_parameter_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        SynthSpec(seed=1, n_days=3, bars_per_day=2, **{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_shock_magnitude_rejected(value):
+    shock = Shock(1, value, ShockShape.DISPERSED_DAY)
+    with pytest.raises(ValueError, match="^shock magnitude_sigma must be finite"):
+        SynthSpec(seed=1, n_days=3, bars_per_day=2, shocks=(shock,))
+
+
 def test_emitted_csv_flows_through_parser():
     series, _ = generate(SynthSpec(seed=2, n_days=3, bars_per_day=12, volatility=0.001))
     parsed, diag = parse_csv(serialize_csv(series), Frequency.FIVE_MINUTE, "synth")
