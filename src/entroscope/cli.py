@@ -9,7 +9,8 @@ override config values. Exit codes: 0 ok, 2 input error, 3 insufficient
 data.
 
 The config is type-checked as it is loaded: an unknown key, a wrongly
-typed value, a missing instrument ``id``/``path``/``frequency`` or an
+typed value, a missing instrument ``id``/``path``/``frequency``, an
+instrument ``id`` that is not a plain file name or repeats another's, or an
 instrument path that is not a file exits 2 before any output is written.
 A batch command runs every instrument even when some fail, reports each
 failure as one ``<id>: error: <message>`` line on stderr, and exits with
@@ -106,12 +107,23 @@ class IsDate:
             raise ValueError(f"{where}: expected a date YYYY-MM-DD, got {value!r}")
 
 
+@dataclass(frozen=True)
+class IsFileName:
+    """``Annotated`` metadata of a config field: the text names a file
+    inside a directory: not empty, not ``.`` or ``..``, and without ``/``,
+    ``\\`` or NUL."""
+
+    def check(self, value, where: str) -> None:
+        if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+            raise ValueError(f"{where}: expected a plain file name, got {value!r}")
+
+
 PositiveInt = Annotated[int, AtLeast(1)]
 
 
 @dataclass
 class InstrumentEntry:
-    id: str
+    id: Annotated[str, IsFileName()]
     path: str
     frequency: Frequency
 
@@ -201,8 +213,18 @@ def _typed(hint, value, where: str):
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON run config; every key is type-checked against ``RunConfig``."""
-    return _typed(RunConfig, json.loads(Path(path).read_text(encoding="utf-8")), "config")
+    """Read a JSON run config; every key is type-checked against ``RunConfig``
+    and no two instruments share an ``id``, which names their output files."""
+    config = _typed(RunConfig, json.loads(Path(path).read_text(encoding="utf-8")), "config")
+    first: dict[str, int] = {}
+    for i, entry in enumerate(config.instruments):
+        j = first.setdefault(entry.id, i)
+        if j != i:
+            raise ValueError(
+                f"config.instruments[{i}].id: {entry.id!r} is already the id of "
+                f"config.instruments[{j}]"
+            )
+    return config
 
 
 def _load(args: argparse.Namespace) -> RunConfig:

@@ -27,8 +27,16 @@ plus the change of the two bin counts the step touches: two cells of a
 prefix-count matrix per window instead of all ``n_bins``. Such a chain
 of single-observation steps costs about half the full recount at stride
 1, about as much at stride 2 and more from stride 4 on, so strides above
-1 and per-window ranges count every window whole. Both ways reach the
-same integers, hence the same bits.
+1 count every window whole. Both ways reach the same integers, hence the
+same bits.
+
+Per-window ranges bin each window over its own minimum and maximum. A
+window's counts are another window's plus those of the values between
+them wherever both share a range: window k - 1 of the same sequence, or,
+when the stride is m increments, window k - m of the neighbouring
+sequence, which is window k less the ``stride`` values at its shared
+edge. Only the first window of a sequence, and a window whose range
+matches neither, is binned whole. These counts too are exact integers.
 """
 from __future__ import annotations
 
@@ -68,9 +76,15 @@ BLOCK_SEQUENCES = 4096
 
 # Values per block of the per-window table: a block of
 # PER_WINDOW_BLOCK_VALUES // max(span, (steps + 1) * n_bins) sequences (at
-# least one) holds at most that many values, as one transposed copy, and
-# at most that many window counts.
-PER_WINDOW_BLOCK_VALUES = 65536
+# least one) covers at most that many values, read in place, and holds at
+# most that many window counts (4 MiB as int64). Each window step makes
+# the same few dozen numpy calls whatever the block holds, so small blocks
+# are bound by call overhead. On a 2-vCPU Xeon with 2 MiB of L2 per core,
+# spectra of a year or of four years of 78-bar days at the day geometry
+# took 1.7-2.0 times as long with blocks of 2**16 values as with 2**18 to
+# 2**21, which were within noise of each other; 2**19 holds a year of day
+# sequences in one block.
+PER_WINDOW_BLOCK_VALUES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -280,7 +294,9 @@ def _stride_one_sums(
     return np.cumsum(sums, axis=0, out=sums)
 
 
-def _per_window_counts(rows: np.ndarray, lengths: np.ndarray, n_bins: int) -> np.ndarray:
+def _per_window_counts(
+    rows: np.ndarray, lengths: np.ndarray, n_bins: int, shift: int = 0
+) -> np.ndarray:
     """Window counts of one block of sequences under per-window ranges. Row
     j holds sequence j's values ordered from the edge its windows share, so
     window k is ``rows[j, :lengths[k]]``.
@@ -288,35 +304,53 @@ def _per_window_counts(rows: np.ndarray, lengths: np.ndarray, n_bins: int) -> np
     Window k's range is the running minimum and maximum of window k - 1's
     range and the values window k adds. Where the range stays window k -
     1's, each value lands in the same bin as before, so window k's counts
-    are window k - 1's plus those of the added values. A window whose range
-    changed is binned whole. Reuse bins the added values of every sequence
-    and the changed windows whole; when that is at least as many values as
-    all the block's windows k, those are binned whole instead. A window
-    whose values are all equal falls in bin 0, so its entropy is 0."""
-    cols = np.ascontiguousarray(rows.T)  # cols[i, j] is value i of sequence j
-    n = cols.shape[1]
-    offsets = np.arange(n) * n_bins
+    are window k - 1's plus those of the added values. ``shift`` > 0 says
+    that the stride is ``shift`` increments and that row j + 1 holds the
+    next sequence away from the shared edge; then window k >= shift of row
+    j is window k - shift of row j + 1 plus ``rows[j, :stride]``, and where
+    the two ranges are equal its counts are row j + 1's plus those of the
+    stride values. Window 0 and every window that matches neither is
+    binned whole, as is a window of the last row that only row j + 1,
+    outside the block, would match. No window bins more values than
+    binning it whole would. A window whose values are all equal falls in
+    bin 0, so its entropy is 0."""
+    n = len(rows)
+    offsets = (np.arange(n) * n_bins)[:, None]
 
-    def count(values, lows, highs):
-        idx = bin_indices(values, n_bins, lows, highs)
-        idx += offsets[: len(lows)]
-        return np.bincount(idx.ravel(), minlength=len(lows) * n_bins).reshape(-1, n_bins)
+    def count(at, start, stop, lo, top):
+        # Counts of rows[at, start:stop], each row binned over its range
+        # (0 for no rows).
+        if not len(at):
+            return 0
+        idx = bin_indices(rows[at, start:stop], n_bins, lo[at, None], top[at, None])
+        idx += offsets[: len(at)]
+        return np.bincount(idx.ravel(), minlength=len(at) * n_bins).reshape(-1, n_bins)
 
+    lengths = lengths.tolist()
+    stride = lengths[shift] - lengths[0] if 0 < shift < len(lengths) else 0
     counts = np.empty((n, len(lengths), n_bins), dtype=np.int64)
-    lows, highs = np.full(n, np.inf), np.full(n, -np.inf)  # window 0 changes every range
+    # Each window's range; the column past the last row is NaN, which
+    # equals no range.
+    lows, highs = np.full((2, len(lengths), n + 1), np.nan)
     edge = 0
-    for k, length in enumerate(lengths.tolist()):
-        added = cols[edge:length]
-        new_lows = np.minimum(lows, added.min(axis=0))
-        new_highs = np.maximum(highs, added.max(axis=0))
-        changed = np.flatnonzero((new_lows != lows) | (new_highs != highs))
-        lows, highs = new_lows, new_highs
-        tops = np.where(highs == lows, np.inf, highs)  # (v - lo) / inf = 0
-        if len(changed) * length >= n * edge:  # whole windows bin no more values
-            counts[:, k] = count(cols[:length], lows, tops)
-        else:
-            counts[:, k] = counts[:, k - 1] + count(added, lows, tops)
-            counts[changed, k] = count(cols[:length, changed], lows[changed], tops[changed])
+    for k, length in enumerate(lengths):
+        added = rows[:, edge:length]
+        lo, hi = added.min(axis=1), added.max(axis=1)
+        if k:
+            np.minimum(lo, lows[k - 1, :n], out=lo)
+            np.maximum(hi, highs[k - 1, :n], out=hi)
+        lows[k, :n], highs[k, :n] = lo, hi
+        top = np.where(hi == lo, np.inf, hi)  # (v - lo) / inf = 0
+        moved = (lo != lows[k - 1, :n]) | (hi != highs[k - 1, :n]) if k else np.ones(n, bool)
+        same, changed = np.flatnonzero(~moved), np.flatnonzero(moved)
+        counts[same, k] = counts[same, k - 1] + count(same, edge, length, lo, top)
+        if stride and k >= shift:
+            prior, near = k - shift, changed + 1  # near: the neighbouring rows
+            equal = (lows[prior, near] == lo[changed]) & (highs[prior, near] == hi[changed])
+            j = changed[equal]
+            counts[j, k] = counts[j + 1, prior] + count(j, 0, stride, lo, top)
+            changed = changed[~equal]
+        counts[changed, k] = count(changed, 0, length, lo, top)
         edge = length
     return counts
 
@@ -335,18 +369,25 @@ def spectra_for_series(
     change of the two counts its step touches (``_stride_one_sums``). At
     stride > 1 every window is counted whole (``_prefix_counts``). A
     per-window range takes each window's minimum and maximum as running
-    extrema over the values it adds; a window whose range equals the
-    previous window's reuses its counts plus those of the added values,
-    and any other window is binned whole over its own range. Counts are
-    exact integers, so both fixed-range paths give identical bits, and
-    entropies agree with rebinning each window alone to the bound of
-    ``entropy._c_log_c_table``.
+    extrema over the values it adds. A window whose range equals the
+    previous window's reuses its counts plus those of the added values;
+    when the stride is m increments, one whose range equals window k - m
+    of the neighbouring sequence (the next anchor under grow-right, the
+    previous under grow-left) reuses that window's counts plus those of
+    the ``stride`` values it lacks (``_per_window_counts``). Any other
+    window is binned whole over its own range, as is a window whose
+    neighbour falls in another block. Counts are exact integers, so the
+    fixed-range paths give identical bits, the per-window path gives the
+    same bits whatever the block size, and entropies agree with rebinning
+    each window alone to the bound of ``entropy._c_log_c_table``.
     """
     starts, ends = window_bounds(len(returns), seq_spec)
     lengths = ends[0] - starts[0]
     n_bins = binning.n_bins
     table, q = _c_log_c_table(seq_spec.span)
     stride_one = binning.is_fixed and seq_spec.stride == 1
+    values = np.empty(starts.shape)
+    out = values  # the table's rows in the order the blocks run
     if binning.is_fixed:
         idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
         windows = 1 if stride_one else seq_spec.steps + 1
@@ -355,11 +396,15 @@ def spectra_for_series(
         rows = sliding_window_view(returns.values, seq_spec.span)[:: seq_spec.stride]
         rows = rows[: len(starts)]
         if seq_spec.anchor_mode == GROW_LEFT:
-            rows = rows[:, ::-1]  # the windows share the right edge
+            # Rows read from the shared right edge, in reverse anchor order,
+            # so that row j + 1 holds row j's neighbour as under grow-right.
+            rows, out = rows[::-1, ::-1], values[::-1]
+        shift, rest = divmod(seq_spec.stride, seq_spec.increment)
+        if rest:  # no window of the neighbour lacks exactly the stride values
+            shift = 0
         block = max(
             1, PER_WINDOW_BLOCK_VALUES // max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
         )
-    values = np.empty(starts.shape)
     for lo in range(0, len(starts), block):
         part = slice(lo, lo + block)
         if stride_one:
@@ -367,8 +412,8 @@ def spectra_for_series(
         elif binning.is_fixed:
             sums = table.take(_prefix_counts(idx, n_bins, starts[part], ends[part])).sum(axis=-1)
         else:
-            sums = table.take(_per_window_counts(rows[part], lengths, n_bins)).sum(axis=-1)
-        values[part] = _entropy_from_sums(sums, lengths, table, q)
+            sums = table.take(_per_window_counts(rows[part], lengths, n_bins, shift)).sum(axis=-1)
+        out[part] = _entropy_from_sums(sums, lengths, table, q)
     anchors = returns.timestamps[starts.min(axis=1)]
     return SpectrumTable(values, starts, ends, anchors, binning)
 

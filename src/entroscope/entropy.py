@@ -96,10 +96,15 @@ class BinnedDistribution:
 
 def bin_indices(values: np.ndarray, n_bins: int, lo: float, hi: float) -> np.ndarray:
     """Bin index of every value over ``n_bins`` evenly spaced bins on
-    [lo, hi]; values outside the range are clamped into the end bins."""
-    idx = np.floor((values - lo) / (hi - lo) * n_bins).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    return idx
+    [lo, hi]; values outside the range are clamped into the end bins.
+
+    The scaled position is clamped to [0, n_bins - 1] in float before the
+    int64 cast, so a value far outside the range cannot overflow the cast;
+    truncating a position in that interval equals ``floor``."""
+    pos = (values - lo) / (hi - lo) * n_bins
+    np.minimum(pos, n_bins - 1, out=pos)
+    np.maximum(pos, 0, out=pos)
+    return pos.astype(np.int64)
 
 
 def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:

@@ -712,6 +712,50 @@ def test_bad_date_exits_2_with_one_line_before_any_output(tmp_path, capsys, case
     assert not (tmp_path / "out").exists()
 
 
+# Each case: the instrument ids of a config, the index of the entry the
+# one-line message names, and the rest of the message.
+BAD_IDS = {
+    "repeated": (["x", "x"], 1, "'x' is already the id of config.instruments[0]"),
+    "repeated later": (["a", "b", "a"], 2, "'a' is already the id of config.instruments[0]"),
+    "parent directory": (["a", "../escape"], 1, "expected a plain file name, got '../escape'"),
+    "subdirectory": (["a/b"], 0, "expected a plain file name, got 'a/b'"),
+    "backslash": (["a\\b"], 0, "expected a plain file name, got 'a\\\\b'"),
+    "NUL": (["a\0b"], 0, "expected a plain file name, got 'a\\x00b'"),
+    "empty": ([""], 0, "expected a plain file name, got ''"),
+    "dot": (["."], 0, "expected a plain file name, got '.'"),
+    "dot dot": ([".."], 0, "expected a plain file name, got '..'"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest"], ["compare"], ["spectrum"], ["pmf", "--day", "2025-01-10", "--span-days", "2"],
+])
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+def test_bad_instrument_id_exits_2_with_one_line_before_any_output(
+    tmp_path, capsys, case, command
+):
+    # The output directory sits inside "run", so an id that climbs out of
+    # it would still write inside "run".
+    ids, at, message = BAD_IDS[case]
+    path, _, _ = write_synth_fixture(tmp_path)
+    config = write_config(
+        tmp_path, [(i, path, "5min") for i in ids],
+        anchor_date="2025-01-10", out_dir=str(tmp_path / "run" / "out"),
+    )
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config.instruments[{at}].id: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_plain_file_name_ids_load(tmp_path):
+    path, _, _ = write_synth_fixture(tmp_path)
+    ids = ["SPX", "a.b", "..x", "x..", "-", "é", "a b"]
+    config = write_config(tmp_path, [(i, path, "5min") for i in ids])
+    assert [entry.id for entry in load_config(config).instruments] == ids
+
+
 @pytest.mark.parametrize("text", ["2025-01-10", "2025-01", "2025-01-10T23:00", " 2025-01-10"])
 def test_anchor_date_accepts_what_numpy_reads_as_a_day(tmp_path, text):
     path, _, _ = write_synth_fixture(tmp_path)

@@ -36,7 +36,9 @@ from entroscope.cumulative import (
     _prefix_counts,
     sliding_min,
 )
-from entroscope.entropy import bin_indices, entropy_from_counts
+from entroscope.entropy import (
+    _c_log_c_table, _entropy_from_sums, bin_indices, entropy_from_counts,
+)
 
 from _fixtures import make_returns
 
@@ -363,15 +365,122 @@ def test_per_window_blocks_bound_counts_by_bins(n_bins, monkeypatch):
     monkeypatch.setattr(cumulative, "PER_WINDOW_BLOCK_VALUES", 300)
     blocks = []
 
-    def recording(rows, lengths, bins):
+    def recording(rows, lengths, bins, *args):
         blocks.append(len(rows))
-        return _per_window_counts(rows, lengths, bins)
+        return _per_window_counts(rows, lengths, bins, *args)
 
     monkeypatch.setattr(cumulative, "_per_window_counts", recording)
     spectra_for_series(r, seq_spec, BinningSpec(n_bins))
     per_sequence = max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
     assert sum(blocks) == 200 - seq_spec.span + 1
     assert max(blocks) == max(1, 300 // per_sequence)
+
+
+# (increment, stride, shift): the stride one increment and two increments,
+# where window k of a sequence is window k - shift of its neighbour plus
+# ``stride`` values, and a stride that is no multiple of the increment.
+NEIGHBOUR_GEOMETRIES = {
+    "one increment": (3, 3, 1), "two increments": (3, 6, 2), "no multiple": (3, 4, 0),
+}
+
+
+def _tied_series(rng, n, stride):
+    # Values on a coarse grid, so that extremes tie within and across
+    # windows; an extreme repeated one stride apart, so that a window and
+    # its neighbour share a range the stride values also reach; constant
+    # stretches longer than a sequence, so that whole windows, and a window
+    # and its neighbour, have lo == hi.
+    vals = np.round(rng.normal(0.0, 0.01, n), 3)
+    for at in range(10, n - stride, 37):
+        vals[at] = vals[at + stride] = 0.05 if at % 2 else -0.05
+    vals[100:130] = 0.004
+    vals[300:325] = vals[299]
+    return vals
+
+
+@pytest.mark.filterwarnings("error")  # a constant window must not divide 0 by 0
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+@pytest.mark.parametrize("geometry", sorted(NEIGHBOUR_GEOMETRIES))
+def test_per_window_neighbour_counts_equal_rebinning_each_window(
+    geometry, anchor_mode, monkeypatch
+):
+    # Rows are windows of one series, as spectra_for_series reads them, so
+    # a window's counts may come from the neighbouring sequence's; blocks
+    # of 1, 2, 5 sequences and one block for all split neighbours or not.
+    increment, stride, want_shift = NEIGHBOUR_GEOMETRIES[geometry]
+    n_bins = 5
+    seq_spec = WindowSequenceSpec(base_length=6, increment=increment, steps=4, stride=stride,
+                                  anchor_mode=anchor_mode)
+    vals = _tied_series(np.random.default_rng(37), 400, stride)
+    r = make_returns(vals)
+    starts, ends = window_bounds(len(vals), seq_spec)
+    lengths = ends[0] - starts[0]
+    want_counts = np.array([  # every window binned alone over its own range
+        [_counts_oracle(vals[a:b], n_bins) for a, b in zip(row_starts, row_ends)]
+        for row_starts, row_ends in zip(starts, ends)
+    ])
+    table, q = _c_log_c_table(seq_spec.span)
+    want = _entropy_from_sums(table.take(want_counts).sum(axis=-1), lengths, table, q)
+    assert np.count_nonzero(want == 0.0) >= 10  # constant windows
+
+    calls = []
+
+    def recording(rows, lengths, bins, shift=0):
+        counts = _per_window_counts(rows, lengths, bins, shift)
+        calls.append((rows, shift, counts))
+        return counts
+
+    monkeypatch.setattr(cumulative, "_per_window_counts", recording)
+    per_sequence = max(seq_spec.span, (seq_spec.steps + 1) * n_bins)
+    for block in (1, 2, 5, len(starts)):
+        monkeypatch.setattr(cumulative, "PER_WINDOW_BLOCK_VALUES", block * per_sequence)
+        calls.clear()
+        got = spectra_for_series(r, seq_spec, BinningSpec(n_bins))
+        assert got.values.tobytes() == want.tobytes()
+        assert {shift for _, shift, _ in calls} == {want_shift}
+        for rows, _, counts in calls:
+            assert counts.tolist() == [
+                [_counts_oracle(row[:length], n_bins).tolist() for length in lengths]
+                for row in rows
+            ]
+
+
+def test_per_window_neighbour_rule_bins_stride_values_instead_of_windows(monkeypatch):
+    # At the CLI's day geometry (base = increment = stride = one day of
+    # bars), a window k >= 1 whose range is window k - 1's bins the day it
+    # adds, one whose range is the next sequence's window k - 1 bins the
+    # day it starts with, and only the rest, with every window 0, are
+    # binned whole.
+    bars, steps = 78, 13
+    series, _ = generate(SynthSpec(seed=7, n_days=60, bars_per_day=bars))
+    r = log_returns(series)
+    seq_spec = WindowSequenceSpec(bars, bars, steps, bars)
+    binned = []
+
+    def counting(values, *args):
+        binned.append(values.size)
+        return bin_indices(values, *args)
+
+    monkeypatch.setattr(cumulative, "bin_indices", counting)
+    spectra_for_series(r, seq_spec, BinningSpec(velleman_bins(bars)))
+
+    starts, ends = window_bounds(len(r), seq_spec)
+    lengths = ends[0] - starts[0]
+    rows = sliding_window_view(r.values, seq_spec.span)[::bars][: len(starts)]
+    lows = np.minimum.accumulate(rows, axis=1)[:, lengths - 1]
+    highs = np.maximum.accumulate(rows, axis=1)[:, lengths - 1]
+    own = (lows[:, 1:] == lows[:, :-1]) & (highs[:, 1:] == highs[:, :-1])
+    near = np.zeros_like(own)
+    near[:-1] = (lows[:-1, 1:] == lows[1:, :-1]) & (highs[:-1, 1:] == highs[1:, :-1])
+    reused = ~own & near
+    whole = ~own & ~near
+    assert np.count_nonzero(reused) > 2 * np.count_nonzero(whole) > 0
+    assert sum(binned) == (
+        len(starts) * bars * (steps + 1)  # window 0 and each window's added day
+        - np.count_nonzero(~own) * bars  # ... but not where the range changed
+        + np.count_nonzero(reused) * bars
+        + (whole * lengths[1:]).sum()
+    )
 
 
 def test_window_bounds_arrays():

@@ -18,7 +18,7 @@ from entroscope import (
     velleman_bins,
     window_entropy,
 )
-from entroscope.entropy import _c_log_c_table, entropy_from_counts
+from entroscope.entropy import _c_log_c_table, bin_indices, entropy_from_counts
 
 from _fixtures import make_returns
 
@@ -102,6 +102,28 @@ def test_bin_clamps_and_counts_out_of_range():
     dist = bin_returns([-5.0, 0.1, 0.9, 7.0], BinningSpec(2, lo=0.0, hi=1.0))
     assert dist.clamped_count == 2
     assert dist.masses.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.filterwarnings("error")  # the int64 cast must not overflow
+def test_bin_clamps_values_whose_scaled_index_passes_int64():
+    vals = np.array([0.5, 1e300, 1e19, -1e300, -1e19])
+    assert bin_indices(vals, 2, 0.0, 1.0).tolist() == [1, 1, 1, 0, 0]
+    dist = bin_returns([0.5, 1e300], BinningSpec(2, lo=0.0, hi=1.0))
+    assert dist.masses.tolist() == [0.0, 1.0] and dist.clamped_count == 1
+
+
+def test_bin_indices_equal_floor_then_clamp():
+    # Within the int64 range the float clamp gives the bits of flooring
+    # first: bin edges, values just beside them, and values outside.
+    rng = np.random.default_rng(12)
+    n_bins, lo, hi = 7, -0.013, 0.021
+    edges = lo + (hi - lo) * np.arange(n_bins + 1) / n_bins
+    vals = np.concatenate([
+        rng.uniform(-0.05, 0.05, 2000), edges, np.nextafter(edges, -1), np.nextafter(edges, 1),
+        [-1e15, 1e15, -0.0, 0.0],
+    ])
+    want = np.clip(np.floor((vals - lo) / (hi - lo) * n_bins).astype(np.int64), 0, n_bins - 1)
+    assert bin_indices(vals, n_bins, lo, hi).tolist() == want.tolist()
 
 
 def test_shannon_uniform_four_bins():
