@@ -23,6 +23,7 @@ command on identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -163,6 +164,13 @@ class RunConfig:
 _OVERRIDES = ("out_dir", "dt_col", "close_col", "bins", "theta")
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """The type hints of a config dataclass, ``Annotated`` rules included;
+    taken once per class."""
+    return get_type_hints(cls, include_extras=True)
+
+
 def _typed(hint, value, where: str):
     """Return the JSON ``value`` as type ``hint``.
 
@@ -184,7 +192,7 @@ def _typed(hint, value, where: str):
     if is_dataclass(hint):
         if type(value) is not dict:
             raise ValueError(f"{where}: expected an object, got {value!r}")
-        hints = get_type_hints(hint, include_extras=True)
+        hints = _hints(hint)
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise ValueError(f"{where}: unknown keys {unknown}")
@@ -232,7 +240,7 @@ def _load(args: argparse.Namespace) -> RunConfig:
     the config values they replace, at least one instrument, and every
     instrument path an existing file."""
     config = load_config(args.config)
-    hints = get_type_hints(RunConfig, include_extras=True)
+    hints = _hints(RunConfig)
     for key in _OVERRIDES:
         if getattr(args, key) is not None:
             setattr(config, key, _typed(hints[key], getattr(args, key), key))
@@ -496,6 +504,7 @@ def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> 
 def cmd_pmf(args: argparse.Namespace) -> int:
     config = _load(args)
     IsDate().check(args.day, "--day")
+    AtLeast(0).check(args.span_days, "--span-days")
     entry = config.instruments[0]
     if args.instrument is not None:
         entry = next((e for e in config.instruments if e.id == args.instrument), None)
@@ -514,6 +523,7 @@ def _parse_shock(text: str) -> Shock:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    IsFileName().check(args.id, "--id")
     spec = SynthSpec(
         seed=args.seed,
         n_days=args.days,
@@ -552,7 +562,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--theta", type=float, help="detector threshold (overrides config)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="entroscope",
         description="Entropy-based market analysis pipeline",

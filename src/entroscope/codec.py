@@ -1,12 +1,15 @@
 r"""Byte-level codec for the package's CSV text: whole-column numpy kernels.
 
-Reading. ``scan_rows`` decodes, one fixed-width byte column at a time and
-by arithmetic alone, every line of the shape ``YYYY-MM-DD,P``,
-``YYYY-MM-DD HH:MM:SS,P`` or ``YYYY-MM-DD HH-MM-SS,P`` (one separator
-throughout the time) where ``P`` is a plain decimal (``\d+(\.\d+)?``,
-at most ``MAX_PRICE_BYTES`` bytes). The stamp's fields
-become seconds, and its validity, through tables of years 0..9999 and of
-months built at import. The price is its digits as one integer mantissa
+Reading. ``scan_rows`` decodes, by arithmetic alone, every line of the
+shape ``YYYY-MM-DD,P``, ``YYYY-MM-DD HH:MM:SS,P`` or
+``YYYY-MM-DD HH-MM-SS,P`` (one separator throughout the time) where ``P``
+is a plain decimal (``\d+(\.\d+)?``, at most ``MAX_PRICE_BYTES`` bytes).
+Each line's bytes are gathered once per field, the stamp and the price,
+into a fixed-width byte matrix with one contiguous row per byte position.
+A date is decoded once per run of lines with equal date bytes; the clock
+and the price are decoded per line. The stamp's fields become
+seconds, and its validity, through tables of years 0..9999 and of months
+built at import. The price is its digits as one integer mantissa
 over a power of ten. A mantissa below 2**53 (so every mantissa of at most
 15 digits) and a power of at most 10**22 are exact doubles, so one
 division gives the correctly rounded value, the double ``float`` gives
@@ -37,7 +40,6 @@ BLOCK_ROWS = 16384
 # Shape codes of ``scan_rows``.
 OTHER, DATE, INTRADAY = 0, 1, 2
 
-_STAMP = b"0000-00-00 00:00:00"  # '0' marks a digit position
 _ZERO = np.uint8(ord("0"))
 
 
@@ -91,86 +93,130 @@ _MONTH_LEN = np.pad(np.diff(_MONTH_FIRSTS, axis=1), ((0, 0), (1, 1)))
 _FIRST_DAY, _LAST_DAY = int(_YEAR_START[0]), int(_days_from_civil(10000, 1, 1)) - 1
 
 
+def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes from each of ``starts`` on, as a (width, lines)
+    matrix whose row k holds byte k of every line.
+
+    Every line's bytes are copied at once, as one item of a strided void
+    view with one item per byte offset; the matrix is then transposed once,
+    so that each row is contiguous. Reads past the end of ``buf`` are
+    clipped to its last byte, one index per byte, on the few lines that
+    start within ``width`` bytes of its end."""
+    fits = len(buf) - width + 1  # offsets whose ``width`` bytes lie in ``buf``
+    if fits > 0:
+        windows = np.ndarray((fits,), f"V{width}", buffer=buf, strides=(1,))
+        lines = windows[np.minimum(starts, fits - 1)].view(np.uint8).reshape(-1, width)
+    else:
+        lines = np.empty((len(starts), width), dtype=np.uint8)
+    tail = np.flatnonzero(starts >= fits)
+    lines[tail] = buf.take(starts[tail, None] + np.arange(width), mode="clip")
+    return lines.T.copy()
+
+
+def _numbers(rows: np.ndarray, pattern: bytes):
+    """The numbers spelled by the digit positions of ``pattern`` ('0') in
+    byte rows laid out as ``pattern``, split at its other positions, in
+    uint16; and whether every digit position holds a digit. A byte minus
+    '0' wraps in uint8, so only the digits are <= 9; the numbers of other
+    bytes are meaningless."""
+    digit = rows - _ZERO
+    at = np.frombuffer(pattern, dtype=np.uint8) == ord("0")
+    numbers, value = [], None
+    for d, is_digit in zip(digit, at):
+        if not is_digit:
+            numbers.append(value)
+            value = None
+        else:
+            value = d.astype(np.uint16) if value is None else value * 10 + d
+    return numbers + [value], (digit[at] <= 9).all(axis=0)
+
+
 def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Decode the lines ``buf[starts[i]:ends[i]]`` that have a fast shape.
 
     Returns ``(shape, seconds, valid, prices)``, one entry per line:
-    ``shape`` is DATE, INTRADAY or OTHER (no fast shape; the other entries
-    are then meaningless), ``seconds`` the stamp in seconds since the
-    epoch, ``valid`` whether month, day (leap years included), hour <= 23,
-    minute <= 59 and second <= 59 hold, exactly what ``np.datetime64``
-    checks. Bytes are gathered one column at a time. Reads past the end of
-    ``buf`` are clipped to its last byte: they happen only on a last line
-    too short for a stamp shape, and a repeated byte cannot complete one.
+    ``shape`` (uint8) is DATE, INTRADAY or OTHER (no fast shape; the other
+    entries are then meaningless), ``seconds`` the stamp in seconds since
+    the epoch, ``valid`` whether month, day (leap years included), hour
+    <= 23, minute <= 59 and second <= 59 hold, exactly what
+    ``np.datetime64`` checks.
+
+    Each line's bytes are gathered once for the stamp and once for the
+    price. A date is decoded once per run of lines with equal date bytes
+    (the bars of one trading day) and repeated over its run; the clock and
+    the price are decoded per line. Reads past the end of ``buf`` are
+    clipped to its last byte: they happen only on a last line too short
+    for a stamp shape or its price width, and a repeated byte cannot
+    complete a shape.
     """
-    # The stamp: digits accumulate into the current field, a separator
-    # closes it. Position 10 is ',' after a date and ' ' inside a stamp.
-    # A byte minus '0' wraps in uint8, so only the digits are <= 9.
-    fields = []
-    value = np.zeros(len(starts), dtype=np.int32)
-    shaped = np.ones(len(starts), dtype=bool)
-    for k, expected in enumerate(_STAMP + b","):
-        column = buf.take(starts + k, mode="clip")
-        if expected == ord("0"):
-            digit = column - _ZERO
-            shaped &= digit <= 9
-            value = value * 10 + digit
-            continue
-        fields.append(value)
-        value = np.zeros_like(value)
-        if k == 10:
-            date_shaped = shaped & (column == ord(","))
-            shaped &= column == ord(" ")
-        elif k == 13:  # HH:MM:SS or HH-MM-SS
-            separator = column
-            shaped &= (column == expected) | (column == ord("-"))
-        elif k == 16:
-            shaped &= column == separator
-        else:
-            shaped &= column == expected
-    shape = np.where(date_shaped, DATE, np.where(shaped, INTRADAY, OTHER))
+    n = len(starts)
+    stamp = _gather(buf, starts, 20)  # "YYYY-MM-DD HH:MM:SS,"
+
+    # The date, once per run of equal date bytes. Garbage years and months
+    # are clipped into the tables.
+    new_date = np.ones(n + 1, dtype=bool)  # the last entry closes the last run
+    np.any(stamp[:10, 1:] != stamp[:10, :-1], axis=0, out=new_date[1:n])
+    runs = np.flatnonzero(new_date)
+    date = stamp[:10, runs[:-1]]
+    (year, month, day), dated = _numbers(date, b"0000-00-00")
+    dated &= (date[4] == ord("-")) & (date[7] == ord("-"))
+    leap_month = _LEAP.take(year, mode="clip") * 14 + np.minimum(month, 13)
+    on_calendar = (day >= 1) & (day <= _MONTH_LEN.take(leap_month))
+    days = _YEAR_START.take(year, mode="clip") + _MONTH_START.take(leap_month) + day - 1
+    lengths = runs[1:] - runs[:-1]
+    dated, on_calendar, day_seconds = (
+        np.repeat(a, lengths) for a in (dated, on_calendar, days.astype(np.int64) * 86400)
+    )
+
+    # The clock, per line: position 10 is ',' after a date and ' ' before
+    # a time of HH:MM:SS or HH-MM-SS.
+    (hour, minute, second), timed = _numbers(stamp[11:19], b"00:00:00")
+    separator = stamp[13]
+    timed &= (
+        dated & (stamp[10] == ord(" ")) & (stamp[19] == ord(",")) & (stamp[16] == separator)
+        & ((separator == ord(":")) | (separator == ord("-")))
+    )
+    shape = np.full(n, OTHER, dtype=np.uint8)
+    shape[dated & (stamp[10] == ord(","))] = DATE
+    shape[timed] = INTRADAY
 
     # The price: a plain decimal of 1..MAX_PRICE_BYTES bytes, all digits
     # but at most one dot, with digits before and after it. Its digits make
-    # the mantissa (Horner's rule; any other byte multiplies by 1 and adds
-    # 0), and the digits after the dot its power of ten.
-    price_start = starts + np.where(shape == INTRADAY, 20, 11)
+    # the mantissa by Horner's rule, two bytes per step (any other byte
+    # multiplies by 1 and adds 0), and the digits after the dot its power
+    # of ten. Lengths outside 1..MAX_PRICE_BYTES are shaped OTHER, so the
+    # others fit in uint8.
+    price_start = starts + np.where(timed, 20, 11)
     length = ends - price_start
     shape[(length < 1) | (length > MAX_PRICE_BYTES)] = OTHER
-    width = int(length[shape != OTHER].max(initial=1))
-    mantissa = np.zeros(len(starts))
-    digits, dots, fraction = (np.zeros(len(starts), dtype=np.uint8) for _ in range(3))
-    after_dot = np.zeros(len(starts), dtype=bool)
-    for p in range(width):
-        column = buf.take(price_start + p, mode="clip")
-        inside = p < length
-        digit = column - _ZERO
-        is_digit = (digit <= 9) & inside
-        dot = (column == ord(".")) & inside
-        digits += is_digit
-        dots += dot
-        after_dot |= dot
-        fraction += is_digit & after_dot
-        mantissa *= is_digit * np.uint8(9) + np.uint8(1)
-        mantissa += digit * is_digit
-    plain = (digits + dots == length) & (dots <= 1) & (digits > fraction) & (fraction >= dots)
+    span = length.astype(np.uint8)
+    width = int(np.max(span * (shape != OTHER), initial=1))
+    price = _gather(buf, price_start, width + width % 2)
+    inside = np.arange(len(price), dtype=np.uint8)[:, None] < span
+    digit = price - _ZERO
+    is_digit = (digit <= 9) & inside
+    dot = (price == ord(".")) & inside
+    digits = is_digit.sum(axis=0, dtype=np.uint8)
+    dots = dot.sum(axis=0, dtype=np.uint8)
+    at_dot = (dot * np.arange(len(price), dtype=np.uint8)[:, None]).sum(axis=0, dtype=np.uint8)
+    fraction = (span - at_dot - np.uint8(1)) * dots  # digits after a lone dot
+    scale = is_digit * np.uint8(9) + np.uint8(1)
+    digit *= is_digit
+    mantissa = np.zeros(n)
+    for p in range(0, len(price), 2):
+        mantissa *= scale[p] * scale[p + 1]
+        mantissa += digit[p] * scale[p + 1] + digit[p + 1]
+    plain = (digits + dots == span) & (dots <= 1) & (digits > fraction) & (fraction >= dots)
     shape[~plain] = OTHER
     prices = mantissa / _POWERS_OF_TEN.take(fraction, mode="clip")
     inexact = (shape != OTHER) & ((mantissa >= 2.0**53) | (fraction >= len(_POWERS_OF_TEN)))
     for i in np.flatnonzero(inexact).tolist():
         prices[i] = float(buf[price_start[i] : ends[i]].tobytes())
 
-    # Fields are >= 0 (digits wrap in uint8); the garbage years and months
-    # of OTHER lines are clipped into the tables.
-    year, month, day, hour, minute, second = fields
     intraday = shape == INTRADAY
     on_clock = ~intraday | (hour <= 23) & (minute <= 59) & (second <= 59)
-    clock = np.where(intraday, hour * 3600 + minute * 60 + second, 0)
-    leap_month = _LEAP.take(year, mode="clip") * 14 + np.minimum(month, 13)
-    valid = (day >= 1) & (day <= _MONTH_LEN.take(leap_month)) & on_clock
-    days = _YEAR_START.take(year, mode="clip") + _MONTH_START.take(leap_month) + (day - 1)
-    seconds = days.astype(np.int64) * 86400 + clock
-    return shape, seconds, valid, prices
+    clock = (hour.astype(np.int32) * 3600 + minute * 60 + second) * intraday
+    return shape, day_seconds + clock, on_calendar & on_clock, prices
 
 
 # "00".."99" as uint16: element i holds the two ASCII digits of i in

@@ -112,11 +112,13 @@ class _Lines:
     def __init__(self, data: bytes):
         self.data = data
         self.buf = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(self.buf == 10)
-        self.starts = np.concatenate(([0], ends + 1))
-        self.ends = np.append(ends, len(data))
-        if self.starts[-1] == len(data):  # nothing after the last line end
-            self.starts, self.ends = self.starts[:-1], self.ends[:-1]
+        # Every line end, after a virtual one before the text and before
+        # the text's end: line i runs from bounds[i] + 1 to bounds[i + 1].
+        bounds = np.concatenate(([-1], np.flatnonzero(self.buf == 10), [len(data)]))
+        if bounds[-2] == len(data) - 1:  # nothing after the last line end
+            bounds = bounds[:-1]
+        self.starts = bounds[:-1] + 1
+        self.ends = bounds[1:]
         self.pos = 0
 
     def __iter__(self):
@@ -233,18 +235,17 @@ def parse_csv(
 
     ts_arr = seconds[accept].view("datetime64[s]")
     cl_arr = prices[accept]
-    order = np.argsort(ts_arr, kind="stable")
-    ts_arr = ts_arr[order]
-    cl_arr = cl_arr[order]
-
-    # Duplicate timestamps: keep the first occurrence, count the rest.
-    if len(ts_arr) > 1:
+    # Stamps that already strictly ascend need no sort and hold no
+    # duplicate.
+    if not np.all(ts_arr[1:] > ts_arr[:-1]):
+        order = np.argsort(ts_arr, kind="stable")
+        ts_arr = ts_arr[order]
+        cl_arr = cl_arr[order]
+        # Duplicate timestamps: keep the first occurrence, count the rest.
         keep = np.concatenate(([True], ts_arr[1:] > ts_arr[:-1]))
-        dup = int(len(ts_arr) - keep.sum())
-        if dup:
-            dropped += dup
-            ts_arr = ts_arr[keep]
-            cl_arr = cl_arr[keep]
+        dropped += int(len(ts_arr) - keep.sum())
+        ts_arr = ts_arr[keep]
+        cl_arr = cl_arr[keep]
 
     series = PriceSeries(instrument_id, frequency, ts_arr, cl_arr)
     return series, Diagnostics(dropped=dropped)

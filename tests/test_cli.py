@@ -640,7 +640,7 @@ def test_pmf_negative_span_exits_2(tmp_path, capsys):
     assert main(["pmf", "--config", str(config), "--day", day, "--span-days", "-2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "preceding_days" in captured.err
+    assert captured.err == "error: --span-days: expected a finite number >= 0, got -2\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -682,6 +682,32 @@ def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, messa
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "a\\b", "a\0b"])
+def test_synth_bad_id_exits_2_with_one_line_before_any_output(tmp_path, capsys, name):
+    # The output directory sits inside "run", so an id that climbs out of
+    # it would still write inside "run".
+    out = tmp_path / "run" / "out"
+    assert main(["synth", "--seed", "1", "--days", "3", "--id", name, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --id: expected a plain file name, got {name!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    path, _, _ = write_synth_fixture(tmp_path)
+    config = write_config(tmp_path, [("synth", path, "5min")])
+    first = ["--out", str(tmp_path / "first"), "--dt-col", "when"]
+    assert main(["ingest", "--config", str(config), *first]) == 2
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out", "synth_raw.csv"]
+    synth = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "10"]
+    assert main([*synth, "--shock", "1:5:single_bar", "--out", str(tmp_path / "s1")]) == 0
+    assert main([*synth, "--out", str(tmp_path / "s2")]) == 0
+    assert len((tmp_path / "s1" / "synth_injections.csv").read_text().splitlines()) == 2
+    assert len((tmp_path / "s2" / "synth_injections.csv").read_text().splitlines()) == 1
 
 
 # Each case: the command and its flags, the config's anchor_date, and the

@@ -22,8 +22,9 @@ from entroscope import (
     parse_csv_file,
     serialize_csv,
 )
-from entroscope.codec import fixed6, integers, rows, stamps
+from entroscope.codec import OTHER, fixed6, integers, rows, scan_rows, stamps
 
+from _codec_oracle import scan_rows as scan_rows_oracle
 from _fixtures import intraday_timestamps, make_daily, make_intraday
 
 DAILY_3 = "timestamp,close\n2025-01-21,100.0\n2025-01-22,101.0\n2025-01-23,99.5\n"
@@ -503,6 +504,105 @@ def test_codec_matches_row_oracle_on_long_and_quoted_fields():
         )
     with pytest.raises(MalformedCsv, match="field larger than field limit"):
         parse_csv(cases[0], Frequency.DAILY, "t")
+
+
+# ----------------------------------------------------------------------
+# scan_rows against the column-at-a-time decoder
+# ----------------------------------------------------------------------
+
+def _assert_scan_matches_oracle(data: bytes):
+    """``scan_rows`` and its oracle over the lines of ``data`` (split as
+    ``parse_csv`` splits them): the same shape on every line, and the same
+    seconds, validity and price bits on every line with a fast shape."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts, ends, at = [], [], 0
+    for line in data.split(b"\n"):
+        starts.append(at)
+        ends.append(at + len(line))
+        at += len(line) + 1
+    if starts[-1] == len(data):  # nothing after the last line end
+        starts, ends = starts[:-1], ends[:-1]
+    bounds = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    shape, seconds, valid, prices = scan_rows(buf, *bounds)
+    want_shape, want_seconds, want_valid, want_prices = scan_rows_oracle(buf, *bounds)
+    assert shape.tolist() == want_shape.tolist(), data
+    fast = want_shape != OTHER
+    assert seconds[fast].tolist() == want_seconds[fast].tolist(), data
+    assert valid[fast].tolist() == want_valid[fast].tolist(), data
+    assert prices[fast].view(np.int64).tolist() == want_prices[fast].view(np.int64).tolist(), data
+
+
+_LONG_PRICES = [
+    "9" * 32, "1" * 33, "9007199254740993", "90071992547409.93", "9007199254740992.5",
+    "0." + "1" * 30, "0." + "0" * 22 + "1", "1." + "0" * 22 + "1",
+    "12345678901234567890.123456789012",
+]
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"1", b"2025-01-02,1", b"2025-01-02,1\n", b"2025-01-02 09:30:00,1",
+    b"2025-01-02 09:30:00,1.5\n2025-01-02 09:3",
+    b"2025-01-02 09:30:00,123456.789\n2025-01-02 09:35:00,1",
+    b"2025-01-02 09:30:00,123456.789\n2025-01-02 09:35:00,1.",
+    b"2025-01-02,123456.789\n2025-01-03,1\n2025-01-04,",
+    b"2025-01-02 09:30:00,1.5\n2025-01-02,2.5\n2025-01-02 09-40-00,3.5\n2025-01-02 09-40:00,4",
+    b"2025-01-02 09:30:001,1.5\n2025-01-02 09:30:0012\n2025-01-02 09:30:00,1.5\n",
+    b"2025-02-30 09:30:00,1.5\n" * 5 + b"2025-02-28 09:30:00,1.5\n" * 3 + b"2025-01-00,2\n" * 2,
+    b"".join(f"2025-01-02,{'9' * k}\n".encode() for k in range(1, 34)),
+    b"".join(f"2025-01-02 09:30:00,{p}\n".encode() for p in _LONG_PRICES),
+], ids=lambda data: data[:24].decode())
+def test_scan_rows_matches_oracle(data):
+    _assert_scan_matches_oracle(data)
+
+
+@pytest.mark.parametrize("stamp", ["2025-01-02", "2025-01-02 09:30:00", "2025-01-02 09-30-00"])
+def test_scan_rows_decodes_each_date_run_like_the_oracle(stamp):
+    # Runs of one date, each broken by a one-byte change at one of the ten
+    # date positions: to another digit, and to a byte no date holds.
+    lines = [stamp] * 3
+    for k in range(10):
+        for byte in ("7" if stamp[k] != "7" else "8", "x"):
+            lines += [stamp[:k] + byte + stamp[k + 1 :]] * 3 + [stamp] * 2
+    _assert_scan_matches_oracle("".join(f"{line},1.5\n" for line in lines).encode())
+
+
+_SCAN_DATES = st.sampled_from([
+    "2025-01-02", "2024-02-29", "2023-02-29", "2025-02-30", "0000-01-01", "9999-12-31",
+    "2025-13-01", "2025-00-10", "2025-01-00", "2025-01-32",
+])
+_SCAN_TIMES = st.sampled_from([
+    "", " 09:30:00", " 09-30-00", " 23:59:59", " 24:00:00", " 12:60:00", " 12:00:60",
+    " 09:30-00", " 9:30:00", " 09:30:001", "T09:30:00",
+])
+_SCAN_PRICES = st.one_of(
+    _DECIMAL, st.sampled_from(_ODD_PRICES + _LONG_PRICES), st.text("0123456789.", max_size=34),
+)
+
+
+@st.composite
+def _scan_buffers(draw):
+    """Lines in runs of one date, a run's date sometimes with one byte
+    changed; a last line end or none; and sometimes cut short anywhere."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        date = bytearray(draw(_SCAN_DATES).encode())
+        if draw(st.booleans()):
+            date[draw(st.integers(0, 9))] = draw(st.sampled_from(b"0123456789-: ,x"))
+        for _ in range(draw(st.integers(1, 5))):
+            stamp = bytes(date) + draw(_SCAN_TIMES).encode()
+            lines.append(stamp + b"," + draw(_SCAN_PRICES).encode())
+    data = b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+# No shrink phase, as for test_codec_matches_row_oracle_on_dirty_csv: the
+# deterministic cases above pin the single-line faults.
+@settings(max_examples=300, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+@given(data=_scan_buffers())
+def test_scan_rows_matches_oracle_on_random_lines(data):
+    _assert_scan_matches_oracle(data)
 
 
 def _near_ties(rng, scale, count):
