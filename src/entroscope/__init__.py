@@ -65,59 +65,3 @@ from .stats import (
 from .synth import InjectionRecord, Shock, ShockShape, SynthSpec, generate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguousTimestampFormat",
-    "BeforeAfterComparison",
-    "BinnedDistribution",
-    "BinningSpec",
-    "DegenerateDenominator",
-    "Diagnostics",
-    "EmptyInput",
-    "EmptyWindow",
-    "EntropySpectrum",
-    "EventSignature",
-    "Frequency",
-    "InjectionRecord",
-    "InsufficientBaseline",
-    "MalformedCsv",
-    "Metric",
-    "OutOfRange",
-    "PipelineError",
-    "PmfSnapshot",
-    "PriceSeries",
-    "ReturnKind",
-    "ReturnSeries",
-    "SeriesTooShort",
-    "Shock",
-    "ShockShape",
-    "SpectrumTable",
-    "SummaryStats",
-    "SynthSpec",
-    "TooShort",
-    "WindowSequenceSpec",
-    "WindowSlice",
-    "aggregate_to_daily",
-    "bin_returns",
-    "bracket_windows",
-    "build_sequences",
-    "compare_windows",
-    "dedup_closed_market",
-    "detect_events",
-    "generate",
-    "log_returns",
-    "nominal_returns",
-    "parse_csv",
-    "parse_csv_file",
-    "pct_difference",
-    "pmf_snapshot",
-    "serialize_csv",
-    "shannon_entropy",
-    "slice_window",
-    "spectra_for_series",
-    "summarize",
-    "summarize_values",
-    "velleman_bins",
-    "window_bounds",
-    "window_entropy",
-]

@@ -15,7 +15,8 @@ instrument path that is not a file exits 2 before any output is written.
 A batch command runs every instrument even when some fail, reports each
 failure as one ``<id>: error: <message>`` line on stderr, and exits with
 the code of the first failure; ``pmf`` reports the failure of its one
-instrument the same way.
+instrument the same way. A stdout closed by its reader is no failure: the
+summary lines it can no longer take are dropped.
 
 Outputs are plain CSV files, written deterministically: rerunning a
 command on identical inputs produces byte-identical files.
@@ -257,8 +258,19 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_INSUFFICIENT if insufficient else EXIT_INPUT
 
 
+def _say(line: str) -> None:
+    """Print one summary line on stdout. A reader that closes stdout early
+    fails no instrument: from the first BrokenPipeError on, later lines go
+    to os.devnull."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+
+
 def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
-    """Run ``fn(config, entry, **kwargs)`` on every instrument in order.
+    """Run ``fn(config, entry, **kwargs)`` on every instrument in order and
+    print the summary line it returns, if any.
 
     A failing instrument is reported as one ``<id>: error: <msg>`` line on
     stderr and the rest still run; the result is the exit code of the first
@@ -267,10 +279,13 @@ def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
     code = EXIT_OK
     for entry in config.instruments:
         try:
-            fn(config, entry, **kwargs)
+            line = fn(config, entry, **kwargs)
         except _FAILURES as exc:
             print(f"{entry.id}: error: {exc}", file=sys.stderr)
             code = code or _exit_code(exc)
+            continue
+        if line is not None:
+            _say(line)
     return code
 
 
@@ -282,7 +297,7 @@ def _parse(config: RunConfig, entry: InstrumentEntry):
 
 def _load_returns(config: RunConfig, entry: InstrumentEntry) -> ReturnSeries:
     series, _ = _parse(config, entry)
-    if config.aggregate_daily and series.frequency is Frequency.FIVE_MINUTE:
+    if config.aggregate_daily:
         series = aggregate_to_daily(series)
     if config.return_kind is ReturnKind.LOG:
         return log_returns(series)
@@ -348,15 +363,13 @@ def _write(path: Path, content: str | bytes | Iterable[bytes]) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _ingest_one(config: RunConfig, entry: InstrumentEntry) -> None:
+def _ingest_one(config: RunConfig, entry: InstrumentEntry) -> str:
     series, diag = _parse(config, entry)
-    removed = 0
-    if series.frequency is Frequency.FIVE_MINUTE:
-        series, dedup_diag = dedup_closed_market(series, config.dedup_run_length)
-        removed = dedup_diag.removed
+    series, dedup = dedup_closed_market(series, config.dedup_run_length)
     out_path = Path(config.out_dir) / f"{entry.id}.csv"
     _write(out_path, serialize_csv(series))
-    print(f"{entry.id}: rows={len(series)} dropped={diag.dropped} removed={removed} -> {out_path}")
+    return (f"{entry.id}: rows={len(series)} dropped={diag.dropped} "
+            f"removed={dedup.removed} -> {out_path}")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -404,7 +417,7 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
     # and H; each of the first two is rendered once and broadcast.
     middle = codec.columns([
         b",", codec.integers(np.arange(n_windows)), b",",
-        codec.integers(table.ends[0] - table.starts[0]), b",",
+        codec.integers(table.spec.lengths), b",",
     ])
     anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
     yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
@@ -458,7 +471,7 @@ def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     return replace(returns, timestamps=returns.timestamps[kept], values=returns.values[kept])
 
 
-def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> None:
+def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> str:
     returns = _restrict_dates(_load_returns(config, entry), from_date, to_date)
     seq_spec = _resolve_sequence(config, returns)
     binning = _spectrum_binning(config, returns, seq_spec.base_length)
@@ -473,7 +486,7 @@ def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date)
     _write(out_dir / f"{entry.id}_spectrum.csv", _spectrum_csv(table, returns.frequency))
     _write(out_dir / f"{entry.id}_monthly.csv", _monthly_csv(table))
     _write(out_dir / f"{entry.id}_events.csv", _events_csv(events, returns.frequency))
-    print(f"{entry.id}: sequences={len(table)} events={len(events)}")
+    return f"{entry.id}: sequences={len(table)} events={len(events)}"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -492,13 +505,13 @@ def _pmf_csv(dist: BinnedDistribution) -> str:
     return _csv(lines)
 
 
-def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> None:
+def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> str:
     returns = _load_returns(config, entry)
     snapshot = pmf_snapshot(returns, day, preceding_days=span_days, n_bins=config.bins)
     out_dir = Path(config.out_dir)
     _write(out_dir / f"{entry.id}_pmf_day.csv", _pmf_csv(snapshot.day_dist))
     _write(out_dir / f"{entry.id}_pmf_span.csv", _pmf_csv(snapshot.span_dist))
-    print(f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}")
+    return f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}"
 
 
 def cmd_pmf(args: argparse.Namespace) -> int:
@@ -545,7 +558,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         codec.text([rec.shape.value for rec in injections]), b"\n",
     )
     _write(out_dir / f"{args.id}_injections.csv", log)
-    print(f"{args.id}: bars={len(series)} shocks={len(injections)} -> {price_path}")
+    _say(f"{args.id}: bars={len(series)} shocks={len(injections)} -> {price_path}")
     return EXIT_OK
 
 

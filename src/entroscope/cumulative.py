@@ -41,8 +41,7 @@ matches neither, is binned whole. These counts too are exact integers.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -119,61 +118,48 @@ class WindowSequenceSpec:
     def span(self) -> int:
         return self.base_length + self.steps * self.increment
 
+    @property
+    def lengths(self) -> np.ndarray:
+        """The window lengths ``base_length + k * increment`` for k in
+        0..steps, as int64."""
+        return self.base_length + np.arange(self.steps + 1, dtype=np.int64) * self.increment
+
 
 @dataclass(frozen=True, eq=False)
 class EntropySpectrum:
-    """Entropy values H_0..H_m of one window sequence; window k is the
-    half-open index range [starts[k], ends[k])."""
+    """Entropy values H_0..H_m of one window sequence, whose windows all
+    lie in the half-open index range [span_start, span_end)."""
 
     sequence_index: int
     anchor_timestamp: np.datetime64
     values: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    binning: BinningSpec
-
-    @property
-    def peak(self) -> float:
-        return float(self.values.max())
-
-    @property
-    def span_start(self) -> int:
-        return int(self.starts.min())
-
-    @property
-    def span_end(self) -> int:
-        return int(self.ends.max())
+    span_start: int
+    span_end: int
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Spectra of every sequence of one series: ``values[j, k]`` is the
-    entropy of window k of sequence j, the half-open index range
-    [starts[j, k], ends[j, k]). ``len``, indexing and iteration yield
-    EntropySpectrum views of single rows, in anchor order."""
+    entropy of window k of sequence j under ``spec``, whose
+    ``sequence_count`` is the table's length; ``window_bounds`` gives the
+    windows' index ranges. ``len`` and indexing (hence iteration) yield
+    EntropySpectrum rows, in anchor order; ``benchmark/tracing.py`` reads
+    ``len(table)`` and ``table[0].values``."""
 
     values: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
     anchor_timestamps: np.ndarray
     binning: BinningSpec
+    spec: WindowSequenceSpec
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, index) -> EntropySpectrum:
-        j = operator.index(index)
-        if j < 0:
-            j += len(self)
-        if not 0 <= j < len(self):
-            raise IndexError(f"sequence index {index} out of range for {len(self)} sequences")
+        j = range(len(self))[index]
+        start = j * self.spec.stride
         return EntropySpectrum(
-            j, self.anchor_timestamps[j], self.values[j], self.starts[j], self.ends[j],
-            self.binning,
+            j, self.anchor_timestamps[j], self.values[j], start, start + self.spec.span
         )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
     @cached_property
     def peaks(self) -> np.ndarray:
@@ -222,19 +208,19 @@ def window_bounds(series_length: int, spec: WindowSequenceSpec) -> tuple[np.ndar
         )
 
     anchors = np.arange(count, dtype=np.int64)[:, None] * spec.stride
-    lengths = spec.base_length + np.arange(spec.steps + 1, dtype=np.int64) * spec.increment
     if spec.anchor_mode == GROW_RIGHT:
         starts = np.repeat(anchors, spec.steps + 1, axis=1)
-        ends = anchors + lengths
+        ends = anchors + spec.lengths
     else:
         ends = np.repeat(anchors + span, spec.steps + 1, axis=1)
-        starts = ends - lengths
+        starts = ends - spec.lengths
     return starts, ends
 
 
 def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[WindowSlice]]:
     """The windows of ``window_bounds`` as one list of WindowSlice per
-    sequence."""
+    sequence. Unused by the package: ``benchmark/tracing.py`` wraps it by
+    this name."""
     starts, ends = window_bounds(series_length, spec)
     return [
         [WindowSlice(a, b) for a, b in zip(row_starts, row_ends)]
@@ -382,7 +368,7 @@ def spectra_for_series(
     each window alone to the bound of ``entropy._c_log_c_table``.
     """
     starts, ends = window_bounds(len(returns), seq_spec)
-    lengths = ends[0] - starts[0]
+    lengths = seq_spec.lengths
     n_bins = binning.n_bins
     table, q = _c_log_c_table(seq_spec.span)
     stride_one = binning.is_fixed and seq_spec.stride == 1
@@ -414,8 +400,8 @@ def spectra_for_series(
         else:
             sums = table.take(_per_window_counts(rows[part], lengths, n_bins, shift)).sum(axis=-1)
         out[part] = _entropy_from_sums(sums, lengths, table, q)
-    anchors = returns.timestamps[starts.min(axis=1)]
-    return SpectrumTable(values, starts, ends, anchors, binning)
+    anchors = returns.timestamps[:: seq_spec.stride][: len(values)]
+    return SpectrumTable(values, anchors, binning, replace(seq_spec, sequence_count=len(values)))
 
 
 def sliding_min(x: np.ndarray, width: int) -> np.ndarray:

@@ -1,6 +1,9 @@
+import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -474,7 +477,7 @@ def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
     anchors = np.datetime64("2024-11-30T22:00:00") + step * np.arange(n_sequences)
     if frequency is Frequency.DAILY:
         anchors = anchors.astype("datetime64[D]").astype("datetime64[s]")
-    table = SpectrumTable(values, starts, ends, anchors, BinningSpec(7))
+    table = SpectrumTable(values, anchors, BinningSpec(7), geometry)
     spectrum = b"".join(_spectrum_csv(table, frequency))
     monthly = _monthly_csv(table)
 
@@ -520,7 +523,7 @@ def test_monthly_csv_bytes_equal_fstring_rows(case):
     geometry = WindowSequenceSpec(5, 2, 2, sequence_count=len(anchors))
     starts, ends = window_bounds(len(anchors) + geometry.span, geometry)
     values = np.random.default_rng(43).random(starts.shape) * 2.0
-    table = SpectrumTable(values, starts, ends, anchors, BinningSpec(7))
+    table = SpectrumTable(values, anchors, BinningSpec(7), geometry)
     assert _monthly_csv(table) == _monthly_rows(values, anchors)
 
 
@@ -642,6 +645,113 @@ def test_pmf_negative_span_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: --span-days: expected a finite number >= 0, got -2\n"
     assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# daily instruments
+# ----------------------------------------------------------------------
+
+DAILY_COMPARE = (
+    "instrument,entropy_before,entropy_after,entropy_pct_diff,std_before,std_after,std_pct_diff\n"
+    "day,2.295595,2.243613,-0.022904,0.007498,0.008472,0.122002\n"
+)
+
+
+def test_daily_instrument_runs_dedup_and_aggregation_unchanged(tmp_path, capsys):
+    # Dedup and daily aggregation both return a daily series as it is: a
+    # run of 9 equal closes, longer than the dedup run length, stays, and
+    # aggregate_daily leaves compare.csv as it is without it.
+    rng = np.random.default_rng(71)
+    closes = np.concatenate([[100.0] * 9, 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 60)))])
+    series = make_daily(closes, instrument="day")
+    path = tmp_path / "day.csv"
+    path.write_text(serialize_csv(series))
+    anchor = str(series.timestamps[40].astype("datetime64[D]"))
+    for aggregate in (False, True):
+        out = tmp_path / f"out_{aggregate}"
+        config = write_config(tmp_path, [("day", path, "daily")], anchor_date=anchor,
+                              window_days=28, aggregate_daily=aggregate, out_dir=str(out))
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == f"day: rows=69 dropped=0 removed=0 -> {out / 'day.csv'}\n"
+        assert (out / "day.csv").read_bytes() == path.read_bytes()
+        assert main(["compare", "--config", str(config)]) == 0
+        assert (out / "compare.csv").read_text() == DAILY_COMPARE
+
+
+# ----------------------------------------------------------------------
+# closed stdout
+# ----------------------------------------------------------------------
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _batch_argv(tmp_path, command):
+    # Two good instruments around an undecodable file, so the run exits 2.
+    good = [write_synth_fixture(tmp_path, name=name, seed=seed)[0]
+            for name, seed in (("a", 3), ("b", 5))]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,close\n\xff\xfe\x00broken\n")
+    config = write_config(
+        tmp_path, [("a", good[0], "5min"), ("bad", bad, "5min"), ("b", good[1], "5min")],
+        anchor_date="2025-01-15", window_days=5, sequence=SEQ_SHORT,
+    )
+    return [command, "--config", str(config), "--out"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "compare", "spectrum", "synth"])
+def test_closed_stdout_fails_no_instrument(tmp_path, capsys, monkeypatch, command):
+    if command == "synth":
+        argv = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "12", "--out"]
+    else:
+        argv = _batch_argv(tmp_path, command)
+    assert main([*argv, str(tmp_path / "open")]) == (0 if command == "synth" else 2)
+    open_run = capsys.readouterr()
+    assert open_run.out or command == "compare"  # compare prints no summary
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", _ClosedStdout())
+        code = main([*argv, str(tmp_path / "closed")])
+        if command != "compare":  # the first summary line switched stdout to devnull
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
+    assert code == (0 if command == "synth" else 2)
+    assert capsys.readouterr() == ("", open_run.err)
+    written = {
+        run: {p.name: p.read_bytes() for p in sorted((tmp_path / run).iterdir())}
+        for run in ("open", "closed")
+    }
+    assert written["closed"] == written["open"] and written["open"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_closed_stdout_pipe_ends_cleanly(tmp_path, command):
+    if command == "synth":
+        argv = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "12", "--out"]
+        names = ["synth.csv", "synth_injections.csv"]
+    else:
+        paths = [write_synth_fixture(tmp_path, name=f"i{k}", seed=k)[0] for k in range(3)]
+        config = write_config(tmp_path, [(f"i{k}", p, "5min") for k, p in enumerate(paths)])
+        argv = ["ingest", "--config", str(config), "--out"]
+        names = ["i0.csv", "i1.csv", "i2.csv"]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroscope.cli", *argv, str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
 
 
 # ----------------------------------------------------------------------

@@ -263,8 +263,9 @@ def test_stride_one_update_bits_equal_full_recount(anchor_mode):
     assert len(table) > BLOCK_COUNTS // n_bins
     idx = bin_indices(r.values, n_bins, binning.lo, binning.hi)
     assert np.count_nonzero(idx == 0) and np.count_nonzero(idx == n_bins - 1)
-    counts = _prefix_counts(idx, n_bins, table.starts, table.ends)
-    want = entropy_from_counts(counts, table.ends[0] - table.starts[0])
+    starts, ends = window_bounds(len(r), table.spec)
+    counts = _prefix_counts(idx, n_bins, starts, ends)
+    want = entropy_from_counts(counts, ends[0] - starts[0])
     assert table.values.tobytes() == want.tobytes()
     constant = np.flatnonzero((counts == counts.sum(axis=-1, keepdims=True)).any(axis=-1))
     assert len(constant) >= 4 * 15 and np.all(table.values.ravel()[constant] == 0.0)
@@ -505,14 +506,56 @@ def test_spectrum_table_views():
     for j, sp in enumerate(views):
         assert np.array_equal(sp.values, table.values[j])
         assert sp.anchor_timestamp == r.timestamps[10 * j]
-        assert sp.peak == table.values[j].max()
+        assert table.peaks[j] == table.values[j].max()
     last = table[-1]
     assert last.sequence_index == 2 and np.array_equal(last.values, table.values[2])
     assert (last.span_start, last.span_end) == (20, 35)
-    assert last.starts.tolist() == [30, 25, 20] and last.ends.tolist() == [35, 35, 35]
+    starts, ends = window_bounds(len(r), table.spec)
+    assert starts[-1].tolist() == [30, 25, 20] and ends[-1].tolist() == [35, 35, 35]
     for bad in (3, -4):
         with pytest.raises(IndexError):
             table[bad]
+    for bad in (1.0, "1", slice(0, 2)):
+        with pytest.raises(TypeError):
+            table[bad]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.integers(2, 9),
+    increment=st.integers(1, 5),
+    steps=st.integers(0, 4),
+    multiple=st.integers(1, 3),
+    offset=st.integers(0, 4),
+    count=st.integers(1, 12),
+    extra=st.integers(0, 9),
+    grow_left=st.booleans(),
+    per_window=st.booleans(),
+)
+def test_table_geometry_is_window_bounds(
+    base, increment, steps, multiple, offset, count, extra, grow_left, per_window
+):
+    # The stride is a multiple of the increment plus an offset, which is
+    # not a multiple when 0 < offset < increment.
+    stride = multiple * increment + offset
+    spec = WindowSequenceSpec(base, increment, steps, stride, sequence_count=count,
+                              anchor_mode="grow-left" if grow_left else "grow-right")
+    length = spec.span + (count - 1) * stride + extra
+    r = make_returns(np.random.default_rng(count).normal(0, 0.01, length))
+    binning = BinningSpec(5) if per_window else BinningSpec(5, lo=-0.01, hi=0.01)
+    table = spectra_for_series(r, spec, binning)
+    starts, ends = window_bounds(len(r), spec)
+    assert spec.lengths.dtype == np.int64
+    assert np.array_equal(ends - starts, np.broadcast_to(spec.lengths, starts.shape))
+    assert len(table) == count and table.spec.sequence_count == count
+    assert table.binning == binning and table.values.shape == starts.shape
+    for got, want in zip(window_bounds(len(r), table.spec), (starts, ends)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(table.anchor_timestamps, r.timestamps[starts.min(axis=1)])
+    for j, sp in enumerate(table):
+        assert sp.sequence_index == j
+        assert (sp.span_start, sp.span_end) == (starts[j].min(), ends[j].max())
+    assert j == count - 1
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -553,8 +596,8 @@ def _detect_events_oracle(spectra, threshold=3.0, min_persistence=2, baseline=8,
     """The detector as a per-sequence loop of np.median calls: the flags and
     the events."""
     if dispersion_floor is None:
-        dispersion_floor = 0.05 * math.log(max(spectra[0].binning.n_bins, 2))
-    peaks = np.array([sp.peak for sp in spectra])
+        dispersion_floor = 0.05 * math.log(max(spectra.binning.n_bins, 2))
+    peaks = np.array([sp.values.max() for sp in spectra])
     n = len(peaks)
     flagged = np.zeros(n, dtype=bool)
     for j in range(baseline, n):
@@ -593,11 +636,11 @@ def _detect_events_oracle(spectra, threshold=3.0, min_persistence=2, baseline=8,
 
 
 def _table_of(values, n_bins=18):
+    # Sequence j anchored at j, window k spanning [j, j + k + 2).
     n, m = values.shape
-    starts = np.repeat(np.arange(n)[:, None], m, axis=1)
-    ends = starts + np.arange(2, m + 2)
+    spec = WindowSequenceSpec(2, 1, m - 1, sequence_count=n)
     anchors = np.datetime64("2025-01-02T09:30:00") + np.arange(n) * np.timedelta64(300, "s")
-    return SpectrumTable(values, starts, ends, anchors, BinningSpec(n_bins))
+    return SpectrumTable(values, anchors, BinningSpec(n_bins), spec)
 
 
 def _assert_matches_oracle(table, threshold, min_persistence, baseline, dispersion_floor):
