@@ -6,7 +6,8 @@ entropy spectra, monthly profile, event list), ``pmf`` (single-day vs
 multi-day distribution snapshots under shared binning), ``synth``
 (synthetic fixtures). Batch runs are driven by one JSON config; flags
 override config values. Exit codes: 0 ok, 2 input error, 3 insufficient
-data.
+data. A malformed or missing flag, or an unknown command, exits 2 with one
+``error: <message>`` line that names the flag.
 
 The config is type-checked as it is loaded: an unknown key, a wrongly
 typed value, a missing instrument ``id``/``path``/``frequency``, an
@@ -54,7 +55,6 @@ from .ingest import (
     DEFAULT_DEDUP_RUN_LENGTH,
     Frequency,
     aggregate_to_daily,
-    day_bounds,
     dedup_closed_market,
     parse_csv_file,
     serialize_csv,
@@ -76,8 +76,9 @@ EXIT_INSUFFICIENT = 3
 # What one instrument, or one command, may fail with and still end in a
 # one-line message and an exit code rather than a traceback. A
 # MemoryError comes from arrays sized by the input or the config (a huge
-# ``bins``), not from the interpreter running dry.
-_FAILURES = (PipelineError, OSError, ValueError, MemoryError)
+# ``bins``), not from the interpreter running dry; an OverflowError from a
+# config or flag integer too large for a float or an int64.
+_FAILURES = (PipelineError, OSError, ValueError, MemoryError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ class AtLeast:
 
     def check(self, value, where: str) -> None:
         above = value > self.low if self.strict else value >= self.low
-        if not (math.isfinite(value) and above):
+        # Every int is finite; one past the float range cannot go to isfinite.
+        if not ((type(value) is int or math.isfinite(value)) and above):
             bound = f"{'>' if self.strict else '>='} {self.low}"
             raise ValueError(f"{where}: expected a finite number {bound}, got {value!r}")
 
@@ -113,10 +115,11 @@ class IsDate:
 class IsFileName:
     """``Annotated`` metadata of a config field: the text names a file
     inside a directory: not empty, not ``.`` or ``..``, and without ``/``,
-    ``\\`` or NUL."""
+    ``\\`` or a control character (NUL and line ends among them), since
+    the name also starts one-line messages."""
 
     def check(self, value, where: str) -> None:
-        if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        if value in ("", ".", "..") or any(c in "/\\\x7f" or c < " " for c in value):
             raise ValueError(f"{where}: expected a plain file name, got {value!r}")
 
 
@@ -249,7 +252,7 @@ def _load(args: argparse.Namespace) -> RunConfig:
         raise ValueError("config lists no instruments")
     missing = [entry.path for entry in config.instruments if not Path(entry.path).is_file()]
     if missing:
-        raise FileNotFoundError(f"file not found: {', '.join(missing)}")
+        raise FileNotFoundError(f"file not found: {', '.join(map(repr, missing))}")
     return config
 
 
@@ -307,7 +310,7 @@ def _load_returns(config: RunConfig, entry: InstrumentEntry) -> ReturnSeries:
 def _bars_per_day(returns: ReturnSeries) -> int:
     """The most common number of bars in a trading day (the smallest of
     equally common ones)."""
-    _, bounds = day_bounds(returns.dates())
+    _, bounds = codec.runs(returns.dates())
     return int(np.bincount(np.diff(bounds)).argmax())
 
 
@@ -430,21 +433,15 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
 
 
 def _monthly_csv(table: SpectrumTable) -> bytes:
-    # Anchors ascend, so each month's sequences are contiguous: they start
-    # where the month's first second sorts among the anchors. Months with
-    # no anchor get no row.
-    anchors, peaks = table.anchor_timestamps, table.peaks
-    months = np.arange(anchors[0].astype("datetime64[M]"), anchors[-1].astype("datetime64[M]") + 2)
-    bounds = np.searchsorted(anchors, months.astype(anchors.dtype))
-    counts = np.diff(bounds)
-    held = counts > 0
-    months, firsts, counts = months[:-1][held], bounds[:-1][held], counts[held]
-    groups = [peaks[first : first + count] for first, count in zip(firsts, counts)]
+    # Anchors ascend, so each month's sequences are one run of its month;
+    # a month with no anchor has no run and gets no row.
+    months, bounds = codec.runs(table.anchor_timestamps.astype("datetime64[M]"))
+    groups = np.split(table.peaks, bounds[1:-1])
     return b"month,mean_peak_entropy,max_peak_entropy,sequences\n" + codec.rows(
         codec.stamps(months, daily=True)[:, :7], b",",  # YYYY-MM
         codec.fixed6([np.mean(group) for group in groups]), b",",
         codec.fixed6([group.max() for group in groups]), b",",
-        codec.integers(counts), b"\n",
+        codec.integers(np.diff(bounds)), b"\n",
     )
 
 
@@ -460,7 +457,7 @@ def _events_csv(events: list[EventSignature], frequency: Frequency) -> bytes:
 def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     if from_date is None and to_date is None:
         return returns
-    days, bounds = day_bounds(returns.dates())
+    days, bounds = codec.runs(returns.dates())
     first = 0 if from_date is None else np.searchsorted(days, np.datetime64(from_date, "D"))
     end = len(days)
     if to_date is not None:
@@ -529,13 +526,18 @@ def cmd_pmf(args: argparse.Namespace) -> int:
 
 
 def _parse_shock(text: str) -> Shock:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"shock must be DAY:MAGNITUDE:SHAPE, got {text!r}")
-    return Shock(int(parts[0]), float(parts[1]), ShockShape(parts[2]))
+    try:
+        day, magnitude, shape = text.split(":")
+        return Shock(int(day), float(magnitude), ShockShape(shape))
+    except ValueError:
+        shapes = ", ".join(s.value for s in ShockShape)
+        raise ValueError(
+            f"--shock: expected DAY:MAGNITUDE:SHAPE with SHAPE one of {shapes}, got {text!r}"
+        ) from None
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    AtLeast(0).check(args.seed, "--seed")
     IsFileName().check(args.id, "--id")
     spec = SynthSpec(
         seed=args.seed,
@@ -566,6 +568,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in one ``error: <message>`` line
+    on stderr and exit 2, without the usage block; ``--help`` is unchanged.
+    ``add_subparsers`` gives every sub-parser this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="JSON run config")
     sub.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
@@ -579,7 +590,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     ``main`` call; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entroscope",
         description="Entropy-based market analysis pipeline",
     )

@@ -26,6 +26,11 @@ per run of equal days, so the bars of one trading day share one civil-date
 conversion. ``columns`` lays such matrices and constant separators side
 by side, broadcasting their leading axes, and ``rows`` returns the text of
 all rows with the padding dropped.
+
+Grouping. ``runs`` is the package's one index of runs of equal
+consecutive values: each run's value and where it begins. Trading days
+are the runs of a series' dates, months the runs of its anchors' months,
+and cleaning reads repeated stamps and repeated closes from it.
 """
 from __future__ import annotations
 
@@ -93,6 +98,18 @@ _MONTH_LEN = np.pad(np.diff(_MONTH_FIRSTS, axis=1), ((0, 0), (1, 1)))
 _FIRST_DAY, _LAST_DAY = int(_YEAR_START[0]), int(_days_from_civil(10000, 1, 1)) - 1
 
 
+def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal consecutive ``values``: each run's value and where
+    each begins. Run i is ``values[bounds[i]:bounds[i + 1]]`` and
+    ``bounds[-1] == len(values)``; an empty input gives no runs and
+    ``bounds == [0]``. On ascending values the runs are the distinct
+    values, found without a sort."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    return values[starts], np.append(starts, len(values))
+
+
 def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes from each of ``starts`` on, as a (width, lines)
     matrix whose row k holds byte k of every line.
@@ -153,17 +170,19 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     stamp = _gather(buf, starts, 20)  # "YYYY-MM-DD HH:MM:SS,"
 
     # The date, once per run of equal date bytes. Garbage years and months
-    # are clipped into the tables.
+    # are clipped into the tables. The runs are scanned here, not by
+    # ``runs``: a 1-D key per line would add a transposed copy of the
+    # (10, lines) date bytes to the parse hot path.
     new_date = np.ones(n + 1, dtype=bool)  # the last entry closes the last run
     np.any(stamp[:10, 1:] != stamp[:10, :-1], axis=0, out=new_date[1:n])
-    runs = np.flatnonzero(new_date)
-    date = stamp[:10, runs[:-1]]
+    firsts = np.flatnonzero(new_date)
+    date = stamp[:10, firsts[:-1]]
     (year, month, day), dated = _numbers(date, b"0000-00-00")
     dated &= (date[4] == ord("-")) & (date[7] == ord("-"))
     leap_month = _LEAP.take(year, mode="clip") * 14 + np.minimum(month, 13)
     on_calendar = (day >= 1) & (day <= _MONTH_LEN.take(leap_month))
     days = _YEAR_START.take(year, mode="clip") + _MONTH_START.take(leap_month) + day - 1
-    lengths = runs[1:] - runs[:-1]
+    lengths = firsts[1:] - firsts[:-1]
     dated, on_calendar, day_seconds = (
         np.repeat(a, lengths) for a in (dated, on_calendar, days.astype(np.int64) * 86400)
     )
@@ -297,18 +316,15 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
     timestamp; years outside 0..9999 and NaT are written as numpy writes
     them.
 
-    A date is rendered once per run of equal days (the bars of one trading
-    day) and repeated over its run; when every row has its own day, the
-    dates are rendered row by row with no repeat. The clock is taken in
+    A date is rendered once per run of equal days (``runs``; the bars of
+    one trading day) and repeated over its run. The clock is taken in
     int32."""
     seconds = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64)
     days, second_of_day = np.divmod(seconds, 86400)
-    new_day = days[1:] != days[:-1]
-    runs = None if new_day.all() else np.flatnonzero(np.concatenate(([True], new_day)))
-    year, month, day = _civil_from_days(days if runs is None else days[runs])
+    run_days, bounds = runs(days)
+    year, month, day = _civil_from_days(run_days)
     out = columns([_digits(year, 4), b"-", _digits(month, 2), b"-", _digits(day, 2)])
-    if runs is not None:
-        out = np.repeat(out, np.diff(runs, append=len(days)), axis=0)
+    out = np.repeat(out, np.diff(bounds), axis=0)
     if not daily:
         hour, rest = np.divmod(second_of_day.astype(np.int32), 3600)
         minute, second = np.divmod(rest, 60)

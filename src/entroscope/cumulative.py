@@ -492,6 +492,8 @@ def detect_events(
 
     peaks = spectra.peaks
     flagged = _flags(peaks, threshold, baseline, dispersion_floor)
+    # The runs of flags from their edges: as short as ``codec.runs`` of the
+    # flags, which would also return the runs of no flag.
     edges = np.flatnonzero(np.diff(flagged, prepend=False, append=False))
 
     events: list[EventSignature] = []

@@ -14,6 +14,12 @@ from the rule n = ceil(2*sqrt(N)) applied once to a baseline window and
 is then held fixed across an analysis run; the bin *range* is either
 recomputed per window (default, scale-free) or fixed for cross-window
 mass comparability.
+
+The entropy of a data window (``window_entropy``, ``pmf_snapshot``, and
+every spectrum) comes from its integer bin counts through the exact
+fixed-point sum of ``entropy_from_counts``, so windows with the same
+counts in other bins have the same bits. ``shannon_entropy`` is the
+plain sum over the masses of any distribution.
 """
 from __future__ import annotations
 
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .errors import EmptyWindow, OutOfRange
-from .ingest import day_bounds
 from .returns import ReturnSeries, WindowSlice, slice_values
 
 
@@ -44,8 +50,8 @@ class BinningSpec:
     hi: float | None = None
 
     def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        if not 1 <= self.n_bins <= 2**53:  # bin positions are taken in float64
+            raise ValueError(f"n_bins must be in 1..2**53, got {self.n_bins}")
         if (self.lo is None) != (self.hi is None):
             raise ValueError("lo and hi must be set together")
         if self.lo is not None and not self.hi > self.lo:
@@ -114,6 +120,12 @@ def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:
     and counted in ``clamped_count``. With a per-window range an all-equal
     sample yields the degenerate single-bin distribution.
     """
+    return _bin(values, spec)[0]
+
+
+def _bin(values, spec: BinningSpec) -> tuple[BinnedDistribution, np.ndarray]:
+    """``bin_returns(values, spec)`` and the integer bin counts whose
+    shares are its masses."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         raise EmptyWindow("cannot bin an empty window")
@@ -128,12 +140,13 @@ def bin_returns(values, spec: BinningSpec) -> BinnedDistribution:
         lo = float(vals.min())
         hi = float(vals.max())
         if hi == lo:
-            return BinnedDistribution(spec, lo, hi, np.array([1.0]), int(vals.size))
+            counts = np.array([vals.size])
+            return BinnedDistribution(spec, lo, hi, np.array([1.0]), int(vals.size)), counts
 
     n = spec.n_bins
     counts = np.bincount(bin_indices(vals, n, lo, hi), minlength=n)
     masses = counts / vals.size
-    return BinnedDistribution(spec, lo, hi, masses, int(vals.size), clamped)
+    return BinnedDistribution(spec, lo, hi, masses, int(vals.size), clamped), counts
 
 
 def entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
@@ -183,12 +196,24 @@ def _entropy_from_sums(sums: np.ndarray, totals, table: np.ndarray, q: int) -> n
 
 
 def shannon_entropy(dist: BinnedDistribution) -> float:
+    """-sum(p ln p) over the masses of any distribution, summed in bin
+    order: two windows with the same counts in other bins may differ in
+    the last bit. ``window_entropy`` and ``pmf_snapshot`` take a data
+    window's entropy from its integer counts instead."""
     return float(entropy_from_counts(dist.masses, 1.0))
 
 
+def _count_entropy(counts: np.ndarray) -> float:
+    """The entropy of one window's integer bin counts, through the
+    fixed-point kernel of spectra: exact sums, so the same counts in any
+    bins give the same bits, and so does ``spectra_for_series`` on that
+    window alone."""
+    return float(entropy_from_counts(counts, counts.sum()))
+
+
 def window_entropy(returns: ReturnSeries, window: WindowSlice, spec: BinningSpec) -> float:
-    """Entropy of one window of a return series: bin, then sum."""
-    return shannon_entropy(bin_returns(slice_values(returns, window), spec))
+    """Entropy of one window of a return series, from its bin counts."""
+    return _count_entropy(_bin(slice_values(returns, window), spec)[1])
 
 
 @dataclass(frozen=True)
@@ -212,7 +237,7 @@ def pmf_snapshot(
     if preceding_days < 0:
         raise ValueError(f"preceding_days must be >= 0, got {preceding_days}")
     target = np.datetime64(day, "D")
-    days, bounds = day_bounds(returns.dates())
+    days, bounds = codec.runs(returns.dates())
     at = int(np.searchsorted(days, target))
     if at == len(days) or days[at] != target:
         raise OutOfRange(f"no observations on {target}")
@@ -227,8 +252,8 @@ def pmf_snapshot(
     hi = float(span_values.max())
     # A constant span cannot support a fixed range; both sides degenerate.
     spec = BinningSpec(n_bins) if hi == lo else BinningSpec(n_bins, lo=lo, hi=hi)
-    day_dist = bin_returns(day_values, spec)
-    span_dist = bin_returns(span_values, spec)
+    day_dist, day_counts = _bin(day_values, spec)
+    span_dist, span_counts = _bin(span_values, spec)
     return PmfSnapshot(
-        target, day_dist, span_dist, shannon_entropy(day_dist), shannon_entropy(span_dist)
+        target, day_dist, span_dist, _count_entropy(day_counts), _count_entropy(span_counts)
     )

@@ -22,7 +22,9 @@ digits have no shape and are dropped as unparseable.
 Closed-market artifacts, where a feed keeps emitting copies of the last
 open-market close, are removed by a run-length rule: any maximal run of
 identical consecutive closes longer than a threshold is truncated to its
-first point.
+first point. Runs of equal closes, of equal stamps (duplicates after the
+sort) and of equal dates (trading days, for daily aggregation) all come
+from one index, ``codec.runs``.
 """
 from __future__ import annotations
 
@@ -88,17 +90,6 @@ class PriceSeries:
 
     def dates(self) -> np.ndarray:
         return self.timestamps.astype("datetime64[D]")
-
-
-def day_bounds(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct dates of ascending ``dates`` and where each begins:
-    day i's observations are ``[bounds[i], bounds[i + 1])``, and
-    ``bounds[-1] == len(dates)``. Taken from runs of equal dates, without
-    a sort; an empty input gives no days and ``bounds == [0]``."""
-    first = np.ones(len(dates), dtype=bool)
-    first[1:] = dates[1:] != dates[:-1]
-    starts = np.flatnonzero(first)
-    return dates[starts], np.append(starts, len(dates))
 
 
 class _Lines:
@@ -238,14 +229,12 @@ def parse_csv(
     # Stamps that already strictly ascend need no sort and hold no
     # duplicate.
     if not np.all(ts_arr[1:] > ts_arr[:-1]):
+        # Duplicate timestamps: the stable sort puts each stamp's first
+        # occurrence first in its run; keep it, count the rest.
         order = np.argsort(ts_arr, kind="stable")
-        ts_arr = ts_arr[order]
-        cl_arr = cl_arr[order]
-        # Duplicate timestamps: keep the first occurrence, count the rest.
-        keep = np.concatenate(([True], ts_arr[1:] > ts_arr[:-1]))
-        dropped += int(len(ts_arr) - keep.sum())
-        ts_arr = ts_arr[keep]
-        cl_arr = cl_arr[keep]
+        ts_arr, bounds = codec.runs(ts_arr[order])
+        cl_arr = cl_arr[order[bounds[:-1]]]
+        dropped += len(order) - len(ts_arr)
 
     series = PriceSeries(instrument_id, frequency, ts_arr, cl_arr)
     return series, Diagnostics(dropped=dropped)
@@ -296,19 +285,14 @@ def dedup_closed_market(
         return series, Diagnostics(
             warnings=[f"{series.instrument_id}: daily series left unchanged by dedup"]
         )
-    n = len(series)
-    if n == 0:
-        return series, Diagnostics()
+    # A point stays when its run is no longer than ``run_length`` or when
+    # it starts its run.
+    _, bounds = codec.runs(series.closes)
+    lengths = np.diff(bounds)
+    keep = np.repeat(lengths <= run_length, lengths)
+    keep[bounds[:-1]] = True
 
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(series.closes[1:], series.closes[:-1], out=change[1:])
-    run_starts = np.flatnonzero(change)
-    run_lengths = np.diff(np.append(run_starts, n))
-
-    keep = change | ~np.repeat(run_lengths > run_length, run_lengths)
-
-    removed = int(n - keep.sum())
+    removed = int(len(series) - keep.sum())
     if removed == 0:
         return series, Diagnostics()
     out = PriceSeries(
@@ -325,7 +309,7 @@ def aggregate_to_daily(series: PriceSeries) -> PriceSeries:
     the last close of each date."""
     if len(series) == 0:
         raise EmptyInput("nothing to aggregate")
-    days, bounds = day_bounds(series.dates())
+    days, bounds = codec.runs(series.dates())
     return PriceSeries(
         series.instrument_id,
         Frequency.DAILY,

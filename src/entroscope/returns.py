@@ -4,8 +4,8 @@ All downstream entropy and statistics default to log returns; nominal
 returns are kept for descriptive reporting. Windows are expressed in
 trading days actually present in the data, not calendar days, so holiday
 gaps shrink a window rather than shifting it. Every day window is a
-slice of one index, ``ingest.day_bounds``: the distinct dates and where
-each begins, so a window of days i..j-1 is ``[bounds[i], bounds[j])``.
+slice of one index, ``codec.runs`` of the dates: the distinct dates and
+where each begins, so a window of days i..j-1 is ``[bounds[i], bounds[j])``.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import codec
 from .errors import OutOfRange, TooShort
-from .ingest import Frequency, PriceSeries, day_bounds
+from .ingest import Frequency, PriceSeries
 
 
 class ReturnKind(Enum):
@@ -116,7 +117,7 @@ def slice_window(
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
     start = np.datetime64(start_date, "D")
-    days, bounds = day_bounds(returns.dates())
+    days, bounds = codec.runs(returns.dates())
     if start > days[-1]:
         raise OutOfRange(f"{start} is after the last observation")
     first = int(np.searchsorted(days, start, side="left"))
@@ -140,7 +141,7 @@ def bracket_windows(
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
     anchor = np.datetime64(anchor_date, "D")
-    days, bounds = day_bounds(returns.dates())
+    days, bounds = codec.runs(returns.dates())
     end = int(np.searchsorted(days, anchor, side="left"))
     if end == 0:
         raise OutOfRange(f"no data before {anchor}")

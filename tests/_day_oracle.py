@@ -1,9 +1,10 @@
 """Trading-day selection as boolean masks and searches over every date.
 
 These are the window, snapshot, aggregation and date-range functions as
-they were written before every caller indexed one ``day_bounds`` array.
-They are kept as the oracle that the index-based versions must match:
-the same bounds, the same warning texts, the same exceptions.
+they were written before every caller indexed the runs of the dates
+(``codec.runs``). They are kept as the oracle that the index-based
+versions must match: the same bounds, the same warning texts, the same
+exceptions.
 """
 from __future__ import annotations
 
@@ -16,9 +17,17 @@ from entroscope.entropy import (
     BinningSpec,
     PmfSnapshot,
     bin_returns,
-    shannon_entropy,
+    entropy_from_counts,
     velleman_bins,
 )
+
+
+def count_entropy(dist):
+    """The entropy of a binned data window from its integer counts, the
+    shares of ``support_count`` that its masses hold, through the exact
+    fixed-point kernel."""
+    counts = np.rint(dist.masses * dist.support_count).astype(np.int64)
+    return float(entropy_from_counts(counts, dist.support_count))
 
 
 def distinct_days(dates):
@@ -101,7 +110,7 @@ def pmf_snapshot(returns, day, preceding_days=14, n_bins=None):
     day_dist = bin_returns(day_values, spec)
     span_dist = bin_returns(span_values, spec)
     return PmfSnapshot(
-        target, day_dist, span_dist, shannon_entropy(day_dist), shannon_entropy(span_dist)
+        target, day_dist, span_dist, count_entropy(day_dist), count_entropy(span_dist)
     )
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroscope import (
     BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable, SynthSpec,
@@ -17,6 +22,7 @@ from entroscope import cli, codec
 from entroscope.cli import _monthly_csv, _spectrum_csv, _write, load_config, main
 
 from _fixtures import make_daily, make_intraday
+from test_ingest import _HEADERS, _ROW, _dirty_csv
 
 
 def write_config(tmp_path, instruments, name="config.json", **extra):
@@ -527,6 +533,21 @@ def test_monthly_csv_bytes_equal_fstring_rows(case):
     assert _monthly_csv(table) == _monthly_rows(values, anchors)
 
 
+def test_monthly_csv_month_without_anchor_gets_no_row():
+    # March 2025 lies between two anchors of one day each and holds none.
+    anchors = np.array(
+        ["2025-02-28T15:55:00", "2025-04-01T09:30:00", "2025-04-01T09:35:00"],
+        dtype="datetime64[s]",
+    )
+    geometry = WindowSequenceSpec(5, 2, 2, sequence_count=len(anchors))
+    table = SpectrumTable(np.array([[0.5, 1.0, 0.25], [1.5, 0.5, 0.5], [0.5, 2.0, 1.0]]),
+                          anchors, BinningSpec(7), geometry)
+    assert _monthly_csv(table).decode().splitlines()[1:] == [
+        "2025-02,1.000000,1.000000,1",
+        "2025-04,1.750000,2.000000,2",
+    ]
+
+
 def test_write_failing_mid_stream_leaves_no_file(tmp_path):
     def blocks():
         yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
@@ -794,7 +815,7 @@ def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "a\\b", "a\0b"])
+@pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "a\\b", "a\0b", "a\nb", "a\x7f"])
 def test_synth_bad_id_exits_2_with_one_line_before_any_output(tmp_path, capsys, name):
     # The output directory sits inside "run", so an id that climbs out of
     # it would still write inside "run".
@@ -857,6 +878,7 @@ BAD_IDS = {
     "subdirectory": (["a/b"], 0, "expected a plain file name, got 'a/b'"),
     "backslash": (["a\\b"], 0, "expected a plain file name, got 'a\\\\b'"),
     "NUL": (["a\0b"], 0, "expected a plain file name, got 'a\\x00b'"),
+    "line end": (["a\nb"], 0, "expected a plain file name, got 'a\\nb'"),
     "empty": ([""], 0, "expected a plain file name, got ''"),
     "dot": (["."], 0, "expected a plain file name, got '.'"),
     "dot dot": ([".."], 0, "expected a plain file name, got '..'"),
@@ -959,3 +981,269 @@ def test_every_output_csv_parses_under_its_schema(tmp_path):
                     assert record[col]
                 else:
                     float(record[col])
+
+
+# ----------------------------------------------------------------------
+# the failure contract: exit 0, 2 or 3 and one line per message
+# ----------------------------------------------------------------------
+
+def _run(argv) -> int:
+    """``main(argv)``, with an argparse exit taken as its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_SHAPES = "single_bar, dispersed_day"
+
+# Each case: the flags and the one stderr line.
+FLAG_ERRORS = {
+    "malformed --bins": (
+        ["spectrum", "--config", "c.json", "--bins", "x"],
+        "error: argument --bins: invalid int value: 'x'",
+    ),
+    "missing --config": (
+        ["spectrum"], "error: the following arguments are required: --config",
+    ),
+    "unknown command": (
+        ["plot"],
+        "error: argument command: invalid choice: 'plot' "
+        "(choose from 'ingest', 'compare', 'spectrum', 'pmf', 'synth')",
+    ),
+    "malformed --days": (
+        ["synth", "--seed", "1", "--days", "x"],
+        "error: argument --days: invalid int value: 'x'",
+    ),
+    "negative --seed": (
+        ["synth", "--seed", "-1"], "error: --seed: expected a finite number >= 0, got -1",
+    ),
+    "malformed --shock magnitude": (
+        ["synth", "--seed", "1", "--shock", "1:x:dispersed_day"],
+        f"error: --shock: expected DAY:MAGNITUDE:SHAPE with SHAPE one of {_SHAPES}, "
+        "got '1:x:dispersed_day'",
+    ),
+    "unknown --shock shape": (
+        ["synth", "--seed", "1", "--shock", "1:3:foo"],
+        f"error: --shock: expected DAY:MAGNITUDE:SHAPE with SHAPE one of {_SHAPES}, "
+        "got '1:3:foo'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FLAG_ERRORS))
+def test_flag_error_is_one_line_naming_the_flag(tmp_path, capsys, monkeypatch, case):
+    argv, line = FLAG_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    assert _run([*argv, "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_keeps_the_usage_block(capsys):
+    assert _run(["spectrum", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: entroscope spectrum [-h] --config CONFIG")
+
+
+_MESSAGE = re.compile(r"^(\S+: )?(error|warning): ")
+_BIG = 10**30  # no float, int64 or array size holds it
+
+
+def _options(valid: dict, wrong: dict):
+    """A dict with some of the ``valid`` keys (each with a right value),
+    then at most two keys of ``wrong`` set to a wrong value."""
+    @st.composite
+    def draw_options(draw):
+        options = draw(st.fixed_dictionaries({}, optional=valid))
+        count = draw(st.sampled_from([0, 0, 0, 0, 0, 1, 1, 2]))
+        keys = st.lists(st.sampled_from(sorted(wrong)), min_size=count, max_size=count, unique=True)
+        for key in draw(keys):
+            options[key] = draw(wrong[key])
+        return options
+    return draw_options()
+
+
+# Config keys, with right and wrong values.
+_CONFIG = _options(
+    {
+        "anchor_date": st.sampled_from(["2024-01-05", "2024-01-08", "1999-06-01"]),
+        "window_days": st.sampled_from([1, 2, 4]),
+        "bins": st.sampled_from([None, 1, 2, 5]),
+        "dedup_run_length": st.sampled_from([1, 6]),
+        "return_kind": st.sampled_from(["log", "nominal"]),
+        "aggregate_daily": st.booleans(),
+        "range_policy": st.sampled_from(["fixed", "per-window"]),
+        "sequence": st.fixed_dictionaries({}, optional={
+            "base_length": st.sampled_from([2, 3, 5]),
+            "increment": st.sampled_from([1, 2]),
+            "steps": st.sampled_from([0, 1, 3]),
+            "stride": st.sampled_from([1, 2]),
+            "anchor_mode": st.sampled_from(["grow-right", "grow-left"]),
+        }),
+        "theta": st.sampled_from([0.5, 3.0]),
+        "min_persistence": st.sampled_from([1, 2]),
+        "baseline": st.sampled_from([1, 2, 8]),
+        "out_dir": st.sampled_from(["out", "out/x"]),
+    },
+    {
+        "anchor_date": st.sampled_from(["2024-13-01", "soon", 20240105]),
+        "window_days": st.sampled_from([0, -2, _BIG, 2.5, "3"]),
+        "bins": st.sampled_from([0, -1, _BIG, True, "4"]),
+        "dt_col": st.sampled_from(["Date", "close", 3]),
+        "close_col": st.sampled_from(["Close", "timestamp"]),
+        "dedup_run_length": st.sampled_from([0, _BIG]),
+        "return_kind": st.just("simple"),
+        "aggregate_daily": st.just(1),
+        "range_policy": st.just("other"),
+        "sequence": st.sampled_from([
+            None, [], "x", {"base_length": 1}, {"base_length": _BIG}, {"steps": -1},
+            {"steps": _BIG}, {"stride": 0}, {"stride": _BIG}, {"increment": 0},
+            {"anchor_mode": "sideways"}, {"span": 3},
+        ]),
+        "theta": st.sampled_from([0, -1.0, float("nan"), float("inf"), "3"]),
+        "min_persistence": st.sampled_from([0, _BIG]),
+        "baseline": st.sampled_from([0, _BIG]),
+        "out_dir": st.just(5),
+        "colour": st.just("blue"),
+    },
+)
+_WRONG_ENTRIES = {
+    "id": st.sampled_from(["", ".", "..", "../up", "a/b", "a\\b", "a\0b", "a\nb", 7]),
+    "path": st.sampled_from(["in/missing.csv", "in", "", "in/new\nline.csv", 3]),
+    "frequency": st.sampled_from(["weekly", None]),
+    "label": st.just("x"),
+}
+
+
+@st.composite
+def _config(draw, dirty_frequency):
+    """The text of a run config: one to three instruments on the clean
+    5-minute file and the dirty file, a window geometry that fits the clean
+    file, and options; sometimes with one wrong entry, a missing key, a
+    repeated id or no instrument list. Ids hold no whitespace, because a
+    message line names its instrument as \\S+."""
+    paths = draw(st.lists(st.sampled_from(["in/clean.csv", "in/dirty.csv"]), min_size=1,
+                          max_size=3))
+    instruments = [
+        {"id": name, "path": path, "frequency": "5min" if "clean" in path else dirty_frequency}
+        for name, path in zip(["a", "b", "c"], paths)
+    ]
+    fault = draw(st.sampled_from([None] * 8 + ["entry", "missing", "repeat", "list"]))
+    entry = draw(st.sampled_from(instruments))
+    if fault == "entry":
+        key = draw(st.sampled_from(sorted(_WRONG_ENTRIES)))
+        entry[key] = draw(_WRONG_ENTRIES[key])
+    elif fault == "missing":
+        del entry[draw(st.sampled_from(["id", "path", "frequency"]))]
+    elif fault == "repeat":
+        entry["id"] = instruments[0]["id"]
+    config = {
+        "instruments": draw(st.sampled_from([[], {}])) if fault == "list" else instruments,
+        "anchor_date": "2024-01-05",
+        "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
+    }
+    config.update(draw(_CONFIG))
+    return json.dumps(config)
+
+
+_COMMON_FLAGS = _options(
+    {"--out": st.sampled_from(["out", "out/flag"]), "--bins": st.sampled_from(["2", "5"]),
+     "--theta": st.sampled_from(["0.5", "2"])},
+    {"--dt-col": st.just("when"), "--close-col": st.just("Close"),
+     "--bins": st.sampled_from(["0", "-2", "x", "1e3", str(_BIG)]),
+     "--theta": st.sampled_from(["0", "nan", "x"])},
+)
+_COMMAND_FLAGS = {
+    "ingest": st.just({}),
+    "compare": st.just({}),
+    "spectrum": _options(
+        {"--from-date": st.sampled_from(["2024-01-03", "1900-01-01"]),
+         "--to-date": st.sampled_from(["2024-12-31", "2024-01-09"])},
+        {"--from-date": st.sampled_from(["2024-02-30", "x", "2030-01-01"]),
+         "--to-date": st.sampled_from(["", "1800-01-01"])},
+    ),
+    "pmf": _options(
+        {"--day": st.sampled_from(["2024-01-05", "2024-01-08"]),
+         "--span-days": st.sampled_from(["0", "2"]), "--instrument": st.sampled_from(["a"])},
+        {"--day": st.sampled_from(["2025-01-07", "2024-02-30"]),
+         "--span-days": st.sampled_from(["-1", "x", str(_BIG)]),
+         "--instrument": st.just("zz")},
+    ),
+    "synth": _options(
+        {"--seed": st.sampled_from(["3", "11"]), "--days": st.sampled_from(["2", "4"]),
+         "--bars-per-day": st.sampled_from(["3", "10"]),
+         "--shock": st.sampled_from(["1:3:dispersed_day", "0:5:single_bar"]),
+         "--id": st.sampled_from(["s", "t"]), "--out": st.sampled_from(["out", "out/synth"])},
+        {"--seed": st.sampled_from(["-1", "x", str(_BIG)]),
+         "--days": st.sampled_from(["0", "x", str(_BIG)]),
+         "--bars-per-day": st.sampled_from(["0", "200"]),
+         "--mu": st.sampled_from(["nan", "x"]), "--sigma": st.sampled_from(["-1", "inf"]),
+         "--shock": st.sampled_from(["9:3:single_bar", "1:x:single_bar", "1:3:foo", "1:3"]),
+         "--id": st.sampled_from(["../s", "", "a\nb"])},
+    ),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """A command line and the files it reads: a config (JSON, not JSON or
+    missing), a dirty CSV from the ingest property test and a clean synth
+    file."""
+    commands = ["ingest", "compare", "spectrum", "pmf", "synth"]
+    command = draw(st.sampled_from(commands * 4 + ["plot"]))
+    header, intraday = draw(st.sampled_from(_HEADERS)), draw(st.booleans())
+    dirty = _dirty_csv(
+        *header, intraday, draw(st.sampled_from([False] * 3 + [True])),
+        draw(st.lists(_ROW, max_size=30)), draw(st.sampled_from(["\n", "", "\r\n"])),
+    )
+    clean = serialize_csv(generate(SynthSpec(
+        seed=draw(st.integers(0, 50)), n_days=draw(st.integers(2, 12)),
+        bars_per_day=draw(st.sampled_from([1, 3, 8])), start_date="2024-01-02",
+    ))[0])
+    config = draw(st.sampled_from([True] * 12 + ["{", "[]", "null", None]))
+    if config is True:
+        config = draw(_config("5min" if intraday else "daily"))
+    flags = {}
+    if command in ("ingest", "compare", "spectrum", "pmf"):
+        if draw(st.sampled_from([True] * 15 + [False])):
+            flags["--config"] = "config.json"
+        flags.update(draw(_COMMON_FLAGS))
+    if command in _COMMAND_FLAGS:
+        flags.update(draw(_COMMAND_FLAGS[command]))
+    required = {"pmf": "--day", "synth": "--seed"}.get(command)
+    if required and required not in flags and draw(st.sampled_from([True] * 7 + [False])):
+        flags[required] = "2024-01-05" if command == "pmf" else "5"
+    argv = [command, *(part for item in flags.items() for part in item)]
+    argv += draw(st.sampled_from([[]] * 14 + [["--bogus"], ["extra"]]))
+    return argv, config, {"in/dirty.csv": dirty, "in/clean.csv": clean}
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocation=_invocations())
+def test_every_failure_is_an_exit_code_and_one_line_messages(invocation):
+    argv, config, inputs = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in inputs.items():
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_bytes(text.encode("utf-8"))
+        if config is not None:
+            (root / "config.json").write_text(config, encoding="utf-8")
+        before = set(root.rglob("*"))
+        err, here = io.StringIO(), os.getcwd()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = _run(argv)
+        finally:
+            os.chdir(here)
+        made = [p.relative_to(root) for p in set(root.rglob("*")) - before if p.is_file()]
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert all(_MESSAGE.match(line) and "Traceback" not in line for line in lines), lines
+    assert [str(w.message) for w in caught] == []  # each would print its own lines
+    assert not [p for p in made if p.suffix == ".tmp"]
+    assert all(p.parts[0] == "out" for p in made), made

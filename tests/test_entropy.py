@@ -11,10 +11,12 @@ from entroscope import (
     EmptyWindow,
     Frequency,
     OutOfRange,
+    WindowSequenceSpec,
     WindowSlice,
     bin_returns,
     pmf_snapshot,
     shannon_entropy,
+    spectra_for_series,
     velleman_bins,
     window_entropy,
 )
@@ -51,6 +53,8 @@ def test_velleman_rejects_nonpositive():
 def test_binning_spec_validation():
     with pytest.raises(ValueError):
         BinningSpec(0)
+    with pytest.raises(ValueError, match=r"n_bins must be in 1\.\.2\*\*53, got 9007199254740993"):
+        BinningSpec(2**53 + 1)  # past the float64 bin positions, and before any array
     with pytest.raises(ValueError):
         BinningSpec(4, lo=1.0)
     with pytest.raises(ValueError):
@@ -253,6 +257,24 @@ def test_window_entropy_matches_two_pass_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.integers(2, 300),
+    n_bins=st.integers(1, 40),
+    levels=st.sampled_from([2, 5, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_entropy_bits_equal_one_window_spectrum(length, n_bins, levels, seed):
+    # The spectrum of one sequence of one window (steps 0, base_length the
+    # window's length) holds the same window's entropy; its fixed-point
+    # scale is set by the largest total, here the window's length.
+    vals = np.random.default_rng(seed).integers(0, levels, length) / 100.0
+    r = make_returns(vals)
+    spec = BinningSpec(n_bins)
+    table = spectra_for_series(r, WindowSequenceSpec(length), spec)
+    assert window_entropy(r, WindowSlice(0, length), spec) == table.values[0, 0]
+
+
 @settings(max_examples=150)
 @given(
     n_bins=st.integers(1, 64),
@@ -337,6 +359,19 @@ def test_pmf_snapshot_day_equals_span_when_no_preceding():
     snap = pmf_snapshot(r, day, preceding_days=0)
     assert np.array_equal(snap.day_dist.masses, snap.span_dist.masses)
     assert snap.day_entropy == snap.span_entropy
+
+
+def test_pmf_snapshot_entropies_bits_equal_one_window_spectra():
+    rng = np.random.default_rng(12)
+    r = _intraday_returns(rng, 6)
+    days = np.unique(r.dates())
+    snap = pmf_snapshot(r, str(days[-1]), preceding_days=4)
+    spec = snap.span_dist.spec
+    for values, h in ((r.values[r.dates() == days[-1]], snap.day_entropy),
+                      (r.values[r.dates() >= days[-5]], snap.span_entropy)):
+        one = make_returns(values)
+        table = spectra_for_series(one, WindowSequenceSpec(len(values)), spec)
+        assert h == table.values[0, 0]
 
 
 def test_pmf_snapshot_constant_returns():

@@ -21,8 +21,9 @@ from entroscope import (
 )
 
 from entroscope.cli import _bars_per_day, _restrict_dates
+from entroscope.codec import runs
 from entroscope.entropy import pmf_snapshot
-from entroscope.ingest import aggregate_to_daily, day_bounds
+from entroscope.ingest import aggregate_to_daily
 
 import _day_oracle as oracle
 from _fixtures import make_daily, make_returns
@@ -97,14 +98,60 @@ def test_values_invariant_under_time_shift():
 @settings(max_examples=100)
 @given(st.lists(st.integers(-3, 40), max_size=60))
 @example([])
-def test_day_bounds_equal_unique(offsets):
+def test_runs_of_ascending_dates_equal_unique(offsets):
     dates = np.datetime64("2025-01-02") + np.sort(offsets).astype("timedelta64[D]")
-    days, bounds = day_bounds(dates)
+    days, bounds = runs(dates)
     want_days, want_first, want_counts = np.unique(dates, return_index=True, return_counts=True)
     assert days.dtype == dates.dtype
     assert np.array_equal(days, want_days)
     assert np.array_equal(bounds, np.append(want_first, len(dates)))
     assert np.array_equal(np.diff(bounds), want_counts)
+
+
+_RUNS = {
+    # Closes with repeats, unsorted: a value that comes back starts a new run.
+    "unsorted floats": (
+        np.array([101.5, 101.5, 99.25, 101.5, 101.5, 101.5, 0.5, 99.25, 99.25]),
+        [101.5, 99.25, 101.5, 0.5, 99.25], [0, 2, 3, 6, 7, 9],
+    ),
+    "months": (
+        np.array(["2025-01-31T23:59:59", "2025-01-31T23:59:59", "2025-02-01T00:00:00",
+                  "2025-04-30T09:30:00", "2026-04-01T00:00:00"], dtype="datetime64[s]")
+        .astype("datetime64[M]"),
+        np.array(["2025-01", "2025-02", "2025-04", "2026-04"], dtype="datetime64[M]"),
+        [0, 2, 3, 4, 5],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_RUNS))
+def test_runs_cases(case):
+    values, want_values, want_bounds = _RUNS[case]
+    run_values, bounds = runs(values)
+    assert run_values.dtype == values.dtype
+    assert np.array_equal(run_values, want_values)
+    assert bounds.tolist() == want_bounds
+
+
+def _runs_oracle(values):
+    """Run values and bounds by walking the values one at a time."""
+    run_values, bounds = [], []
+    for i, value in enumerate(values):
+        if not bounds or value != run_values[-1]:
+            run_values.append(value)
+            bounds.append(i)
+    return run_values, bounds + [len(values)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2), max_size=40))
+@example([])
+@example([1])
+@example([2] * 7)
+@example([0, 1] * 5)
+def test_runs_equal_loop_oracle(values):
+    run_values, bounds = runs(np.array(values, dtype=np.int64))
+    assert (run_values.tolist(), bounds.tolist()) == _runs_oracle(values)
 
 
 @st.composite

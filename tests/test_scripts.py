@@ -1,4 +1,5 @@
 """Smoke tests of the runnable experiments in scripts/."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -37,3 +38,21 @@ def test_code_lines_total_is_sum_of_modules():
     assert total[0] == "total"
     assert modules and all(name.endswith(".py") for name, _ in modules)
     assert int(total[1]) == sum(int(count) for _, count in modules) > 0
+
+
+def test_output_digest_lines_every_command_and_file(tmp_path):
+    lines = _run_script("output_digest.py", "1", str(tmp_path)).splitlines()
+    commands = [line.split() for line in lines if " exit=" in line]
+    assert [c[:3] for c in commands] == [
+        ["batch-day", "ingest", "exit=0"], ["batch-day", "compare", "exit=0"],
+        ["batch-day", "spectrum", "exit=0"], ["onset-bar", "spectrum", "exit=0"],
+        ["per-window", "spectrum", "exit=0"],
+    ]
+    files = dict(line.split() for line in lines if " exit=" not in line)
+    on_disk = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert set(files) == on_disk
+    assert {"batch-day/raw/ba00.csv", "batch-day/report/compare.csv",
+            "onset-bar/report/on00_events.csv", "per-window/report/pe03_monthly.csv"} <= on_disk
+    assert files["batch-day/report/compare.csv"] == hashlib.sha256(
+        (tmp_path / "batch-day/report/compare.csv").read_bytes()
+    ).hexdigest()

@@ -190,6 +190,18 @@ def test_compare_entropy_uniform_vs_single_bin():
     assert cmp.pct_difference == -2.0
 
 
+@pytest.mark.parametrize("seed", [4, 5, 17, 19])
+def test_compare_entropy_of_mirrored_windows_is_exactly_equal(seed):
+    # -x puts x's counts in the mirrored bins of its per-window range. The
+    # entropy comes from the counts, not from masses summed in bin order,
+    # so both windows have the same bits and the difference prints as 0.
+    x = np.random.default_rng(seed).normal(0, 0.01, 40)
+    r = make_returns(np.concatenate([x, -x]))
+    cmp = compare_windows(r, WindowSlice(0, 40), WindowSlice(40, 80), Metric.ENTROPY)
+    assert cmp.before == cmp.after
+    assert f"{cmp.pct_difference:.6f}" == "0.000000"
+
+
 def test_compare_propagates_metric_name():
     r = make_returns(np.linspace(-0.01, 0.01, 40))
     cmp = compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40), Metric.KURTOSIS)
