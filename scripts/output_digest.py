@@ -18,8 +18,10 @@ outputs, in path order:
 
     <workload>/<path> <sha256>
 
-Configs and summary lines hold absolute paths, so two checkouts print the
-same lines only when they are given the same ``WORK_DIR`` path.
+Configs and summary lines hold absolute paths, so every occurrence of the
+``WORK_DIR`` path in stdout, stderr and file bytes is replaced by the token
+``<WORK_DIR>`` before hashing: two checkouts print the same lines whatever
+work directories they are given.
 """
 from __future__ import annotations
 
@@ -33,8 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def sha256(data: bytes, work_dir: Path) -> str:
+    """The digest of ``data`` with the ``work_dir`` path replaced by a token."""
+    return hashlib.sha256(data.replace(os.fsencode(work_dir), b"<WORK_DIR>")).hexdigest()
 
 
 def main(argv: list[str]) -> int:
@@ -58,9 +61,10 @@ def main(argv: list[str]) -> int:
                 cwd=work, env=env, capture_output=True,
             )
             print(f"{name} {command} exit={proc.returncode} "
-                  f"stdout={sha256(proc.stdout)} stderr={sha256(proc.stderr)}")
+                  f"stdout={sha256(proc.stdout, work_dir)} stderr={sha256(proc.stderr, work_dir)}")
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
-            print(f"{name}/{path.relative_to(work).as_posix()} {sha256(path.read_bytes())}")
+            digest = sha256(path.read_bytes(), work_dir)
+            print(f"{name}/{path.relative_to(work).as_posix()} {digest}")
     return 0
 
 

@@ -84,7 +84,8 @@ _FAILURES = (PipelineError, OSError, ValueError, MemoryError, OverflowError)
 @dataclass(frozen=True)
 class AtLeast:
     """``Annotated`` metadata of a config field: the value is finite and at
-    least ``low``, or above it when ``strict``."""
+    least ``low``, or above it when ``strict``; an int also fits an int64,
+    as the lengths, counts and seeds it sets are taken in one."""
 
     low: int
     strict: bool = False
@@ -95,6 +96,8 @@ class AtLeast:
         if not ((type(value) is int or math.isfinite(value)) and above):
             bound = f"{'>' if self.strict else '>='} {self.low}"
             raise ValueError(f"{where}: expected a finite number {bound}, got {value!r}")
+        if type(value) is int and value >= 2**63:
+            raise ValueError(f"{where}: expected an integer below 2**63, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -434,8 +437,11 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
 
 def _monthly_csv(table: SpectrumTable) -> bytes:
     # Anchors ascend, so each month's sequences are one run of its month;
-    # a month with no anchor has no run and gets no row.
-    months, bounds = codec.runs(table.anchor_timestamps.astype("datetime64[M]"))
+    # a month with no anchor has no run and gets no row. The months are
+    # taken of the anchors' days, one conversion per trading day.
+    days, day_bounds = codec.runs(table.anchor_timestamps.astype("datetime64[D]"))
+    months, month_bounds = codec.runs(days.astype("datetime64[M]"))
+    bounds = day_bounds[month_bounds]
     groups = np.split(table.peaks, bounds[1:-1])
     return b"month,mean_peak_entropy,max_peak_entropy,sequences\n" + codec.rows(
         codec.stamps(months, daily=True)[:, :7], b",",  # YYYY-MM
@@ -538,6 +544,8 @@ def _parse_shock(text: str) -> Shock:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     AtLeast(0).check(args.seed, "--seed")
+    AtLeast(1).check(args.days, "--days")
+    AtLeast(1).check(args.bars_per_day, "--bars-per-day")
     IsFileName().check(args.id, "--id")
     spec = SynthSpec(
         seed=args.seed,

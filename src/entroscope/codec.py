@@ -1,15 +1,16 @@
 r"""Byte-level codec for the package's CSV text: whole-column numpy kernels.
 
-Reading. ``scan_rows`` decodes, by arithmetic alone, every line of the
+Reading. ``scan_rows`` decodes, by array arithmetic, every line of the
 shape ``YYYY-MM-DD,P``, ``YYYY-MM-DD HH:MM:SS,P`` or
 ``YYYY-MM-DD HH-MM-SS,P`` (one separator throughout the time) where ``P``
 is a plain decimal (``\d+(\.\d+)?``, at most ``MAX_PRICE_BYTES`` bytes).
 Each line's bytes are gathered once per field, the stamp and the price,
 into a fixed-width byte matrix with one contiguous row per byte position.
 A date is decoded once per run of lines with equal date bytes; the clock
-and the price are decoded per line. The stamp's fields become
-seconds, and its validity, through tables of years 0..9999 and of months
-built at import. The price is its digits as one integer mantissa
+and the price are decoded per line. The stamp's fields become seconds,
+and its validity, through numpy's calendar: the date's month as
+``datetime64[M]`` gives the month's first day and, with the next month's,
+its length. The price is its digits as one integer mantissa
 over a power of ten. A mantissa below 2**53 (so every mantissa of at most
 15 digits) and a power of at most 10**22 are exact doubles, so one
 division gives the correctly rounded value, the double ``float`` gives
@@ -22,15 +23,17 @@ Writing. ``fixed6``, ``integers``, ``stamps`` and ``text`` render arrays
 as byte matrices with one text row per value; NUL bytes in them are
 padding. Decimal digits come two at a time from a table of the pairs
 "00".."99", one division by 100 per pair. ``stamps`` renders a date once
-per run of equal days, so the bars of one trading day share one civil-date
-conversion. ``columns`` lays such matrices and constant separators side
-by side, broadcasting their leading axes, and ``rows`` returns the text of
-all rows with the padding dropped.
+per run of equal days, so the bars of one trading day share one
+conversion to ``datetime64[M]``, which gives the year, month and day.
+``columns`` lays such matrices and constant separators side by side,
+broadcasting their leading axes, and ``rows`` returns the text of all
+rows with the padding dropped.
 
 Grouping. ``runs`` is the package's one index of runs of equal
 consecutive values: each run's value and where it begins. Trading days
-are the runs of a series' dates, months the runs of its anchors' months,
-and cleaning reads repeated stamps and repeated closes from it.
+are the runs of a series' dates, months the runs of the months of its
+anchors' days, and cleaning reads repeated stamps and repeated closes
+from it.
 """
 from __future__ import annotations
 
@@ -48,55 +51,8 @@ OTHER, DATE, INTRADAY = 0, 1, 2
 _ZERO = np.uint8(ord("0"))
 
 
-def _days_from_civil(y: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Days since 1970-01-01 of proleptic Gregorian dates (H. Hinnant)."""
-    y = y - (m <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * (m + np.where(m > 2, -3, 9)) + 2) // 5 + d - 1
-    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
-    return era * 146097 + doe - 719468
-
-
-def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of ``_days_from_civil``: (year, month, day)."""
-    z = days + 719468
-    era = z // 146097
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    d = doy - (153 * mp + 2) // 5 + 1
-    m = mp + np.where(mp < 10, 3, -9)
-    return yoe + era * 400 + (m <= 2), m, d
-
-
 # The powers of ten that are exact doubles (see "Reading" above).
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
-
-# Dates of years 0..9999 by table: whether a year is a leap year (0 or 1),
-# the day number of its 1 January, and by [leap, month] the offset of the
-# month's first day in its year and the month's length (0 for months 0
-# and 13, so that no day of theirs is valid). The year tables are built in
-# place from the leap rule: they stay small, and so does what their
-# construction leaves in the heap.
-_LEAP = np.zeros(10000, dtype=np.uint8)
-_LEAP[::4] = 1
-_LEAP[::100] = 0
-_LEAP[::400] = 1
-_YEAR_START = np.cumsum(_LEAP, dtype=np.int32)
-_YEAR_START -= _LEAP  # leap days before the year
-_YEAR_START += np.arange(0, 365 * 10000, 365, dtype=np.int32) + int(_days_from_civil(0, 1, 1))
-_MONTH_FIRSTS = np.array(
-    [_days_from_civil(y, np.arange(1, 14), 1) - _days_from_civil(y, 1, 1) for y in (2001, 2000)],
-    dtype=np.int32,
-)
-_MONTH_START = np.pad(_MONTH_FIRSTS[:, :12], ((0, 0), (1, 1)))
-_MONTH_LEN = np.pad(np.diff(_MONTH_FIRSTS, axis=1), ((0, 0), (1, 1)))
-# The day numbers of 0000-01-01 and 9999-12-31, the dates ``stamps``
-# renders by arithmetic.
-_FIRST_DAY, _LAST_DAY = int(_YEAR_START[0]), int(_days_from_civil(10000, 1, 1)) - 1
-
 
 def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The runs of equal consecutive ``values``: each run's value and where
@@ -160,31 +116,37 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 
     Each line's bytes are gathered once for the stamp and once for the
     price. A date is decoded once per run of lines with equal date bytes
-    (the bars of one trading day) and repeated over its run; the clock and
-    the price are decoded per line. Reads past the end of ``buf`` are
-    clipped to its last byte: they happen only on a last line too short
-    for a stamp shape or its price width, and a repeated byte cannot
-    complete a shape.
+    (the bars of one trading day) and repeated over its run: its day
+    number is the first day of its month, as numpy's ``datetime64[M]``
+    gives it, plus the day - 1, also for a day past the month's end (30
+    February is 2 March, though invalid). The clock and the price are
+    decoded per line. Reads past the end of ``buf`` are clipped to its
+    last byte: they happen only on a last line too short for a stamp shape
+    or its price width, and a repeated byte cannot complete a shape.
     """
     n = len(starts)
     stamp = _gather(buf, starts, 20)  # "YYYY-MM-DD HH:MM:SS,"
 
-    # The date, once per run of equal date bytes. Garbage years and months
-    # are clipped into the tables. The runs are scanned here, not by
-    # ``runs``: a 1-D key per line would add a transposed copy of the
-    # (10, lines) date bytes to the parse hot path.
+    # The date, once per run of equal date bytes. The runs are scanned
+    # here, not by ``runs``: a 1-D key per line would add a transposed copy
+    # of the (10, lines) date bytes to the parse hot path. The month index
+    # since 1970-01, taken in int64 (the uint16 year would wrap), is
+    # numpy's ``datetime64[M]``; garbage months are clipped into 1..12.
     new_date = np.ones(n + 1, dtype=bool)  # the last entry closes the last run
     np.any(stamp[:10, 1:] != stamp[:10, :-1], axis=0, out=new_date[1:n])
     firsts = np.flatnonzero(new_date)
     date = stamp[:10, firsts[:-1]]
     (year, month, day), dated = _numbers(date, b"0000-00-00")
     dated &= (date[4] == ord("-")) & (date[7] == ord("-"))
-    leap_month = _LEAP.take(year, mode="clip") * 14 + np.minimum(month, 13)
-    on_calendar = (day >= 1) & (day <= _MONTH_LEN.take(leap_month))
-    days = _YEAR_START.take(year, mode="clip") + _MONTH_START.take(leap_month) + day - 1
+    months = year.astype(np.int64) * 12 + np.clip(month, 1, 12) - (1970 * 12 + 1)
+    months = months.view("datetime64[M]")
+    first = months.astype("datetime64[D]")
+    length = ((months + 1).astype("datetime64[D]") - first).view(np.int64)
+    on_calendar = (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)
+    days = first.view(np.int64) + day - 1
     lengths = firsts[1:] - firsts[:-1]
     dated, on_calendar, day_seconds = (
-        np.repeat(a, lengths) for a in (dated, on_calendar, days.astype(np.int64) * 86400)
+        np.repeat(a, lengths) for a in (dated, on_calendar, days * 86400)
     )
 
     # The clock, per line: position 10 is ',' after a date and ' ' before
@@ -317,21 +279,27 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
     them.
 
     A date is rendered once per run of equal days (``runs``; the bars of
-    one trading day) and repeated over its run. The clock is taken in
-    int32."""
+    one trading day) and repeated over its run: the day's ``datetime64[M]``
+    month gives the year and month, and the day is the distance from the
+    month's first day. The clock is taken in int32."""
     seconds = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64)
     days, second_of_day = np.divmod(seconds, 86400)
     run_days, bounds = runs(days)
-    year, month, day = _civil_from_days(run_days)
-    out = columns([_digits(year, 4), b"-", _digits(month, 2), b"-", _digits(day, 2)])
-    out = np.repeat(out, np.diff(bounds), axis=0)
+    dates = run_days.view("datetime64[D]")
+    months = dates.astype("datetime64[M]")
+    year, month = np.divmod(months.view(np.int64), 12)
+    year += 1970
+    day = (dates - months).view(np.int64) + 1
+    out = columns([_digits(year, 4), b"-", _digits(month + 1, 2), b"-", _digits(day, 2)])
+    lengths = np.diff(bounds)
+    out = np.repeat(out, lengths, axis=0)
     if not daily:
         hour, rest = np.divmod(second_of_day.astype(np.int32), 3600)
         minute, second = np.divmod(rest, 60)
         out = columns([
             out, b" ", _digits(hour, 2), b":", _digits(minute, 2), b":", _digits(second, 2)
         ])
-    outside = np.flatnonzero((days < _FIRST_DAY) | (days > _LAST_DAY))
+    outside = np.flatnonzero(np.repeat((year < 0) | (year > 9999), lengths))
     if len(outside):
         numpy_text = np.datetime_as_string(
             seconds[outside].view("datetime64[s]"), unit="D" if daily else "s"

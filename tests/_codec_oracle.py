@@ -1,29 +1,34 @@
 """The column-at-a-time row decoder that ``codec.scan_rows`` replaced.
 
 It gathers every fixed-width byte column of the stamp and of the price
-with its own ``take`` and decodes every line's date on its own. It is kept
-as the oracle that the one-gather-per-field decoder must match: the same
-shape on every line, and the same seconds, validity and price bits on
-every line that has a fast shape.
+with its own ``take`` and decodes every line's date on its own, through
+``np.datetime64`` of the date's text rather than the codec's month
+arithmetic. It is kept as the oracle that the one-gather-per-field
+decoder must match: the same shape on every line, and the same seconds,
+validity and price bits on every line that has a fast shape.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from entroscope.codec import (
-    DATE,
-    INTRADAY,
-    MAX_PRICE_BYTES,
-    OTHER,
-    _LEAP,
-    _MONTH_LEN,
-    _MONTH_START,
-    _POWERS_OF_TEN,
-    _YEAR_START,
-)
+from entroscope.codec import DATE, INTRADAY, MAX_PRICE_BYTES, OTHER
 
 _STAMP = b"0000-00-00 00:00:00"  # '0' marks a digit position
 _ZERO = np.uint8(ord("0"))
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])  # the exact doubles
+_EPOCH = np.datetime64("1970-01-01")
+
+
+def _calendar(year: int, month: int, day: int) -> tuple[bool, int]:
+    """Whether ``np.datetime64`` reads the date, and its day number: the
+    first day of the month (clipped into 1..12) plus ``day - 1``, so that
+    an invalid day such as 30 February still has one."""
+    try:
+        valid = not np.isnat(np.datetime64(f"{year:04d}-{month:02d}-{day:02d}"))
+    except ValueError:
+        valid = False
+    first = np.datetime64(f"{year:04d}-{min(max(month, 1), 12):02d}", "D")
+    return valid, int((first - _EPOCH).astype(np.int64)) + day - 1
 
 
 def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -95,14 +100,14 @@ def scan_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     for i in np.flatnonzero(inexact).tolist():
         prices[i] = float(buf[price_start[i] : ends[i]].tobytes())
 
-    # Fields are >= 0 (digits wrap in uint8); the garbage years and months
-    # of OTHER lines are clipped into the tables.
+    # The date, line by line through numpy's calendar, on the lines with
+    # a fast shape only: the fields of the others are garbage.
     year, month, day, hour, minute, second = fields
     intraday = shape == INTRADAY
     on_clock = ~intraday | (hour <= 23) & (minute <= 59) & (second <= 59)
     clock = np.where(intraday, hour * 3600 + minute * 60 + second, 0)
-    leap_month = _LEAP.take(year, mode="clip") * 14 + np.minimum(month, 13)
-    valid = (day >= 1) & (day <= _MONTH_LEN.take(leap_month)) & on_clock
-    days = _YEAR_START.take(year, mode="clip") + _MONTH_START.take(leap_month) + (day - 1)
-    seconds = days.astype(np.int64) * 86400 + clock
-    return shape, seconds, valid, prices
+    on_calendar = np.zeros(len(starts), dtype=bool)
+    days = np.zeros(len(starts), dtype=np.int64)
+    for i in np.flatnonzero(shape != OTHER).tolist():
+        on_calendar[i], days[i] = _calendar(int(year[i]), int(month[i]), int(day[i]))
+    return shape, days * 86400 + clock, on_calendar & on_clock, prices

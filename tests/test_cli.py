@@ -254,6 +254,10 @@ OUT_OF_RANGE = {
     "stride zero": ({"sequence": {"stride": 0}}, [], "config.sequence.stride"),
     "base_length one": ({"sequence": {"base_length": 1}}, [], "config.sequence.base_length"),
     "steps negative": ({"sequence": {"steps": -1}}, [], "config.sequence.steps"),
+    "stride past int64": (
+        {"sequence": {"base_length": 3, "stride": 10**30}}, [], "config.sequence.stride",
+    ),
+    "window_days past int64": ({"window_days": 2**63}, [], "config.window_days"),
     "flag theta nan": ({}, ["--theta", "nan"], "theta"),
     "flag theta negative": ({}, ["--theta", "-1"], "theta"),
     "flag bins zero": ({}, ["--bins", "0"], "bins"),
@@ -1017,6 +1021,14 @@ FLAG_ERRORS = {
     ),
     "negative --seed": (
         ["synth", "--seed", "-1"], "error: --seed: expected a finite number >= 0, got -1",
+    ),
+    "--days past int64": (
+        ["synth", "--seed", "1", "--days", str(10**30)],
+        f"error: --days: expected an integer below 2**63, got {10**30}",
+    ),
+    "--bars-per-day past int64": (
+        ["synth", "--seed", "1", "--bars-per-day", str(2**63)],
+        f"error: --bars-per-day: expected an integer below 2**63, got {2**63}",
     ),
     "malformed --shock magnitude": (
         ["synth", "--seed", "1", "--shock", "1:x:dispersed_day"],

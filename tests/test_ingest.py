@@ -22,7 +22,7 @@ from entroscope import (
     parse_csv_file,
     serialize_csv,
 )
-from entroscope.codec import OTHER, fixed6, integers, rows, scan_rows, stamps
+from entroscope.codec import DATE, INTRADAY, OTHER, fixed6, integers, rows, scan_rows, stamps
 
 from _codec_oracle import scan_rows as scan_rows_oracle
 from _fixtures import intraday_timestamps, make_daily, make_intraday
@@ -670,6 +670,59 @@ _RUNS_OF_DAYS = {
 @pytest.mark.parametrize("case", list(_RUNS_OF_DAYS))
 def test_stamps_equal_numpy_over_runs_of_one_day(case, daily):
     _assert_stamps_equal_numpy(_RUNS_OF_DAYS[case], daily)
+
+
+# Every day of one 400-year Gregorian cycle, after which the calendar
+# repeats, and every day of years 0000 and 9999, the ends of the years a
+# fast shape can hold.
+_CALENDAR = np.concatenate([
+    np.arange("1600-01-01", "2000-01-01", dtype="datetime64[D]"),
+    np.arange("0000-01-01", "0001-01-01", dtype="datetime64[D]"),
+    np.arange("9999-01-01", "10000-01-01", dtype="datetime64[D]"),
+])
+
+
+def _scan_lines(lines: list[str]):
+    """``scan_rows`` over ``lines``, each followed by ``,1``."""
+    data = "".join(f"{line},1\n" for line in lines).encode()
+    lengths = np.array([len(line) + 2 for line in lines], dtype=np.int64)
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    return scan_rows(np.frombuffer(data, dtype=np.uint8), starts, starts + lengths)
+
+
+@pytest.mark.parametrize("daily", [True, False], ids=["daily", "intraday"])
+def test_every_calendar_day_renders_and_decodes_like_numpy(daily):
+    stamps_in = _CALENDAR.astype("datetime64[s]") + np.timedelta64(0 if daily else 34_259, "s")
+    _assert_stamps_equal_numpy(stamps_in, daily)
+    lines = rows(stamps(stamps_in, daily), b"\n").decode("ascii").splitlines()
+    shape, seconds, valid, _ = _scan_lines(lines)
+    assert (shape == (DATE if daily else INTRADAY)).all()
+    assert valid.all()
+    assert np.array_equal(seconds, stamps_in.view(np.int64))
+
+
+def test_days_off_every_month_of_the_cycle_are_invalid_like_numpy():
+    # Day 0, the day after the month's last and day 32 of every month of
+    # the cycle: invalid, yet counted on from the month's first day, as
+    # np.datetime64 of the month plus day - 1.
+    months = np.unique(_CALENDAR.astype("datetime64[M]"))
+    lengths = ((months + 1).astype("datetime64[D]") - months.astype("datetime64[D]")).astype(int)
+    text = np.datetime_as_string(months).tolist()
+    lines, want = [], []
+    for month, length in zip(text, lengths.tolist()):
+        for day in sorted({0, length + 1, 32}):
+            lines.append(f"{month}-{day:02d}")
+            want.append(np.datetime64(month, "D") + (day - 1))
+    shape, seconds, valid, _ = _scan_lines(lines)
+    assert (shape == DATE).all()
+    assert not valid.any()
+    assert np.array_equal(seconds, np.array(want, dtype="datetime64[s]").view(np.int64))
+    # 29 February of a century: a leap day in 2000, none in 1700.
+    _, seconds, valid, _ = _scan_lines(["1700-02-29", "2000-02-29"])
+    assert valid.tolist() == [False, True]
+    assert seconds.tolist() == [
+        np.datetime64("1700-03-01", "s").astype(int), np.datetime64("2000-02-29", "s").astype(int)
+    ]
 
 
 # ----------------------------------------------------------------------

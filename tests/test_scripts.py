@@ -41,7 +41,8 @@ def test_code_lines_total_is_sum_of_modules():
 
 
 def test_output_digest_lines_every_command_and_file(tmp_path):
-    lines = _run_script("output_digest.py", "1", str(tmp_path)).splitlines()
+    work = tmp_path / "a"
+    lines = _run_script("output_digest.py", "1", str(work)).splitlines()
     commands = [line.split() for line in lines if " exit=" in line]
     assert [c[:3] for c in commands] == [
         ["batch-day", "ingest", "exit=0"], ["batch-day", "compare", "exit=0"],
@@ -49,10 +50,17 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ["per-window", "spectrum", "exit=0"],
     ]
     files = dict(line.split() for line in lines if " exit=" not in line)
-    on_disk = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    on_disk = {p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file()}
     assert set(files) == on_disk
     assert {"batch-day/raw/ba00.csv", "batch-day/report/compare.csv",
             "onset-bar/report/on00_events.csv", "per-window/report/pe03_monthly.csv"} <= on_disk
     assert files["batch-day/report/compare.csv"] == hashlib.sha256(
-        (tmp_path / "batch-day/report/compare.csv").read_bytes()
+        (work / "batch-day/report/compare.csv").read_bytes()
     ).hexdigest()
+    # Configs name the work directory; their digests do not depend on it.
+    config = (work / "batch-day/ingest.json").read_bytes()
+    assert str(work).encode() in config
+    assert files["batch-day/ingest.json"] == hashlib.sha256(
+        config.replace(str(work).encode(), b"<WORK_DIR>")
+    ).hexdigest()
+    assert _run_script("output_digest.py", "1", str(tmp_path / "other")).splitlines() == lines
