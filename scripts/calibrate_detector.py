@@ -35,9 +35,7 @@ def spectra_of(seed, shock_day=None):
         SynthSpec(seed=seed, n_days=20, bars_per_day=78, volatility=0.001, shocks=shocks)
     )
     returns = log_returns(series)
-    binning = BinningSpec(
-        velleman_bins(78), lo=float(returns.values.min()), hi=float(returns.values.max())
-    )
+    binning = BinningSpec.spanning(returns.values, velleman_bins(78))
     return returns, spectra_for_series(returns, SEQ, binning), log
 
 

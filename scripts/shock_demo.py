@@ -26,11 +26,7 @@ from entroscope import (
 def run(tag, spec):
     series, injections = generate(spec)
     returns = log_returns(series)
-    binning = BinningSpec(
-        velleman_bins(spec.bars_per_day),
-        lo=float(returns.values.min()),
-        hi=float(returns.values.max()),
-    )
+    binning = BinningSpec.spanning(returns.values, velleman_bins(spec.bars_per_day))
     seq_spec = WindowSequenceSpec(
         base_length=spec.bars_per_day,
         increment=spec.bars_per_day // 3,

@@ -16,11 +16,13 @@ instrument path that is not a file exits 2 before any output is written.
 A batch command runs every instrument even when some fail, reports each
 failure as one ``<id>: error: <message>`` line on stderr, and exits with
 the code of the first failure; ``pmf`` reports the failure of its one
-instrument the same way. A stdout closed by its reader is no failure: the
-summary lines it can no longer take are dropped.
+instrument the same way. A failing instrument leaves none of its files.
+A stdout closed by its reader is no failure: the summary lines it can no
+longer take are dropped.
 
 Outputs are plain CSV files, written deterministically: rerunning a
-command on identical inputs produces byte-identical files.
+command on identical inputs produces byte-identical files. This module
+lays out their columns; ``codec`` renders every field.
 """
 from __future__ import annotations
 
@@ -275,18 +277,27 @@ def _say(line: str) -> None:
 
 
 def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
-    """Run ``fn(config, entry, **kwargs)`` on every instrument in order and
-    print the summary line it returns, if any.
+    """Run ``fn(config, entry, **kwargs)`` on every instrument in order. It
+    returns the instrument's summary line (or None) and its output files as
+    ``(path, content)`` pairs, which are written (``_write``) in order
+    before the line is printed.
 
     A failing instrument is reported as one ``<id>: error: <msg>`` line on
-    stderr and the rest still run; the result is the exit code of the first
+    stderr and leaves none of its files: those already written are
+    removed. The rest still run; the result is the exit code of the first
     failure, or 0.
     """
     code = EXIT_OK
     for entry in config.instruments:
+        written = []
         try:
-            line = fn(config, entry, **kwargs)
+            line, files = fn(config, entry, **kwargs)
+            for path, content in files:
+                _write(path, content)
+                written.append(path)
         except _FAILURES as exc:
+            for path in written:
+                path.unlink(missing_ok=True)
             print(f"{entry.id}: error: {exc}", file=sys.stderr)
             code = code or _exit_code(exc)
             continue
@@ -335,15 +346,7 @@ def _spectrum_binning(config: RunConfig, returns: ReturnSeries, base_length: int
     n_bins = config.bins if config.bins is not None else velleman_bins(base_length)
     if config.range_policy == "per-window":
         return BinningSpec(n_bins)
-    lo = float(returns.values.min())
-    hi = float(returns.values.max())
-    if hi == lo:
-        return BinningSpec(n_bins)
-    return BinningSpec(n_bins, lo=lo, hi=hi)
-
-
-def _csv(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
+    return BinningSpec.spanning(returns.values, n_bins)
 
 
 def _write(path: Path, content: str | bytes | Iterable[bytes]) -> None:
@@ -369,20 +372,20 @@ def _write(path: Path, content: str | bytes | Iterable[bytes]) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _ingest_one(config: RunConfig, entry: InstrumentEntry) -> str:
+def _ingest_one(config: RunConfig, entry: InstrumentEntry) -> tuple:
     series, diag = _parse(config, entry)
     series, dedup = dedup_closed_market(series, config.dedup_run_length)
     out_path = Path(config.out_dir) / f"{entry.id}.csv"
-    _write(out_path, serialize_csv(series))
-    return (f"{entry.id}: rows={len(series)} dropped={diag.dropped} "
+    line = (f"{entry.id}: rows={len(series)} dropped={diag.dropped} "
             f"removed={dedup.removed} -> {out_path}")
+    return line, [(out_path, serialize_csv(series))]
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     return _each_instrument(_load(args), _ingest_one)
 
 
-def _compare_row(config: RunConfig, entry: InstrumentEntry, rows: list[str]) -> None:
+def _compare_row(config: RunConfig, entry: InstrumentEntry, ids: list, values: list) -> tuple:
     returns = _load_returns(config, entry)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -391,15 +394,26 @@ def _compare_row(config: RunConfig, entry: InstrumentEntry, rows: list[str]) -> 
         finally:
             for warning in caught:
                 print(f"{entry.id}: warning: {warning.message}", file=sys.stderr)
-    n_bins = config.bins if config.bins is not None else velleman_bins(len(before))
-    entropy_cmp = compare_windows(
-        returns, before, after, Metric.ENTROPY, binning=BinningSpec(n_bins)
-    )
+    # Without ``bins``, ``compare_windows`` takes the bin count of the
+    # before-window.
+    binning = None if config.bins is None else BinningSpec(config.bins)
+    entropy_cmp = compare_windows(returns, before, after, Metric.ENTROPY, binning=binning)
     std_cmp = compare_windows(returns, before, after, Metric.STD_DEV)
-    rows.append(
-        f"{entry.id},"
-        f"{entropy_cmp.before:.6f},{entropy_cmp.after:.6f},{entropy_cmp.pct_difference:.6f},"
-        f"{std_cmp.before:.6f},{std_cmp.after:.6f},{std_cmp.pct_difference:.6f}"
+    ids.append(entry.id)
+    values += [entropy_cmp.before, entropy_cmp.after, entropy_cmp.pct_difference,
+               std_cmp.before, std_cmp.after, std_cmp.pct_difference]
+    return None, []  # compare.csv is written once every instrument has run
+
+
+def _compare_csv(ids: list[str], values: list[float]) -> bytes:
+    """The bytes of ``compare.csv``: one row per id, with the id's six
+    ``values``, which follow each other in one list."""
+    fields = [codec.text(ids)]
+    for column in np.reshape(values, (-1, 6)).T:
+        fields += [b",", codec.fixed6(column)]
+    return (
+        b"instrument,entropy_before,entropy_after,entropy_pct_diff,"
+        b"std_before,std_after,std_pct_diff\n" + codec.rows(*fields, b"\n")
     )
 
 
@@ -407,12 +421,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     if config.anchor_date is None:
         raise ValueError("compare requires anchor_date in the config")
-    rows = [
-        "instrument,entropy_before,entropy_after,entropy_pct_diff,"
-        "std_before,std_after,std_pct_diff"
-    ]
-    code = _each_instrument(config, _compare_row, rows=rows)
-    _write(Path(config.out_dir) / "compare.csv", _csv(rows))
+    ids, values = [], []
+    code = _each_instrument(config, _compare_row, ids=ids, values=values)
+    _write(Path(config.out_dir) / "compare.csv", _compare_csv(ids, values))
     return code
 
 
@@ -474,7 +485,7 @@ def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     return replace(returns, timestamps=returns.timestamps[kept], values=returns.values[kept])
 
 
-def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> str:
+def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date) -> tuple:
     returns = _restrict_dates(_load_returns(config, entry), from_date, to_date)
     seq_spec = _resolve_sequence(config, returns)
     binning = _spectrum_binning(config, returns, seq_spec.base_length)
@@ -485,11 +496,14 @@ def _spectrum_one(config: RunConfig, entry: InstrumentEntry, from_date, to_date)
         min_persistence=config.min_persistence,
         baseline=config.baseline,
     )
+    # The monthly and events bytes are rendered before any file is
+    # written; the spectrum's blocks are rendered as they are written.
     out_dir = Path(config.out_dir)
-    _write(out_dir / f"{entry.id}_spectrum.csv", _spectrum_csv(table, returns.frequency))
-    _write(out_dir / f"{entry.id}_monthly.csv", _monthly_csv(table))
-    _write(out_dir / f"{entry.id}_events.csv", _events_csv(events, returns.frequency))
-    return f"{entry.id}: sequences={len(table)} events={len(events)}"
+    return f"{entry.id}: sequences={len(table)} events={len(events)}", [
+        (out_dir / f"{entry.id}_spectrum.csv", _spectrum_csv(table, returns.frequency)),
+        (out_dir / f"{entry.id}_monthly.csv", _monthly_csv(table)),
+        (out_dir / f"{entry.id}_events.csv", _events_csv(events, returns.frequency)),
+    ]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -500,21 +514,22 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return _each_instrument(config, _spectrum_one, from_date=args.from_date, to_date=args.to_date)
 
 
-def _pmf_csv(dist: BinnedDistribution) -> str:
-    lines = ["bin_lo,bin_hi,mass"]
-    edges = dist.edges()
-    for i, mass in enumerate(dist.masses):
-        lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{mass:.6f}")
-    return _csv(lines)
+def _pmf_csv(dist: BinnedDistribution) -> bytes:
+    edges = codec.fixed6(dist.edges())
+    return b"bin_lo,bin_hi,mass\n" + codec.rows(
+        edges[:-1], b",", edges[1:], b",", codec.fixed6(dist.masses), b"\n"
+    )
 
 
-def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> str:
+def _pmf_one(config: RunConfig, entry: InstrumentEntry, day, span_days: int) -> tuple:
     returns = _load_returns(config, entry)
     snapshot = pmf_snapshot(returns, day, preceding_days=span_days, n_bins=config.bins)
     out_dir = Path(config.out_dir)
-    _write(out_dir / f"{entry.id}_pmf_day.csv", _pmf_csv(snapshot.day_dist))
-    _write(out_dir / f"{entry.id}_pmf_span.csv", _pmf_csv(snapshot.span_dist))
-    return f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}"
+    line = f"{entry.id}: H(day)={snapshot.day_entropy:.6f} H(span)={snapshot.span_entropy:.6f}"
+    return line, [
+        (out_dir / f"{entry.id}_pmf_day.csv", _pmf_csv(snapshot.day_dist)),
+        (out_dir / f"{entry.id}_pmf_span.csv", _pmf_csv(snapshot.span_dist)),
+    ]
 
 
 def cmd_pmf(args: argparse.Namespace) -> int:

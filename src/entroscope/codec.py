@@ -27,7 +27,8 @@ per run of equal days, so the bars of one trading day share one
 conversion to ``datetime64[M]``, which gives the year, month and day.
 ``columns`` lays such matrices and constant separators side by side,
 broadcasting their leading axes, and ``rows`` returns the text of all
-rows with the padding dropped.
+rows with the padding dropped. Every CSV table of the package is
+rendered this way.
 
 Grouping. ``runs`` is the package's one index of runs of equal
 consecutive values: each run's value and where it begins. Trading days
@@ -231,8 +232,9 @@ def integers(values) -> np.ndarray:
 
 
 def text(strings: list[str]) -> np.ndarray:
-    """ASCII strings, left-aligned in NUL padding."""
-    array = np.array([s.encode("ascii") for s in strings], dtype=bytes)
+    """The UTF-8 bytes of strings without NUL, left-aligned in NUL
+    padding."""
+    array = np.array([s.encode("utf-8") for s in strings], dtype=bytes)
     return array.view(np.uint8).reshape(len(array), array.itemsize)
 
 
@@ -256,8 +258,9 @@ def fixed6(values) -> np.ndarray:
     or more are formatted by Python instead.
     """
     values = np.asarray(values, dtype=np.float64)
-    scaled = np.abs(values) * 1e6
-    with np.errstate(invalid="ignore"):
+    # Past ~1.8e302 the product overflows to inf, which goes to Python.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values) * 1e6
         exact = (scaled < 2.0**52) & (
             np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)
         )

@@ -57,15 +57,17 @@ class BinningSpec:
         if self.lo is not None and not self.hi > self.lo:
             raise ValueError("fixed range requires hi > lo")
 
+    @classmethod
+    def spanning(cls, values, n_bins: int) -> BinningSpec:
+        """A range fixed over the min..max of ``values``, so that the masses
+        of all their windows compare; per-window when the values are
+        constant, since no fixed range spans them."""
+        lo, hi = float(np.min(values)), float(np.max(values))
+        return cls(n_bins) if hi == lo else cls(n_bins, lo=lo, hi=hi)
+
     @property
     def is_fixed(self) -> bool:
         return self.lo is not None
-
-    @property
-    def bin_width(self) -> float | None:
-        if self.lo is None:
-            return None
-        return (self.hi - self.lo) / self.n_bins
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +249,8 @@ def pmf_snapshot(
     span_values = returns.values[bounds[at - preceding_days] : bounds[at + 1]]
     if n_bins is None:
         n_bins = velleman_bins(len(day_values))
-
-    lo = float(span_values.min())
-    hi = float(span_values.max())
-    # A constant span cannot support a fixed range; both sides degenerate.
-    spec = BinningSpec(n_bins) if hi == lo else BinningSpec(n_bins, lo=lo, hi=hi)
+    # A constant span gets per-window ranges: both sides degenerate.
+    spec = BinningSpec.spanning(span_values, n_bins)
     day_dist, day_counts = _bin(day_values, spec)
     span_dist, span_counts = _bin(span_values, spec)
     return PmfSnapshot(

@@ -83,24 +83,23 @@ def slice_values(returns: ReturnSeries, window: WindowSlice) -> np.ndarray:
     return returns.values[window.start_index : window.end_index]
 
 
-def log_returns(series: PriceSeries) -> ReturnSeries:
-    """values[t] = ln(close[t+1] / close[t])."""
+def _returns(series: PriceSeries, kind: ReturnKind, of_ratio) -> ReturnSeries:
+    """``of_ratio(close[t+1] / close[t])`` of every pair of closes, as
+    returns of ``kind``."""
     if len(series) < 2:
         raise TooShort("need at least 2 prices")
-    vals = np.log(series.closes[1:] / series.closes[:-1])
-    return ReturnSeries(
-        series.instrument_id, ReturnKind.LOG, series.frequency, series.timestamps[1:], vals
-    )
+    vals = of_ratio(series.closes[1:] / series.closes[:-1])
+    return ReturnSeries(series.instrument_id, kind, series.frequency, series.timestamps[1:], vals)
+
+
+def log_returns(series: PriceSeries) -> ReturnSeries:
+    """values[t] = ln(close[t+1] / close[t])."""
+    return _returns(series, ReturnKind.LOG, np.log)
 
 
 def nominal_returns(series: PriceSeries) -> ReturnSeries:
     """values[t] = close[t+1] / close[t] - 1."""
-    if len(series) < 2:
-        raise TooShort("need at least 2 prices")
-    vals = series.closes[1:] / series.closes[:-1] - 1.0
-    return ReturnSeries(
-        series.instrument_id, ReturnKind.NOMINAL, series.frequency, series.timestamps[1:], vals
-    )
+    return _returns(series, ReturnKind.NOMINAL, lambda ratio: ratio - 1.0)
 
 
 def slice_window(

@@ -51,6 +51,9 @@ class SynthSpec:
         most = (24 * 60 - OPEN_MINUTES) // BAR_MINUTES  # bars from the open to midnight
         if self.bars_per_day > most:
             raise ValueError(f"bars_per_day must be at most {most}, got {self.bars_per_day}")
+        bars = self.n_days * self.bars_per_day
+        if bars > 2**60:  # the most float64 increments numpy can size
+            raise ValueError(f"n_days * bars_per_day must be at most 2**60, got {bars}")
         for name in ("drift", "volatility", "start_price"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -11,15 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entroscope import (
-    BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable, SynthSpec,
-    WindowSequenceSpec, generate, serialize_csv, window_bounds,
+    BinnedDistribution, BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable,
+    SynthSpec, WindowSequenceSpec, generate, serialize_csv, window_bounds,
 )
 from entroscope import cli, codec
-from entroscope.cli import _monthly_csv, _spectrum_csv, _write, load_config, main
+from entroscope.cli import (
+    _compare_csv, _monthly_csv, _pmf_csv, _spectrum_csv, _write, load_config, main,
+)
 
 from _fixtures import make_daily, make_intraday
 from test_ingest import _HEADERS, _ROW, _dirty_csv
@@ -426,6 +428,49 @@ def test_compare_all_failures_exit_3(tmp_path, capsys):
     assert main(["compare", "--config", str(config)]) == 3
 
 
+# Values whose %.6f the codec leaves to Python or renders itself: any
+# double, exact ties at the sixth decimal (odd multiples of 1/128) and the
+# doubles nearest to (k + 0.5) millionths.
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**6, 10**6).map(lambda m: (2 * m + 1) / 128),
+    st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 1e6),
+    st.floats(-1e3, 1e3),
+)
+# Ids as ``IsFileName`` lets them through, non-ASCII ones among them.
+_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="/\\"),
+               min_size=1, max_size=6).filter(lambda s: s not in (".", ".."))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_IDS, st.lists(_VALUES, min_size=6, max_size=6)), max_size=6))
+def test_compare_csv_bytes_equal_fstring_rows(rows):
+    want = ["instrument,entropy_before,entropy_after,entropy_pct_diff,"
+            "std_before,std_after,std_pct_diff"]
+    for id, (eb, ea, ep, sb, sa, sp) in rows:
+        want.append(f"{id},{eb:.6f},{ea:.6f},{ep:.6f},{sb:.6f},{sa:.6f},{sp:.6f}")
+    values = [value for _, row in rows for value in row]
+    assert _compare_csv([id for id, _ in rows], values) == ("\n".join(want) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.one_of(st.floats(-1e6, 1e6), st.integers(-10**6, 10**6).map(lambda m: m / 128)),
+    width=st.one_of(st.floats(1e-9, 1e6), st.integers(1, 10**6).map(lambda m: m / 128)),
+    counts=st.lists(st.integers(0, 50), min_size=1, max_size=40).filter(any),
+)
+def test_pmf_csv_bytes_equal_fstring_rows(lo, width, counts):
+    hi = lo + width
+    assume(hi > lo)
+    masses = np.array(counts) / sum(counts)
+    dist = BinnedDistribution(BinningSpec(len(counts), lo=lo, hi=hi), lo, hi, masses, sum(counts))
+    edges = dist.edges()
+    want = ["bin_lo,bin_hi,mass"]
+    for i, mass in enumerate(dist.masses):
+        want.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{mass:.6f}")
+    assert _pmf_csv(dist) == ("\n".join(want) + "\n").encode()
+
+
 # ----------------------------------------------------------------------
 # spectrum
 # ----------------------------------------------------------------------
@@ -609,6 +654,68 @@ def test_spectrum_continues_past_failing_instrument(tmp_path, capsys):
     assert "good: sequences=" in captured.out
     written = sorted(path.name for path in (tmp_path / "out").iterdir())
     assert written == ["good_events.csv", "good_monthly.csv", "good_spectrum.csv"]
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("fault", ["monthly table", "events write"])
+def test_failing_spectrum_instrument_leaves_none_of_its_files(tmp_path, capsys, monkeypatch, fault):
+    a, _, _ = write_synth_fixture(tmp_path, name="a", seed=37)
+    b, _, _ = write_synth_fixture(tmp_path, name="b", seed=38)
+    config = write_config(tmp_path, [("a", a, "5min"), ("b", b, "5min")], sequence=SEQ_SHORT)
+    alone = write_config(tmp_path, [("b", b, "5min")], name="alone.json", sequence=SEQ_SHORT,
+                         out_dir=str(tmp_path / "alone"))
+    assert main(["spectrum", "--config", str(alone)]) == 0
+    if fault == "monthly table":
+        # The first instrument's monthly table fails after its spectrum
+        # could have been written.
+        monthly, calls = cli._monthly_csv, []
+
+        def failing_monthly(table):
+            calls.append(table)
+            if len(calls) == 1:
+                raise MemoryError("Unable to allocate the monthly table")
+            return monthly(table)
+
+        monkeypatch.setattr(cli, "_monthly_csv", failing_monthly)
+    else:
+        # Its last file fails to write after the other two were written.
+        write = cli._write
+
+        def failing_write(path, content):
+            if path.name == "a_events.csv":
+                raise OSError(f"cannot write {path.name}")
+            write(path, content)
+
+        monkeypatch.setattr(cli, "_write", failing_write)
+    capsys.readouterr()
+    assert main(["spectrum", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("a: error: ") and captured.err.count("\n") == 1
+    assert captured.out.startswith("b: sequences=")
+    assert _files(tmp_path / "out") == _files(tmp_path / "alone")
+
+
+@pytest.mark.parametrize("command", ["ingest", "spectrum"])
+def test_each_good_instrument_writes_what_it_writes_alone(tmp_path, capsys, command):
+    g1, _, _ = write_synth_fixture(tmp_path, name="g1", seed=37)
+    g2, _, _ = write_synth_fixture(tmp_path, name="g2", seed=38, n_days=25)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,close\n2025-01-02 09:30:00,-1\n", encoding="utf-8")
+    entries = [("g1", g1, "5min"), ("bad", bad, "5min"), ("g2", g2, "5min")]
+    config = write_config(tmp_path, entries, sequence=SEQ_SHORT)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "bad: error: no valid rows\n"
+    alone = {}
+    for entry in entries[::2]:
+        solo = write_config(tmp_path, [entry], name=f"{entry[0]}.json", sequence=SEQ_SHORT,
+                            out_dir=str(tmp_path / entry[0]))
+        assert main([command, "--config", str(solo)]) == 0
+        alone.update(_files(tmp_path / entry[0]))
+    assert len(alone) == {"ingest": 2, "spectrum": 6}[command]
+    assert _files(tmp_path / "out") == alone
 
 
 # ----------------------------------------------------------------------
@@ -809,6 +916,13 @@ def test_synth_rejects_malformed_shock(tmp_path):
     (["--sigma", "nan"], "volatility must be finite, got nan"),
     (["--mu", "inf"], "drift must be finite, got inf"),
     (["--shock", "1:nan:single_bar"], "shock magnitude_sigma must be finite, got nan"),
+    # More bars than numpy can size float64 increments for: numpy's own
+    # text would name no field.
+    (["--days", str(10**18)], f"n_days * bars_per_day must be at most 2**60, got {78 * 10**18}"),
+    (["--days", str(2**60 + 1), "--bars-per-day", "1"],
+     f"n_days * bars_per_day must be at most 2**60, got {2**60 + 1}"),
+    (["--days", str(2**62), "--bars-per-day", "2"],
+     f"n_days * bars_per_day must be at most 2**60, got {2**63}"),
 ])
 def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, message):
     out = tmp_path / "fixtures"
@@ -1058,7 +1172,6 @@ def test_help_keeps_the_usage_block(capsys):
     assert capsys.readouterr().out.startswith("usage: entroscope spectrum [-h] --config CONFIG")
 
 
-_MESSAGE = re.compile(r"^(\S+: )?(error|warning): ")
 _BIG = 10**30  # no float, int64 or array size holds it
 
 
@@ -1130,16 +1243,17 @@ _WRONG_ENTRIES = {
 
 @st.composite
 def _config(draw, dirty_frequency):
-    """The text of a run config: one to three instruments on the clean
-    5-minute file and the dirty file, a window geometry that fits the clean
-    file, and options; sometimes with one wrong entry, a missing key, a
-    repeated id or no instrument list. Ids hold no whitespace, because a
-    message line names its instrument as \\S+."""
+    """The text of a run config and its plain ids: one to three instruments
+    on the clean 5-minute file and the dirty file, a window geometry that
+    fits the clean file, and options; sometimes with one wrong entry, a
+    missing key, a repeated id or no instrument list. One id may hold an
+    inner space."""
     paths = draw(st.lists(st.sampled_from(["in/clean.csv", "in/dirty.csv"]), min_size=1,
                           max_size=3))
+    names = ["a", draw(st.sampled_from(["b", "b c"])), "c"]
     instruments = [
         {"id": name, "path": path, "frequency": "5min" if "clean" in path else dirty_frequency}
-        for name, path in zip(["a", "b", "c"], paths)
+        for name, path in zip(names, paths)
     ]
     fault = draw(st.sampled_from([None] * 8 + ["entry", "missing", "repeat", "list"]))
     entry = draw(st.sampled_from(instruments))
@@ -1156,7 +1270,8 @@ def _config(draw, dirty_frequency):
         "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
     }
     config.update(draw(_CONFIG))
-    return json.dumps(config)
+    ids = [entry["id"] for entry in instruments if entry.get("id") in names]
+    return json.dumps(config), ids
 
 
 _COMMON_FLAGS = _options(
@@ -1199,9 +1314,9 @@ _COMMAND_FLAGS = {
 
 @st.composite
 def _invocations(draw):
-    """A command line and the files it reads: a config (JSON, not JSON or
-    missing), a dirty CSV from the ingest property test and a clean synth
-    file."""
+    """A command line, the files it reads and the ids that may start a
+    message line: a config (JSON, not JSON or missing), a dirty CSV from
+    the ingest property test and a clean synth file."""
     commands = ["ingest", "compare", "spectrum", "pmf", "synth"]
     command = draw(st.sampled_from(commands * 4 + ["plot"]))
     header, intraday = draw(st.sampled_from(_HEADERS)), draw(st.booleans())
@@ -1213,9 +1328,9 @@ def _invocations(draw):
         seed=draw(st.integers(0, 50)), n_days=draw(st.integers(2, 12)),
         bars_per_day=draw(st.sampled_from([1, 3, 8])), start_date="2024-01-02",
     ))[0])
-    config = draw(st.sampled_from([True] * 12 + ["{", "[]", "null", None]))
+    config, ids = draw(st.sampled_from([True] * 12 + ["{", "[]", "null", None])), []
     if config is True:
-        config = draw(_config("5min" if intraday else "daily"))
+        config, ids = draw(_config("5min" if intraday else "daily"))
     flags = {}
     if command in ("ingest", "compare", "spectrum", "pmf"):
         if draw(st.sampled_from([True] * 15 + [False])):
@@ -1228,13 +1343,13 @@ def _invocations(draw):
         flags[required] = "2024-01-05" if command == "pmf" else "5"
     argv = [command, *(part for item in flags.items() for part in item)]
     argv += draw(st.sampled_from([[]] * 14 + [["--bogus"], ["extra"]]))
-    return argv, config, {"in/dirty.csv": dirty, "in/clean.csv": clean}
+    return argv, config, {"in/dirty.csv": dirty, "in/clean.csv": clean}, ids
 
 
 @settings(max_examples=150, deadline=None)
 @given(invocation=_invocations())
 def test_every_failure_is_an_exit_code_and_one_line_messages(invocation):
-    argv, config, inputs = invocation
+    argv, config, inputs, ids = invocation
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in inputs.items():
@@ -1254,8 +1369,12 @@ def test_every_failure_is_an_exit_code_and_one_line_messages(invocation):
             os.chdir(here)
         made = [p.relative_to(root) for p in set(root.rglob("*")) - before if p.is_file()]
     assert code in (0, 2, 3)
+    # Each line starts with its kind, after the id of its instrument when it
+    # has one; the ids are matched literally, so they may hold spaces.
+    starts = tuple(f"{name}{kind}: " for name in ["", *(f"{id}: " for id in ids)]
+                   for kind in ("error", "warning"))
     lines = err.getvalue().splitlines()
-    assert all(_MESSAGE.match(line) and "Traceback" not in line for line in lines), lines
+    assert all(line.startswith(starts) and "Traceback" not in line for line in lines), lines
     assert [str(w.message) for w in caught] == []  # each would print its own lines
     assert not [p for p in made if p.suffix == ".tmp"]
     assert all(p.parts[0] == "out" for p in made), made

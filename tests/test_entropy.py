@@ -59,8 +59,15 @@ def test_binning_spec_validation():
         BinningSpec(4, lo=1.0)
     with pytest.raises(ValueError):
         BinningSpec(4, lo=1.0, hi=1.0)
-    assert BinningSpec(4, lo=0.0, hi=2.0).bin_width == 0.5
-    assert BinningSpec(4).bin_width is None
+    assert BinningSpec(4, lo=0.0, hi=2.0).is_fixed and not BinningSpec(4).is_fixed
+
+
+def test_spanning_is_fixed_over_min_max_and_per_window_when_constant():
+    assert BinningSpec.spanning(np.array([0.5, -0.25, 2.0, 0.0]), 7) == BinningSpec(
+        7, lo=-0.25, hi=2.0
+    )
+    assert BinningSpec.spanning(np.full(5, 0.125), 3) == BinningSpec(3)
+    assert BinningSpec.spanning(np.array([-1.5]), 2) == BinningSpec(2)
 
 
 def test_bin_fixed_one_point_per_bin():

@@ -621,6 +621,7 @@ def test_fixed6_equals_python_format(scale):
         -_near_ties(rng, scale, 500),
         np.round(rng.random(500) * scale, 6),
         [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 2.0**52 / 1e6, 0.0078125, 9.9999995, 5e-7],
+        [1e303, -np.finfo(np.float64).max],  # |v| * 1e6 overflows
     ])
     text = rows(fixed6(values), b"\n").decode("ascii")
     assert text.splitlines() == [f"{v:.6f}" for v in values.tolist()]
