@@ -9,7 +9,10 @@ Usage (from the root of a checkout):
 For each workload of ``benchmark/workloads.py`` (which this script only
 reads), the inputs of ``SEED`` are built in ``WORK_DIR/<workload>``, which
 is emptied first, and each of the workload's commands is run through the
-CLI of this checkout in a subprocess. One line is printed per command:
+CLI of this checkout in a subprocess. So that all five commands run, two
+more follow: ``pmf`` on ``batch-day``'s report config into
+``batch-day/pmf``, and ``synth`` (seed ``SEED``, one shock) into
+``WORK_DIR/synth/out``. One line is printed per command:
 
     <workload> <command> exit=<code> stdout=<sha256> stderr=<sha256>
 
@@ -50,17 +53,27 @@ def main(argv: list[str]) -> int:
     from workloads import WORKLOADS, build_inputs
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for name, workload in WORKLOADS.items():
+    for name in [*WORKLOADS, "synth"]:
         work = work_dir / name
         shutil.rmtree(work, ignore_errors=True)
-        inputs = build_inputs(workload, seed, work)
-        for command in workload.commands:
+        work.mkdir(parents=True)
+        runs = []
+        if name in WORKLOADS:
+            configs = build_inputs(WORKLOADS[name], seed, work).configs
+            runs = [[command, "--config", str(configs[command])]
+                    for command in WORKLOADS[name].commands]
+        if name == "batch-day":
+            runs.append(["pmf", "--config", str(configs["compare"]), "--day", "2025-05-15",
+                         "--span-days", "14", "--instrument", "ba03", "--out", "pmf"])
+        if name == "synth":
+            runs.append(["synth", "--seed", str(seed), "--days", "30", "--bars-per-day", "78",
+                         "--shock", "12:6:dispersed_day", "--id", "sy00", "--out", "out"])
+        for run in runs:
             proc = subprocess.run(
-                [sys.executable, "-m", "entroscope.cli", command,
-                 "--config", str(inputs.configs[command])],
+                [sys.executable, "-m", "entroscope.cli", *run],
                 cwd=work, env=env, capture_output=True,
             )
-            print(f"{name} {command} exit={proc.returncode} "
+            print(f"{name} {run[0]} exit={proc.returncode} "
                   f"stdout={sha256(proc.stdout, work_dir)} stderr={sha256(proc.stderr, work_dir)}")
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = sha256(path.read_bytes(), work_dir)

@@ -16,13 +16,16 @@ instrument path that is not a file exits 2 before any output is written.
 A batch command runs every instrument even when some fail, reports each
 failure as one ``<id>: error: <message>`` line on stderr, and exits with
 the code of the first failure; ``pmf`` reports the failure of its one
-instrument the same way. A failing instrument leaves none of its files.
-A stdout closed by its reader is no failure: the summary lines it can no
-longer take are dropped.
+instrument the same way. A stdout closed by its reader is no failure: the
+summary lines it can no longer take are dropped.
 
 Outputs are plain CSV files, written deterministically: rerunning a
 command on identical inputs produces byte-identical files. This module
-lays out their columns; ``codec`` renders every field.
+lays out their columns; ``codec`` renders every field. Every file is
+written by ``_write``, one unit at a time and all or none: one
+instrument's files, ``compare.csv``, or ``synth``'s price file with its
+injection log. A failed write leaves no file of its unit, not even one
+from an earlier run, and no temp file.
 """
 from __future__ import annotations
 
@@ -279,25 +282,19 @@ def _say(line: str) -> None:
 def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
     """Run ``fn(config, entry, **kwargs)`` on every instrument in order. It
     returns the instrument's summary line (or None) and its output files as
-    ``(path, content)`` pairs, which are written (``_write``) in order
-    before the line is printed.
+    ``(path, content)`` pairs, which ``_write`` writes, all or none, before
+    the line is printed.
 
     A failing instrument is reported as one ``<id>: error: <msg>`` line on
-    stderr and leaves none of its files: those already written are
-    removed. The rest still run; the result is the exit code of the first
-    failure, or 0.
+    stderr and leaves none of its files. The rest still run; the result is
+    the exit code of the first failure, or 0.
     """
     code = EXIT_OK
     for entry in config.instruments:
-        written = []
         try:
             line, files = fn(config, entry, **kwargs)
-            for path, content in files:
-                _write(path, content)
-                written.append(path)
+            _write(files)
         except _FAILURES as exc:
-            for path in written:
-                path.unlink(missing_ok=True)
             print(f"{entry.id}: error: {exc}", file=sys.stderr)
             code = code or _exit_code(exc)
             continue
@@ -349,23 +346,32 @@ def _spectrum_binning(config: RunConfig, returns: ReturnSeries, base_length: int
     return BinningSpec.spanning(returns.values, n_bins)
 
 
-def _write(path: Path, content: str | bytes | Iterable[bytes]) -> None:
-    """Write ``content`` (text is encoded as UTF-8; an iterable of byte
-    strings is written in order as it is produced) to ``path`` through a
-    sibling temp file renamed over it, so that ``path`` never holds a
-    partial file."""
-    if isinstance(content, str):
-        content = content.encode("utf-8")
-    if isinstance(content, bytes):
-        content = (content,)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+def _write(files: list[tuple[Path, str | bytes | Iterable[bytes]]]) -> None:
+    """Write every ``(path, content)`` pair in order, all or none. Text is
+    encoded as UTF-8; an iterable of byte strings is written in order as
+    it is produced. Each file goes through a sibling temp file renamed over
+    ``path``, so no path holds a partial file. When one fails, every path
+    of the call is removed (those already renamed into place, and a file
+    an earlier run left at a path not yet reached) and the error is raised
+    again, so no unit is left mixing this run's files with another's."""
     try:
-        with tmp.open("wb") as f:
-            f.writelines(content)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        for path, content in files:
+            if isinstance(content, str):
+                content = content.encode("utf-8")
+            if isinstance(content, bytes):
+                content = (content,)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            try:
+                with tmp.open("wb") as f:
+                    f.writelines(content)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+    except BaseException:
+        for path, _ in files:
+            path.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +429,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("compare requires anchor_date in the config")
     ids, values = [], []
     code = _each_instrument(config, _compare_row, ids=ids, values=values)
-    _write(Path(config.out_dir) / "compare.csv", _compare_csv(ids, values))
+    _write([(Path(config.out_dir) / "compare.csv", _compare_csv(ids, values))])
     return code
 
 
@@ -574,15 +580,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     series, injections = generate(spec)
     out_dir = Path(args.out)
     price_path = out_dir / f"{args.id}.csv"
-    _write(price_path, serialize_csv(series))
-
     log = b"timestamp,magnitude_sigma,shape\n" + codec.rows(
         codec.stamps([rec.timestamp for rec in injections], series.frequency is Frequency.DAILY),
         b",",
         codec.fixed6([rec.magnitude_sigma for rec in injections]), b",",
         codec.text([rec.shape.value for rec in injections]), b"\n",
     )
-    _write(out_dir / f"{args.id}_injections.csv", log)
+    _write([(price_path, serialize_csv(series)), (out_dir / f"{args.id}_injections.csv", log)])
     _say(f"{args.id}: bars={len(series)} shocks={len(injections)} -> {price_path}")
     return EXIT_OK
 

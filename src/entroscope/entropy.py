@@ -152,23 +152,18 @@ def _bin(values, spec: BinningSpec) -> tuple[BinnedDistribution, np.ndarray]:
 
 
 def entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
-    """Shannon entropy over the last axis of a count array with p = counts /
-    totals, as H = ln T - sum(c ln c) / T (0 ln 0 = 0); ``totals``
-    broadcasts against the other axes.
+    """Shannon entropy over the last axis of an integer count array with p
+    = counts / totals, as H = ln T - sum(c ln c) / T (0 ln 0 = 0);
+    ``totals`` broadcasts against the other axes.
 
-    Integer counts take c ln c from the fixed-point table of
-    ``_c_log_c_table`` over 0..max(totals), built once per call, and sum it
-    exactly in int64, so the sum does not depend on the order or grouping
-    of its terms; H = (F(T) - S) * 2**-q / T (``_entropy_from_sums``). A
-    window whose values share one bin has S = F(T) and entropy exactly 0.
-    Float masses take c ln c from a masked ``log`` and evaluate
-    (T ln T - sum(c ln c)) / T."""
+    c ln c comes from the fixed-point table of ``_c_log_c_table`` over
+    0..max(totals), built once per call, and is summed exactly in int64,
+    so the sum does not depend on the order or grouping of its terms; H =
+    (F(T) - S) * 2**-q / T (``_entropy_from_sums``). A window whose values
+    share one bin has S = F(T) and entropy exactly 0."""
     totals = np.asarray(totals)
-    if np.issubdtype(counts.dtype, np.integer):
-        table, q = _c_log_c_table(int(totals.max()))
-        return _entropy_from_sums(table.take(counts).sum(axis=-1), totals, table, q)
-    log_c = np.log(counts, out=np.zeros_like(counts), where=counts > 0)
-    return (totals * np.log(totals) - (counts * log_c).sum(axis=-1)) / totals
+    table, q = _c_log_c_table(int(totals.max()))
+    return _entropy_from_sums(table.take(counts).sum(axis=-1), totals, table, q)
 
 
 def _c_log_c_table(max_total: int) -> tuple[np.ndarray, int]:
@@ -202,7 +197,9 @@ def shannon_entropy(dist: BinnedDistribution) -> float:
     order: two windows with the same counts in other bins may differ in
     the last bit. ``window_entropy`` and ``pmf_snapshot`` take a data
     window's entropy from its integer counts instead."""
-    return float(entropy_from_counts(dist.masses, 1.0))
+    p = dist.masses
+    # 0.0 - S rather than -S: a one-bin distribution gives 0.0, not -0.0.
+    return float(0.0 - (p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum())
 
 
 def _count_entropy(counts: np.ndarray) -> float:

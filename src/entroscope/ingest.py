@@ -29,7 +29,7 @@ from one index, ``codec.runs``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -53,7 +53,6 @@ class Diagnostics:
 
     dropped: int = 0
     removed: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,14 +276,11 @@ def dedup_closed_market(
     ``run_length`` to their first point.
 
     Intended for 5-minute data, where such runs are closed-market copies of
-    the last open quote. Daily series are returned unchanged with a warning
-    diagnostic. Idempotent: truncated runs have length one and maximal runs
+    the last open quote. Daily series are returned unchanged. Idempotent: truncated runs have length one and maximal runs
     are bounded by differing values on both sides.
     """
     if series.frequency is Frequency.DAILY:
-        return series, Diagnostics(
-            warnings=[f"{series.instrument_id}: daily series left unchanged by dedup"]
-        )
+        return series, Diagnostics()
     # A point stays when its run is no longer than ``run_length`` or when
     # it starts its run.
     _, bounds = codec.runs(series.closes)

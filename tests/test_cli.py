@@ -8,15 +8,17 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entroscope import (
     BinnedDistribution, BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable,
-    SynthSpec, WindowSequenceSpec, generate, serialize_csv, window_bounds,
+    SynthSpec, WindowSequenceSpec, generate, log_returns, parse_csv_file, serialize_csv,
+    spectra_for_series, velleman_bins, window_bounds,
 )
 from entroscope import cli, codec
 from entroscope.cli import (
@@ -134,7 +136,8 @@ ONE_PRICE = "timestamp,close\n2025-01-02,100.0\n"
 MIXED = "timestamp,close\n2025-01-02,100.0\n2025-01-03 09:30:00,101.0\n"
 
 # Each case: command and flags, file text, frequency, extra config keys,
-# the exact stderr and the exit code. The instrument is named once.
+# the exact stderr and the exit code. The instrument is named once, or not
+# at all when the command itself fails.
 ERROR_LINES = {
     "ingest header only": (
         ["ingest"], "timestamp,close\n", "daily", {}, "e: error: no valid rows\n", 2,
@@ -151,6 +154,9 @@ ERROR_LINES = {
         ["compare"], ONE_PRICE, "daily", {"anchor_date": "2025-01-02", "return_kind": "nominal"},
         "e: error: need at least 2 prices\n", 3,
     ),
+    "compare without anchor_date": (
+        ["compare"], None, "5min", {}, "error: compare requires anchor_date in the config\n", 2,
+    ),
     "compare anchor before data": (
         ["compare"], None, "5min", {"anchor_date": "2024-01-02"},
         "e: error: no data before 2024-01-02\n", 2,
@@ -162,6 +168,10 @@ ERROR_LINES = {
     "pmf one price": (
         ["pmf", "--day", "2025-01-02"], ONE_PRICE, "daily", {},
         "e: error: need at least 2 prices\n", 3,
+    ),
+    "pmf unknown instrument": (
+        ["pmf", "--day", "2025-01-02", "--instrument", "zz"], None, "5min", {},
+        "error: instrument 'zz' not in config\n", 2,
     ),
     "pmf day without data": (
         ["pmf", "--day", "2030-01-01"], None, "5min", {},
@@ -208,6 +218,7 @@ MALFORMED = {
     "directory path": lambda entry, tmp: {"instruments": [{**entry, "path": str(tmp)}]},
     "instruments object": lambda entry, _: {"instruments": entry},
     "top-level list": lambda entry, _: [entry],
+    "no instruments": lambda entry, _: {"instruments": []},
     "unknown key": _valid_with(window=5),
     "unknown sequence key": _valid_with(sequence={"step": 3}),
     "string window_days": _valid_with(window_days="5"),
@@ -516,6 +527,19 @@ def test_spectrum_monthly_profile_written(tmp_path):
     assert months == sorted(months) and months[0].startswith("2025-")
 
 
+def test_spectrum_per_window_policy_bins_each_window_over_its_own_range(tmp_path):
+    path, _, _ = write_synth_fixture(tmp_path, seed=31)
+    config = write_config(tmp_path, [("synth", path, "5min")], sequence=SEQ_SHORT,
+                          range_policy="per-window")
+    assert main(["spectrum", "--config", str(config)]) == 0
+    returns = log_returns(parse_csv_file(path, Frequency.FIVE_MINUTE, "synth")[0])
+    spec = WindowSequenceSpec(**SEQ_SHORT)
+    table = spectra_for_series(returns, spec, BinningSpec(velleman_bins(spec.base_length)))
+    assert (tmp_path / "out" / "synth_spectrum.csv").read_bytes() == b"".join(
+        _spectrum_csv(table, Frequency.FIVE_MINUTE)
+    )
+
+
 @pytest.mark.parametrize("frequency", [Frequency.FIVE_MINUTE, Frequency.DAILY])
 def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
     # More sequences than one writer block, and indices, k and window
@@ -602,9 +626,11 @@ def test_write_failing_mid_stream_leaves_no_file(tmp_path):
         yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
         raise RuntimeError("block failed")
 
+    # The first file is complete and renamed into place before the second
+    # fails; neither is left.
     target = tmp_path / "out" / "x_spectrum.csv"
     with pytest.raises(RuntimeError, match="block failed"):
-        _write(target, blocks())
+        _write([(tmp_path / "out" / "x_events.csv", b"onset_timestamp\n"), (target, blocks())])
     assert list(target.parent.iterdir()) == []
 
 
@@ -682,14 +708,14 @@ def test_failing_spectrum_instrument_leaves_none_of_its_files(tmp_path, capsys, 
         monkeypatch.setattr(cli, "_monthly_csv", failing_monthly)
     else:
         # Its last file fails to write after the other two were written.
-        write = cli._write
+        replace = os.replace
 
-        def failing_write(path, content):
-            if path.name == "a_events.csv":
-                raise OSError(f"cannot write {path.name}")
-            write(path, content)
+        def failing_replace(src, dst):
+            if Path(dst).name == "a_events.csv":
+                raise OSError(f"cannot write {Path(dst).name}")
+            replace(src, dst)
 
-        monkeypatch.setattr(cli, "_write", failing_write)
+        monkeypatch.setattr(os, "replace", failing_replace)
     capsys.readouterr()
     assert main(["spectrum", "--config", str(config)]) == 2
     captured = capsys.readouterr()
@@ -904,6 +930,28 @@ def test_synth_command_writes_fixture_and_log(tmp_path):
     log_rows = (out / "demo_injections.csv").read_text().strip().splitlines()
     assert log_rows[0] == "timestamp,magnitude_sigma,shape"
     assert log_rows[1].endswith(",dispersed_day")
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over an earlier run"])
+def test_synth_failing_log_write_leaves_neither_file(tmp_path, capsys, monkeypatch, earlier):
+    # The price file is renamed into place before its log fails to be; an
+    # earlier run's log must not stay behind without its price file.
+    out = tmp_path / "out"
+    argv = ["synth", "--days", "3", "--bars-per-day", "4", "--id", "demo", "--out", str(out)]
+    if earlier:
+        assert main([*argv, "--seed", "2", "--shock", "1:5:single_bar"]) == 0
+        capsys.readouterr()
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "demo_injections.csv":
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main([*argv, "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: disk full\n")
+    assert list(out.iterdir()) == []
 
 
 def test_synth_rejects_malformed_shock(tmp_path):
@@ -1346,10 +1394,48 @@ def _invocations(draw):
     return argv, config, {"in/dirty.csv": dirty, "in/clean.csv": clean}, ids
 
 
+# The files of one unit, by what follows its id (or ``compare``) in their
+# names: each unit is written all or none.
+_UNITS = {
+    "ingest": (".csv",),
+    "compare": (".csv",),
+    "spectrum": ("_spectrum.csv", "_monthly.csv", "_events.csv"),
+    "pmf": ("_pmf_day.csv", "_pmf_span.csv"),
+    "synth": (".csv", "_injections.csv"),
+}
+_CLEAN = serialize_csv(generate(SynthSpec(seed=1, n_days=4, bars_per_day=8,
+                                          start_date="2024-01-02"))[0])
+_INPUTS = {"in/dirty.csv": "timestamp,close\n2024-01-02 09:30:00,100.0\n", "in/clean.csv": _CLEAN}
+# The spaced id on an intraday file read as daily: one "b c: error:" line.
+_SPACED = json.dumps({
+    "instruments": [{"id": "a", "path": "in/clean.csv", "frequency": "5min"},
+                    {"id": "b c", "path": "in/dirty.csv", "frequency": "daily"}],
+    "anchor_date": "2024-01-04",
+    "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
+})
+
+
 @settings(max_examples=150, deadline=None)
-@given(invocation=_invocations())
-def test_every_failure_is_an_exit_code_and_one_line_messages(invocation):
+@given(invocation=_invocations(), fault=st.sampled_from([None] * 5 + [1, 2, 3, 4, 5]))
+@example(invocation=(["synth", "--seed", "1", "--days", "3", "--bars-per-day", "4"],
+                     None, _INPUTS, []), fault=2)
+@example(invocation=(["ingest", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
+         fault=None)
+@example(invocation=(["spectrum", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
+         fault=2)
+@example(invocation=(["compare", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
+         fault=1)
+def test_every_failure_is_an_exit_code_and_one_line_messages(invocation, fault):
+    """``fault`` makes the fault-th rename of an output file raise."""
     argv, config, inputs, ids = invocation
+    renames, replace = [], os.replace
+
+    def faulty_replace(src, dst):
+        renames.append(dst)
+        if len(renames) == fault:
+            raise OSError("cannot rename a temp file")
+        replace(src, dst)
+
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in inputs.items():
@@ -1362,7 +1448,8 @@ def test_every_failure_is_an_exit_code_and_one_line_messages(invocation):
         os.chdir(root)
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
+                    warnings.catch_warnings(record=True) as caught, \
+                    mock.patch.object(os, "replace", faulty_replace):
                 warnings.simplefilter("always")
                 code = _run(argv)
         finally:
@@ -1378,3 +1465,10 @@ def test_every_failure_is_an_exit_code_and_one_line_messages(invocation):
     assert [str(w.message) for w in caught] == []  # each would print its own lines
     assert not [p for p in made if p.suffix == ".tmp"]
     assert all(p.parts[0] == "out" for p in made), made
+    if fault is not None and len(renames) >= fault:
+        assert code != 0
+    units = {}
+    for p in made:
+        suffix = max((s for s in _UNITS[argv[0]] if p.name.endswith(s)), key=len)
+        units.setdefault((p.parent, p.name[: -len(suffix)]), set()).add(suffix)
+    assert all(found == set(_UNITS[argv[0]]) for found in units.values()), units

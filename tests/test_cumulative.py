@@ -58,6 +58,20 @@ def test_build_sequences_hand_enumerated():
     assert _bounds(seqs[1]) == [(5, 15), (5, 20), (5, 25)]
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"base_length": 1}, "base_length must be >= 2"),
+    ({"base_length": 2, "increment": 0}, "increment/stride must be >= 1 and steps >= 0"),
+    ({"base_length": 2, "stride": 0}, "increment/stride must be >= 1 and steps >= 0"),
+    ({"base_length": 2, "steps": -1}, "increment/stride must be >= 1 and steps >= 0"),
+    ({"base_length": 2, "sequence_count": 0}, "sequence_count must be >= 1"),
+    ({"base_length": 2, "anchor_mode": "sideways"}, "unknown anchor_mode 'sideways'"),
+], ids=["base_length", "increment", "stride", "steps", "sequence_count", "anchor_mode"])
+def test_window_sequence_spec_refuses_invalid_geometry(kwargs, message):
+    with pytest.raises(ValueError) as caught:
+        WindowSequenceSpec(**kwargs)
+    assert str(caught.value) == message
+
+
 def test_build_sequences_auto_fill():
     spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5)
     seqs = build_sequences(30, spec)

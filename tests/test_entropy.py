@@ -62,6 +62,22 @@ def test_binning_spec_validation():
     assert BinningSpec(4, lo=0.0, hi=2.0).is_fixed and not BinningSpec(4).is_fixed
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BinnedDistribution(BinningSpec(2), 0.0, 1.0, [0.5, 0.5], 0),
+     "support_count must be >= 1"),
+    (lambda: BinnedDistribution(BinningSpec(2), 0.0, 1.0, [0.5, 0.25], 4),
+     "masses must be a probability vector"),
+    (lambda: BinnedDistribution(BinningSpec(2), 0.0, 1.0, [1.5, -0.5], 4),
+     "masses must be a probability vector"),
+    (lambda: pmf_snapshot(make_returns([0.01] * 5), "2025-01-04", preceding_days=-1),
+     "preceding_days must be >= 0, got -1"),
+], ids=["support_count", "masses sum", "negative mass", "preceding_days"])
+def test_invalid_distribution_input_is_refused(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def test_spanning_is_fixed_over_min_max_and_per_window_when_constant():
     assert BinningSpec.spanning(np.array([0.5, -0.25, 2.0, 0.0]), 7) == BinningSpec(
         7, lo=-0.25, hi=2.0
@@ -173,8 +189,15 @@ def test_shannon_entropy_bits_equal_plain_mass_formula():
     assert shannon_entropy(dists[2]).hex() == (1.0397207708399179).hex()
 
 
+def _mass_entropy(p):
+    """-sum(p ln p) over the last axis of masses ``p``, from a masked log:
+    the float formula that the fixed-point kernel is held to."""
+    return 0.0 - (p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+
+
 def test_entropy_from_counts_table_agrees_with_masses():
-    # Integer counts take c ln c from a table, masses from a masked log.
+    # Integer counts take c ln c from a table; the reference takes the
+    # masses' p ln p from a masked log.
     rng = np.random.default_rng(23)
     counts = rng.integers(0, 6, size=(300, 3, 9)) * rng.integers(0, 2, size=(300, 3, 9))
     counts[:, :, 0] += 1  # no empty window
@@ -182,7 +205,7 @@ def test_entropy_from_counts_table_agrees_with_masses():
     counts[::7, :, 4] = rng.integers(1, 200, size=(len(counts[::7]), 3))  # one value
     totals = counts.sum(axis=-1)
     got = entropy_from_counts(counts, totals)
-    want = entropy_from_counts(counts / totals[..., None], 1.0)
+    want = _mass_entropy(counts / totals[..., None])
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.all(got[::7] == 0.0)
     for dtype in (np.int32, np.int64):
@@ -217,7 +240,7 @@ def test_fixed_point_entropy_within_float_formula():
     )
     at = 0
     for total, counts in rows.items():
-        want = entropy_from_counts(counts / total, 1.0)
+        want = _mass_entropy(counts / total)
         for got in (entropy_from_counts(counts, total), mixed[at : at + len(counts)]):
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.all(got >= 0.0)

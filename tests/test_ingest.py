@@ -770,11 +770,29 @@ def test_dedup_all_distinct_untouched():
     assert diag.removed == 0
 
 
-def test_dedup_daily_unchanged_with_warning():
+_DAYS = np.datetime64("2025-01-02", "s") + np.arange(3) * np.timedelta64(1, "D")
+
+
+@pytest.mark.parametrize("timestamps, closes, message", [
+    (_DAYS, [1.0, 2.0], "timestamps and closes must be 1-d arrays of equal length"),
+    (_DAYS[None, :], [[1.0, 2.0, 3.0]], "timestamps and closes must be 1-d arrays of equal length"),
+    (_DAYS[::-1], [1.0, 2.0, 3.0], "timestamps must be strictly increasing"),
+    (_DAYS, [1.0, 0.0, 3.0], "closes must be finite and positive"),
+    (_DAYS, [1.0, math.nan, 3.0], "closes must be finite and positive"),
+    (_DAYS + np.timedelta64(3600, "s"), [1.0, 2.0, 3.0],
+     "daily series must not retain a time-of-day component"),
+], ids=["lengths", "2-d", "descending", "zero close", "nan close", "time of day"])
+def test_price_series_refuses_invalid_arrays(timestamps, closes, message):
+    with pytest.raises(ValueError) as caught:
+        PriceSeries("t", Frequency.DAILY, timestamps, closes)
+    assert str(caught.value) == message
+
+
+def test_dedup_daily_returns_series_unchanged():
     series = make_daily([100.0] * 10)
     out, diag = dedup_closed_market(series)
     assert out is series
-    assert diag.warnings
+    assert diag.removed == 0
 
 
 @settings(max_examples=100)

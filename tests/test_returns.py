@@ -14,6 +14,7 @@ from entroscope import (
     ReturnKind,
     ReturnSeries,
     TooShort,
+    WindowSlice,
     bracket_windows,
     log_returns,
     nominal_returns,
@@ -82,6 +83,27 @@ def test_return_series_timestamps_must_increase(order):
     ts = r.timestamps[::-1] if order == "descending" else np.repeat(r.timestamps[:30], 2)
     with pytest.raises(ValueError, match="strictly increasing"):
         ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, ts, r.values)
+
+
+def _with_values(r, values):
+    return ReturnSeries(r.instrument_id, r.kind, r.frequency, r.timestamps, values)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda r: _with_values(r, r.values[:-1]),
+     "timestamps and values must be 1-d arrays of equal length"),
+    (lambda r: _with_values(r, np.where(np.arange(len(r)) == 3, np.inf, r.values)),
+     "returns must be finite"),
+    (lambda r: WindowSlice(4, 4), "invalid slice [4, 4)"),
+    (lambda r: WindowSlice(-1, 3), "invalid slice [-1, 3)"),
+    (lambda r: slice_window(r, "2025-01-02", 0), "trading_days must be positive"),
+    (lambda r: bracket_windows(r, "2025-01-05", 0), "trading_days must be positive"),
+], ids=["lengths", "infinite value", "empty slice", "negative start", "slice_window days",
+        "bracket_windows days"])
+def test_invalid_window_input_is_refused(make, message):
+    with pytest.raises(ValueError) as caught:
+        make(make_returns(np.full(10, 0.01)))
+    assert str(caught.value) == message
 
 
 def test_values_invariant_under_time_shift():

@@ -46,14 +46,17 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
     commands = [line.split() for line in lines if " exit=" in line]
     assert [c[:3] for c in commands] == [
         ["batch-day", "ingest", "exit=0"], ["batch-day", "compare", "exit=0"],
-        ["batch-day", "spectrum", "exit=0"], ["onset-bar", "spectrum", "exit=0"],
-        ["per-window", "spectrum", "exit=0"],
+        ["batch-day", "spectrum", "exit=0"], ["batch-day", "pmf", "exit=0"],
+        ["onset-bar", "spectrum", "exit=0"], ["per-window", "spectrum", "exit=0"],
+        ["synth", "synth", "exit=0"],
     ]
     files = dict(line.split() for line in lines if " exit=" not in line)
     on_disk = {p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file()}
     assert set(files) == on_disk
     assert {"batch-day/raw/ba00.csv", "batch-day/report/compare.csv",
-            "onset-bar/report/on00_events.csv", "per-window/report/pe03_monthly.csv"} <= on_disk
+            "onset-bar/report/on00_events.csv", "per-window/report/pe03_monthly.csv",
+            "batch-day/pmf/ba03_pmf_day.csv", "batch-day/pmf/ba03_pmf_span.csv",
+            "synth/out/sy00.csv", "synth/out/sy00_injections.csv"} <= on_disk
     assert files["batch-day/report/compare.csv"] == hashlib.sha256(
         (work / "batch-day/report/compare.csv").read_bytes()
     ).hexdigest()

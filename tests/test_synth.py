@@ -112,6 +112,12 @@ def test_spec_validation():
                   shocks=(Shock(5, 10.0, ShockShape.SINGLE_BAR),))
 
 
+@pytest.mark.parametrize("price", [0.0, -1.0])
+def test_non_positive_start_price_rejected(price):
+    with pytest.raises(ValueError, match="^start_price must be positive$"):
+        SynthSpec(seed=1, n_days=3, bars_per_day=2, start_price=price)
+
+
 def test_last_bar_before_midnight_is_accepted():
     series, _ = generate(SynthSpec(seed=1, n_days=2, bars_per_day=174))
     assert str(series.timestamps[173]) == "2025-01-02T23:55:00"
