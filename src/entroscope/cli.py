@@ -433,8 +433,77 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return code
 
 
+def _items(text: np.ndarray, width: int) -> np.ndarray:
+    """Text rows padded with NUL to ``width`` bytes, as one void item per
+    row: numpy copies an item whole where it copies a row byte by byte."""
+    if text.shape[1] < width:
+        text = np.pad(text, ((0, 0), (0, width - text.shape[1])))
+    return np.ascontiguousarray(text).view(f"V{width}")[:, 0]
+
+
+def _text_rows(items: np.ndarray) -> np.ndarray:
+    """The byte rows of void items."""
+    return items.view(np.uint8).reshape(len(items), items.itemsize)
+
+
+class _Rendered:
+    """``codec.fixed6`` text of values rendered before, in a direct-mapped
+    cache keyed by each value's 64 bits.
+
+    A value's slot is the top bits of its bits times 0x9E3779B97F4A7C15
+    (Fibonacci hashing); a value that takes a slot evicts the one before.
+    A table of ``cells`` values gets the next power of two >= 2 * min(cells,
+    2**15) slots. Every slot holds the text of its key: an empty slot's key
+    is a NaN pattern that no entropy has, and its text is ``nan``, as
+    ``fixed6`` renders any NaN, so a lookup is right for every value."""
+
+    _EMPTY = np.uint64(0x7FF0_0000_0000_0001)
+
+    def __init__(self, values: np.ndarray, text: np.ndarray, cells: int):
+        slot_bits = (2 * min(cells, 2**15) - 1).bit_length()
+        self._shift = np.uint64(64 - slot_bits)
+        self._keys = np.full(1 << slot_bits, self._EMPTY)
+        empty = codec.fixed6(self._keys[:1].view(np.float64))
+        width = max(empty.shape[1], text.shape[1])
+        self._text = np.repeat(_items(empty, width), 1 << slot_bits)
+        bits = values.view(np.uint64)
+        self._store(bits, self._slots(bits), _items(text, width))
+
+    def _slots(self, bits: np.ndarray) -> np.ndarray:
+        # The product wraps modulo 2**64; the slot fits an int64.
+        return ((bits * np.uint64(0x9E3779B97F4A7C15)) >> self._shift).view(np.int64)
+
+    def _store(self, bits: np.ndarray, slots: np.ndarray, items: np.ndarray) -> None:
+        # Values that share a slot write their keys in some order; only the
+        # one whose key stayed writes its text.
+        self._keys[slots] = bits
+        won = self._keys.take(slots) == bits
+        self._text[slots[won]] = items[won]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """``codec.fixed6(values)`` up to NUL padding: the text of cached
+        values is copied, and only the others are rendered and cached."""
+        bits = values.view(np.uint64)
+        slots = self._slots(bits)
+        items = self._text.take(slots)  # read before a miss takes a slot
+        miss = np.flatnonzero(self._keys.take(slots) != bits)
+        if len(miss):
+            fresh = codec.fixed6(values[miss])
+            width = max(fresh.shape[1], self._text.itemsize)
+            if width > self._text.itemsize:
+                self._text = _items(_text_rows(self._text), width)
+                items = _items(_text_rows(items), width)
+            fresh = _items(fresh, width)
+            items[miss] = fresh
+            self._store(bits[miss], slots[miss], fresh)
+        return _text_rows(items)
+
+
 def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]:
-    """The bytes of ``spectrum.csv``, one block of rows at a time."""
+    """The bytes of ``spectrum.csv``, one block of rows at a time. The
+    first block's entropies are rendered by ``codec.fixed6``; when more
+    blocks follow, their text seeds a ``_Rendered`` cache, and every later
+    block renders only the entropies it does not hold."""
     n_sequences, n_windows = table.values.shape
     # Row (j, k) is sequence j's "j,anchor", window k's ",k,window_len,"
     # and H; each of the first two is rendered once and broadcast.
@@ -445,10 +514,18 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
     anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
     yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
     block = max(1, codec.BLOCK_ROWS // n_windows)
+    rendered = None
     for lo in range(0, n_sequences, block):
         hi = min(lo + block, n_sequences)
         head = codec.columns([codec.integers(np.arange(lo, hi)), b",", anchors[lo:hi]])
-        h = codec.fixed6(table.values[lo:hi].ravel()).reshape(hi - lo, n_windows, -1)
+        values = table.values[lo:hi].ravel()
+        if rendered is None:
+            text = codec.fixed6(values)
+            if hi < n_sequences:
+                rendered = _Rendered(values, text, table.values.size)
+        else:
+            text = rendered(values)
+        h = text.reshape(hi - lo, n_windows, -1)
         yield codec.rows(head[:, None], middle, h, b"\n")
 
 

@@ -24,11 +24,14 @@ as byte matrices with one text row per value; NUL bytes in them are
 padding. Decimal digits come two at a time from a table of the pairs
 "00".."99", one division by 100 per pair. ``stamps`` renders a date once
 per run of equal days, so the bars of one trading day share one
-conversion to ``datetime64[M]``, which gives the year, month and day.
-``columns`` lays such matrices and constant separators side by side,
-broadcasting their leading axes, and ``rows`` returns the text of all
-rows with the padding dropped. Every CSV table of the package is
-rendered this way.
+conversion to ``datetime64[M]``, which gives the year, month and day,
+and copies a clock from a table of every second of the day, rendered once
+per process; so dates and clocks are each rendered once per distinct
+value. ``fixed6`` is the one ``%.6f`` renderer; the spectrum writer
+caches its text of earlier blocks. ``columns`` lays such matrices and
+constant separators side by side, broadcasting their leading axes, and
+``rows`` returns the text of all rows with the padding dropped. Every CSV
+table of the package is rendered this way.
 
 Grouping. ``runs`` is the package's one index of runs of equal
 consecutive values: each run's value and where it begins. Trading days
@@ -37,6 +40,9 @@ anchors' days, and cleaning reads repeated stamps and repeated closes
 from it.
 """
 from __future__ import annotations
+
+import functools
+import mmap
 
 import numpy as np
 
@@ -276,6 +282,22 @@ def fixed6(values) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _clocks() -> np.ndarray:
+    """`` HH:MM:SS`` of every second of the day, one row each (86,400 rows
+    of 9 bytes), built once per process.
+
+    The table has its own anonymous mapping, off the heap: a heap block
+    kept for the life of the process would stop the heap from shrinking
+    past it, and on ``onset-bar`` that kept about 1 MiB more resident at
+    the peak."""
+    pairs = _digits(np.arange(60), 2)  # "00".."59"
+    table = np.frombuffer(mmap.mmap(-1, 86400 * 9), dtype=np.uint8).reshape(24, 60, 60, 9)
+    table[:] = columns([b" ", pairs[:24, None, None], b":", pairs[:, None], b":", pairs])
+    table.flags.writeable = False  # shared by every call
+    return table.reshape(86400, 9)
+
+
 def stamps(timestamps, daily: bool) -> np.ndarray:
     """``YYYY-MM-DD`` (``daily``) or ``YYYY-MM-DD HH:MM:SS`` of each
     timestamp; years outside 0..9999 and NaT are written as numpy writes
@@ -284,7 +306,8 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
     A date is rendered once per run of equal days (``runs``; the bars of
     one trading day) and repeated over its run: the day's ``datetime64[M]``
     month gives the year and month, and the day is the distance from the
-    month's first day. The clock is taken in int32."""
+    month's first day. The clock is the second of the day's row of
+    ``_clocks``."""
     seconds = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64)
     days, second_of_day = np.divmod(seconds, 86400)
     run_days, bounds = runs(days)
@@ -297,11 +320,7 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
     lengths = np.diff(bounds)
     out = np.repeat(out, lengths, axis=0)
     if not daily:
-        hour, rest = np.divmod(second_of_day.astype(np.int32), 3600)
-        minute, second = np.divmod(rest, 60)
-        out = columns([
-            out, b" ", _digits(hour, 2), b":", _digits(minute, 2), b":", _digits(second, 2)
-        ])
+        out = columns([out, _clocks().take(second_of_day, axis=0)])
     outside = np.flatnonzero(np.repeat((year < 0) | (year > 9999), lengths))
     if len(outside):
         numpy_text = np.datetime_as_string(

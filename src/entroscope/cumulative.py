@@ -27,8 +27,10 @@ plus the change of the two bin counts the step touches: two cells of a
 prefix-count matrix per window instead of all ``n_bins``. Such a chain
 of single-observation steps costs about half the full recount at stride
 1, about as much at stride 2 and more from stride 4 on, so strides above
-1 count every window whole. Both ways reach the same integers, hence the
-same bits.
+1 count every window whole. Every window bound is a multiple of the
+granule g = gcd(stride, base_length, increment), so their prefix counts
+are taken once per granule of g values (78 at the day geometry), not
+after every value. All ways reach the same integers, hence the same bits.
 
 Per-window ranges bin each window over its own minimum and maximum. A
 window's counts are another window's plus those of the values between
@@ -61,8 +63,9 @@ GROW_LEFT = "grow-left"
 # Count cells per block of the fixed-range table. At stride > 1 a block of
 # BLOCK_COUNTS // ((steps + 1) * n_bins) sequences holds at most
 # BLOCK_COUNTS window counts and as many c ln c terms (256 KiB as int64,
-# well inside a core's L2 cache), and a prefix-count matrix over its
-# (block - 1) * stride + span observations. At stride 1 only the
+# well inside a core's L2 cache), and a prefix-count matrix over the
+# ((block - 1) * stride + span) / g granules of g = gcd(stride,
+# base_length, increment) observations that it covers. At stride 1 only the
 # prefix-count matrix holds counts: a block of BLOCK_COUNTS // n_bins
 # sequences has BLOCK_COUNTS + span * n_bins of them, and (steps + 1)
 # window steps per sequence. Working memory grows with the block, never
@@ -238,14 +241,21 @@ def _prefix_matrix(idx: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _prefix_counts(
-    idx: np.ndarray, n_bins: int, starts: np.ndarray, ends: np.ndarray
+    idx: np.ndarray, n_bins: int, starts: np.ndarray, ends: np.ndarray, g: int
 ) -> np.ndarray:
     """Window counts of one block of sequences under a fixed range, from
-    the prefix counts C of the bin indices ``idx`` that the block covers:
-    window [a, b) counts C[b] - C[a]."""
+    the prefix counts C of the bin indices ``idx`` that the block covers,
+    taken once per granule of ``g`` values: every bound is a multiple of
+    g, row t of C holds the bin counts of the first t * g values, and
+    window [a, b) counts C[b / g] - C[a / g]."""
     first, last = int(starts.min()), int(ends.max())
-    prefix = _prefix_matrix(idx[first:last], n_bins)
-    return prefix.take(ends - first, axis=0) - prefix.take(starts - first, axis=0)
+    granules = (last - first) // g
+    # Row t + 1 of ``counts`` is granule t's histogram; their cumsum is C.
+    keys = (np.arange(last - first) // g + 1) * n_bins + idx[first:last]
+    counts = np.bincount(keys, minlength=(granules + 1) * n_bins)
+    prefix = np.cumsum(counts.reshape(-1, n_bins), axis=0, dtype=np.int32)
+    del counts  # int64: twice the prefix counts
+    return prefix.take((ends - first) // g, axis=0) - prefix.take((starts - first) // g, axis=0)
 
 
 def _stride_one_sums(
@@ -312,20 +322,19 @@ def _per_window_counts(
         idx += offsets[: len(at)]
         return np.bincount(idx.ravel(), minlength=len(at) * n_bins).reshape(-1, n_bins)
 
+    # Each window's range, for all windows at once: the running extrema
+    # of the extrema of the values each window adds. The row past the last
+    # is NaN, which equals no range.
+    edges = [0, *lengths[:-1]]
+    lows, highs = np.full((2, len(lengths), n + 1), np.nan)
+    lows[:, :n] = np.minimum.accumulate(np.minimum.reduceat(rows, edges, axis=1), axis=1).T
+    highs[:, :n] = np.maximum.accumulate(np.maximum.reduceat(rows, edges, axis=1), axis=1).T
     lengths = lengths.tolist()
     stride = lengths[shift] - lengths[0] if 0 < shift < len(lengths) else 0
     counts = np.empty((n, len(lengths), n_bins), dtype=np.int64)
-    # Each window's range; the column past the last row is NaN, which
-    # equals no range.
-    lows, highs = np.full((2, len(lengths), n + 1), np.nan)
     edge = 0
     for k, length in enumerate(lengths):
-        added = rows[:, edge:length]
-        lo, hi = added.min(axis=1), added.max(axis=1)
-        if k:
-            np.minimum(lo, lows[k - 1, :n], out=lo)
-            np.maximum(hi, highs[k - 1, :n], out=hi)
-        lows[k, :n], highs[k, :n] = lo, hi
+        lo, hi = lows[k, :n], highs[k, :n]
         top = np.where(hi == lo, np.inf, hi)  # (v - lo) / inf = 0
         moved = (lo != lows[k - 1, :n]) | (hi != highs[k - 1, :n]) if k else np.ones(n, bool)
         same, changed = np.flatnonzero(~moved), np.flatnonzero(moved)
@@ -353,9 +362,12 @@ def spectra_for_series(
     from prefix counts. At stride 1 a block counts only its first sequence
     whole; every later window's S is the previous sequence's plus the
     change of the two counts its step touches (``_stride_one_sums``). At
-    stride > 1 every window is counted whole (``_prefix_counts``). A
-    per-window range takes each window's minimum and maximum as running
-    extrema over the values it adds. A window whose range equals the
+    stride > 1 every window is counted whole from prefix counts taken once
+    per granule of gcd(stride, base_length, increment) values, of which
+    every window bound is a multiple (``_prefix_counts``). A per-window
+    range takes each window's minimum and maximum as running extrema over
+    the extrema of the values each window adds, for every window of a
+    block at once. A window whose range equals the
     previous window's reuses its counts plus those of the added values;
     when the stride is m increments, one whose range equals window k - m
     of the neighbouring sequence (the next anchor under grow-right, the
@@ -377,6 +389,8 @@ def spectra_for_series(
     if binning.is_fixed:
         idx = bin_indices(returns.values, n_bins, binning.lo, binning.hi)
         windows = 1 if stride_one else seq_spec.steps + 1
+        # Every window bound is a multiple of the granule.
+        granule = math.gcd(seq_spec.stride, seq_spec.base_length, seq_spec.increment)
         block = max(1, BLOCK_COUNTS // (windows * n_bins))
     else:
         rows = sliding_window_view(returns.values, seq_spec.span)[:: seq_spec.stride]
@@ -396,7 +410,8 @@ def spectra_for_series(
         if stride_one:
             sums = _stride_one_sums(idx, n_bins, starts[part], ends[part], table)
         elif binning.is_fixed:
-            sums = table.take(_prefix_counts(idx, n_bins, starts[part], ends[part])).sum(axis=-1)
+            counts = _prefix_counts(idx, n_bins, starts[part], ends[part], granule)
+            sums = table.take(counts).sum(axis=-1)
         else:
             sums = table.take(_per_window_counts(rows[part], lengths, n_bins, shift)).sum(axis=-1)
         out[part] = _entropy_from_sums(sums, lengths, table, q)
@@ -414,6 +429,8 @@ def sliding_min(x: np.ndarray, width: int) -> np.ndarray:
     prefix minimum within blocks. Minima are exact, so the result equals
     the direct one."""
     n = len(x)
+    if width > n:
+        return x[:0]
     blocks = -(-n // width)
     cut = np.empty(blocks * width, dtype=x.dtype)
     cut[:n] = x

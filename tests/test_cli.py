@@ -557,19 +557,85 @@ def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
     if frequency is Frequency.DAILY:
         anchors = anchors.astype("datetime64[D]").astype("datetime64[s]")
     table = SpectrumTable(values, anchors, BinningSpec(7), geometry)
-    spectrum = b"".join(_spectrum_csv(table, frequency))
+    assert b"".join(_spectrum_csv(table, frequency)) == _spectrum_rows(table, frequency)
     monthly = _monthly_csv(table)
-
-    unit = "D" if frequency is Frequency.DAILY else "s"
-    stamps = [s.replace("T", " ") for s in np.datetime_as_string(anchors, unit=unit).tolist()]
-    want = ["sequence_index,anchor_timestamp,k,window_len,H\n"]
-    for j, stamp in enumerate(stamps):
-        for k, length in enumerate((ends[j] - starts[j]).tolist()):
-            want.append(f"{j},{stamp},{k},{length},{values[j, k]:.6f}\n")
-    assert spectrum == "".join(want).encode("ascii")
-
     assert monthly.count(b"\n") > 3
     assert monthly == _monthly_rows(values, anchors)
+
+
+def _spectrum_rows(table, frequency):
+    """``_spectrum_csv`` of ``table``, from f-strings."""
+    unit = "D" if frequency is Frequency.DAILY else "s"
+    stamps = np.datetime_as_string(table.anchor_timestamps, unit=unit).tolist()
+    lengths = table.spec.lengths.tolist()
+    want = ["sequence_index,anchor_timestamp,k,window_len,H\n"]
+    for j, (stamp, row) in enumerate(zip(stamps, table.values.tolist())):
+        stamp = stamp.replace("T", " ")
+        want += [f"{j},{stamp},{k},{n},{v:.6f}\n" for k, (n, v) in enumerate(zip(lengths, row))]
+    return "".join(want).encode("ascii")
+
+
+def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
+    # Five writer blocks of a stride-1-like table whose entropies repeat
+    # (a few hundred distinct values), as at bar stride. Later blocks add
+    # near ties that fixed6 hands to Python, a value >= 10 that widens the
+    # cached text, and, in block 3 only, a value whose cache slot is that
+    # of a value cached since block 0, before and after it.
+    n_windows = 4
+    block = codec.BLOCK_ROWS // n_windows
+    n_sequences = 4 * block + 300
+    rng = np.random.default_rng(47)
+    near_ties = (rng.integers(0, 3_000_000, 40) + 0.5) / 1e6
+    near_ties += rng.integers(-3, 4, 40) * np.spacing(near_ties)
+    pool = np.concatenate([np.round(rng.random(200) * 3, 7), near_ties[:20], [0.0]])
+    values = rng.choice(pool, (n_sequences, n_windows))
+    values[block : 2 * block : 7, 3] = rng.choice(near_ties[20:], len(range(block, 2 * block, 7)))
+    values[2 * block + 11, 2] = 12.3456785
+    values[3 * block + 5 :: 97, 1] = 10.25
+    cached = values[0, 0]
+    cells = values.size
+    probe = cli._Rendered(values[:1, 0], codec.fixed6(values[:1, 0]), cells)
+    candidates = 1.0 + rng.random(1 << 20) * 2
+    slot = probe._slots(np.array([cached]).view(np.uint64))[0]
+    sharing = candidates[probe._slots(candidates.view(np.uint64)) == slot][0]
+    values[3 * block + 1, :2] = [sharing, cached]
+    values[3 * block + 2, 1:3] = [cached, sharing]
+    # ``cached`` and ``sharing`` are the only distinct values that share a slot.
+    distinct = np.unique(values)
+    slots = probe._slots(distinct.view(np.uint64))
+    assert len(np.unique(slots)) == len(distinct) - 1
+    assert sharing not in values[: 3 * block] and 12.3456785 not in values[: 2 * block]
+
+    geometry = WindowSequenceSpec(40, 1, n_windows - 1, sequence_count=n_sequences)
+    anchors = np.datetime64("2025-01-02T09:30:00") + np.arange(n_sequences) * np.timedelta64(
+        300, "s")
+    table = SpectrumTable(values, anchors, BinningSpec(7), geometry)
+    assert b"".join(_spectrum_csv(table, Frequency.FIVE_MINUTE)) == _spectrum_rows(
+        table, Frequency.FIVE_MINUTE)
+
+
+def test_spectrum_csv_of_one_block_builds_no_cache(monkeypatch):
+    # A table of one writer block, as every day-stride table of the
+    # workloads, renders with fixed6 alone; a second block builds the cache.
+    built, rendered = [], cli._Rendered
+
+    def recording(*args):
+        built.append(args)
+        return rendered(*args)
+
+    monkeypatch.setattr(cli, "_Rendered", recording)
+    n_windows = 14
+    for n_sequences, caches in ((codec.BLOCK_ROWS // n_windows, 0),
+                                (codec.BLOCK_ROWS // n_windows + 1, 1)):
+        built.clear()
+        geometry = WindowSequenceSpec(78, 78, n_windows - 1, sequence_count=n_sequences)
+        values = np.random.default_rng(48).random((n_sequences, n_windows)) * 3
+        anchors = np.datetime64("2020-01-01T00:00:00") + np.arange(n_sequences) * np.timedelta64(
+            1, "D")
+        table = SpectrumTable(values, anchors, BinningSpec(18), geometry)
+        assert b"".join(_spectrum_csv(table, Frequency.DAILY)) == _spectrum_rows(
+            table, Frequency.DAILY)
+        assert len(built) == caches
 
 
 def _monthly_rows(values, anchors):

@@ -278,12 +278,37 @@ def test_stride_one_update_bits_equal_full_recount(anchor_mode):
     idx = bin_indices(r.values, n_bins, binning.lo, binning.hi)
     assert np.count_nonzero(idx == 0) and np.count_nonzero(idx == n_bins - 1)
     starts, ends = window_bounds(len(r), table.spec)
-    counts = _prefix_counts(idx, n_bins, starts, ends)
+    counts = _prefix_counts(idx, n_bins, starts, ends, 1)
     want = entropy_from_counts(counts, ends[0] - starts[0])
     assert table.values.tobytes() == want.tobytes()
     constant = np.flatnonzero((counts == counts.sum(axis=-1, keepdims=True)).any(axis=-1))
     assert len(constant) >= 4 * 15 and np.all(table.values.ravel()[constant] == 0.0)
     assert np.all(table.values.ravel()[np.setdiff1d(np.arange(table.values.size), constant)] > 0)
+
+
+@pytest.mark.parametrize("anchor_mode", ["grow-right", "grow-left"])
+@pytest.mark.parametrize("g", [1, 2, 3, 78])
+def test_granule_prefix_counts_bits_equal_per_value_prefix(g, anchor_mode):
+    # Bounds that are multiples of g and of nothing larger, over more
+    # sequences than one fixed-range block; the reference takes prefix
+    # counts after every value.
+    rng = np.random.default_rng(21)
+    n_bins = 7
+    seq_spec = WindowSequenceSpec(base_length=2 * g, increment=3 * g, steps=3, stride=5 * g,
+                                  anchor_mode=anchor_mode)
+    block = BLOCK_COUNTS // ((seq_spec.steps + 1) * n_bins)
+    vals = rng.normal(0, 0.01, (block + 50) * seq_spec.stride + seq_spec.span)
+    r = make_returns(vals)
+    binning = BinningSpec(n_bins, lo=-0.01, hi=0.01)
+    table = spectra_for_series(r, seq_spec, binning)
+    assert len(table) > block
+    idx = bin_indices(r.values, n_bins, binning.lo, binning.hi)
+    starts, ends = window_bounds(len(r), table.spec)
+    prefix = cumulative._prefix_matrix(idx, n_bins)
+    want = prefix[ends] - prefix[starts]
+    assert np.array_equal(_prefix_counts(idx, n_bins, starts, ends, g), want)
+    assert np.array_equal(_prefix_counts(idx, n_bins, starts[5:9], ends[5:9], g), want[5:9])
+    assert table.values.tobytes() == entropy_from_counts(want, seq_spec.lengths).tobytes()
 
 
 def _sequence_rows(patterns, anchor_mode):
@@ -717,11 +742,13 @@ def test_detect_matches_loop_oracle_second_event_starts_mid_run():
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=300), st.data())
 def test_sliding_min_equals_direct_minimum(ints, data):
     # Four distinct values: ties within and across the blocks of the width.
+    # Widths past n give no window.
     x = np.array(ints, dtype=float)
     n = len(x)
-    widths = sorted({w for w in (1, 2, 78, n - 1, n) if 1 <= w <= n})
-    width = data.draw(st.sampled_from(widths) | st.integers(1, n))
-    assert np.array_equal(sliding_min(x, width), sliding_window_view(x, width).min(axis=1))
+    widths = sorted({w for w in (1, 2, 78, n - 1, n, n + 1, n + 2) if w >= 1})
+    width = data.draw(st.sampled_from(widths) | st.integers(1, n + 3))
+    want = sliding_window_view(x, width).min(axis=1) if width <= n else x[:0]
+    assert np.array_equal(sliding_min(x, width), want)
 
 
 @pytest.mark.parametrize(

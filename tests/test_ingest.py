@@ -653,6 +653,14 @@ def test_stamps_equal_numpy(daily):
     _assert_stamps_equal_numpy(stamps_in, daily)
 
 
+def test_every_second_of_a_day_renders_like_numpy():
+    # Every row of the clock table, in one call with NaT and years outside
+    # 0..9999, which numpy renders.
+    day = np.datetime64("2025-03-14T00:00:00") + np.arange(86400) * np.timedelta64(1, "s")
+    odd = np.array(["NaT", "10000-01-01T23:59:59", "-001-12-31T00:00:01"], dtype="datetime64[s]")
+    _assert_stamps_equal_numpy(np.concatenate([day[:40000], odd, day[40000:]]), daily=False)
+
+
 _BARS = intraday_timestamps(5 * 78, 78, start="2024-12-30")  # runs of 78 bars a day
 _RUNS_OF_DAYS = {
     "bars": _BARS,

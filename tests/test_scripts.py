@@ -67,3 +67,22 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         config.replace(str(work).encode(), b"<WORK_DIR>")
     ).hexdigest()
     assert _run_script("output_digest.py", "1", str(tmp_path / "other")).splitlines() == lines
+
+
+def test_bench_ab_runs_both_sides_in_turn():
+    # Both sides are this checkout: one pair of short per-window runs.
+    lines = _run_script(
+        "bench_ab.py", str(ROOT), str(ROOT), "--workload", "per-window", "--seed", "1",
+        "--pairs", "1", "--seconds", "0.05",
+    ).splitlines()
+    runs = [line.split() for line in lines[:2]]
+    assert [run[:4] for run in runs] == [
+        ["pair", "0", "parent", "correct=true"], ["pair", "0", "change", "correct=true"],
+    ]
+    names = ["pipeline_s", "peak_rss_mb", "setup_s"]
+    for run in runs:
+        assert [field.split("=")[0] for field in run[4:]] == names
+    assert [line.split()[:2] for line in lines[2:]] == [
+        ["median", "parent"], ["median", "change"], ["ratio", "change/parent"],
+    ]
+    assert [field.split("=")[0] for field in lines[4].split()[2:]] == names
