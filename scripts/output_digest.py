@@ -12,9 +12,16 @@ is emptied first, and each of the workload's commands is run through the
 CLI of this checkout in a subprocess. So that all five commands run, two
 more follow: ``pmf`` on ``batch-day``'s report config into
 ``batch-day/pmf``, and ``synth`` (seed ``SEED``, one shock) into
-``WORK_DIR/synth/out``. One line is printed per command:
+``WORK_DIR/synth/out``. Then the paths no workload runs are run on the
+inputs already built (see ``VARIANTS``): grow-left sequences under both
+range policies on ``per-window``, and on ``batch-day`` nominal returns,
+daily aggregation and a ``--from-date``/``--to-date`` range. Each such run
+reads the workload's report config with some keys changed, written to
+``<workload>/<label>.json`` with its ``out_dir`` at ``<workload>/<label>``.
+One line is printed per command, its label being ``<command>`` or
+``<command>/<label>``:
 
-    <workload> <command> exit=<code> stdout=<sha256> stderr=<sha256>
+    <workload> <label> exit=<code> stdout=<sha256> stderr=<sha256>
 
 and then one line per file under ``WORK_DIR/<workload>``, inputs and
 outputs, in path order:
@@ -29,6 +36,7 @@ work directories they are given.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -36,6 +44,19 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Per workload: (label, report config keys changed, the commands run with them).
+VARIANTS = {
+    "batch-day": [
+        ("nominal", {"return_kind": "nominal"}, [["compare"], ["spectrum"]]),
+        ("daily", {"aggregate_daily": True}, [["compare"], ["spectrum"]]),
+        ("dates", {}, [["spectrum", "--from-date", "2025-03-01", "--to-date", "2025-08-31"]]),
+    ],
+    "per-window": [
+        ("grow-left", {"sequence": {"anchor_mode": "grow-left"}}, [["spectrum"]]),
+        ("grow-left-fixed", {"sequence": {"anchor_mode": "grow-left"}, "range_policy": "fixed"},
+         [["spectrum"]]),
+    ],
+}
 
 
 def sha256(data: bytes, work_dir: Path) -> str:
@@ -57,23 +78,30 @@ def main(argv: list[str]) -> int:
         work = work_dir / name
         shutil.rmtree(work, ignore_errors=True)
         work.mkdir(parents=True)
-        runs = []
+        runs = []  # (label, arguments) pairs
         if name in WORKLOADS:
             configs = build_inputs(WORKLOADS[name], seed, work).configs
-            runs = [[command, "--config", str(configs[command])]
+            runs = [(command, [command, "--config", str(configs[command])])
                     for command in WORKLOADS[name].commands]
         if name == "batch-day":
-            runs.append(["pmf", "--config", str(configs["compare"]), "--day", "2025-05-15",
-                         "--span-days", "14", "--instrument", "ba03", "--out", "pmf"])
+            runs.append(("pmf", ["pmf", "--config", str(configs["compare"]), "--day", "2025-05-15",
+                                 "--span-days", "14", "--instrument", "ba03", "--out", "pmf"]))
         if name == "synth":
-            runs.append(["synth", "--seed", str(seed), "--days", "30", "--bars-per-day", "78",
-                         "--shock", "12:6:dispersed_day", "--id", "sy00", "--out", "out"])
-        for run in runs:
+            runs.append(("synth", ["synth", "--seed", str(seed), "--days", "30",
+                                   "--bars-per-day", "78", "--shock", "12:6:dispersed_day",
+                                   "--id", "sy00", "--out", "out"]))
+        for label, changes, commands in VARIANTS.get(name, []):
+            config = json.loads(configs["spectrum"].read_text(encoding="utf-8"))
+            config.update(changes, out_dir=str(work / label))
+            (work / f"{label}.json").write_text(json.dumps(config, indent=1), encoding="utf-8")
+            runs += [(f"{command}/{label}", [command, "--config", f"{label}.json", *flags])
+                     for command, *flags in commands]
+        for label, run in runs:
             proc = subprocess.run(
                 [sys.executable, "-m", "entroscope.cli", *run],
                 cwd=work, env=env, capture_output=True,
             )
-            print(f"{name} {run[0]} exit={proc.returncode} "
+            print(f"{name} {label} exit={proc.returncode} "
                   f"stdout={sha256(proc.stdout, work_dir)} stderr={sha256(proc.stderr, work_dir)}")
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = sha256(path.read_bytes(), work_dir)

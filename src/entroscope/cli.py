@@ -321,7 +321,7 @@ def _load_returns(config: RunConfig, entry: InstrumentEntry) -> ReturnSeries:
 def _bars_per_day(returns: ReturnSeries) -> int:
     """The most common number of bars in a trading day (the smallest of
     equally common ones)."""
-    _, bounds = codec.runs(returns.dates())
+    _, bounds = returns.days
     return int(np.bincount(np.diff(bounds)).argmax())
 
 
@@ -557,7 +557,7 @@ def _events_csv(events: list[EventSignature], frequency: Frequency) -> bytes:
 def _restrict_dates(returns: ReturnSeries, from_date, to_date) -> ReturnSeries:
     if from_date is None and to_date is None:
         return returns
-    days, bounds = codec.runs(returns.dates())
+    days, bounds = returns.days
     first = 0 if from_date is None else np.searchsorted(days, np.datetime64(from_date, "D"))
     end = len(days)
     if to_date is not None:

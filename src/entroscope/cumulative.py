@@ -393,12 +393,14 @@ def spectra_for_series(
         granule = math.gcd(seq_spec.stride, seq_spec.base_length, seq_spec.increment)
         block = max(1, BLOCK_COUNTS // (windows * n_bins))
     else:
-        rows = sliding_window_view(returns.values, seq_spec.span)[:: seq_spec.stride]
-        rows = rows[: len(starts)]
+        series = returns.values
         if seq_spec.anchor_mode == GROW_LEFT:
-            # Rows read from the shared right edge, in reverse anchor order,
-            # so that row j + 1 holds row j's neighbour as under grow-right.
-            rows, out = rows[::-1, ::-1], values[::-1]
+            # Grow-right rows of a reversed copy of the values up to the last
+            # sequence's right edge: each row reads from its shared right edge,
+            # in reverse anchor order, so that row j + 1 holds row j's neighbour
+            # as under grow-right, and no row is read through negative strides.
+            series, out = returns.values[ends[-1, -1] - 1 :: -1].copy(), values[::-1]
+        rows = sliding_window_view(series, seq_spec.span)[:: seq_spec.stride][: len(starts)]
         shift, rest = divmod(seq_spec.stride, seq_spec.increment)
         if rest:  # no window of the neighbour lacks exactly the stride values
             shift = 0

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec
 from .errors import EmptyWindow, OutOfRange
 from .returns import ReturnSeries, WindowSlice, slice_values
 
@@ -236,7 +235,7 @@ def pmf_snapshot(
     if preceding_days < 0:
         raise ValueError(f"preceding_days must be >= 0, got {preceding_days}")
     target = np.datetime64(day, "D")
-    days, bounds = codec.runs(returns.dates())
+    days, bounds = returns.days
     at = int(np.searchsorted(days, target))
     if at == len(days) or days[at] != target:
         raise OutOfRange(f"no observations on {target}")

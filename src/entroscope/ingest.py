@@ -1,4 +1,9 @@
-r"""CSV price-data ingestion and cleaning.
+r"""CSV price-data ingestion and cleaning, and the series contract.
+
+Every series (prices here, returns in ``returns``) is a ``Stamped``: one
+stamp rule (strictly increasing ``datetime64[s]`` stamps, 1-d and as long
+as the float64 values) and one trading-day index, ``days``, that every
+day window, daily aggregate and bars-per-day count is read from.
 
 Raw provider files arrive with mixed timestamp conventions; everything is
 normalized to a single target format: ``YYYY-MM-DD`` for daily data and
@@ -31,6 +36,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +61,44 @@ class Diagnostics:
     removed: int = 0
 
 
+class Stamped:
+    """The rules every timestamped series keeps, for the frozen dataclasses
+    ``PriceSeries`` and ``ReturnSeries``: ``timestamps`` as UTC-naive
+    ``datetime64[s]``, strictly increasing, and the values field named by
+    ``_values`` as float64, both 1-d and of equal length. A class adds its
+    own rule for its values in ``_check``.
+
+    ``days`` is the series' trading-day index, ``codec.runs`` of its dates:
+    the distinct dates and where each begins, so days i..j-1 are
+    ``[bounds[i], bounds[j])``. Series are immutable, so it is taken once.
+    """
+
+    _values = "values"
+
+    def __post_init__(self):
+        ts = np.asarray(self.timestamps, dtype="datetime64[s]")
+        vals = np.asarray(getattr(self, self._values), dtype=np.float64)
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, self._values, vals)
+        if ts.shape != vals.shape or ts.ndim != 1:
+            raise ValueError(f"timestamps and {self._values} must be 1-d arrays of equal length")
+        if len(ts) > 1 and not np.all(ts[1:] > ts[:-1]):
+            raise ValueError("timestamps must be strictly increasing")
+        self._check(ts, vals)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def dates(self) -> np.ndarray:
+        return self.timestamps.astype("datetime64[D]")
+
+    @cached_property
+    def days(self) -> tuple[np.ndarray, np.ndarray]:
+        return codec.runs(self.dates())
+
+
 @dataclass(frozen=True, eq=False)
-class PriceSeries:
+class PriceSeries(Stamped):
     """Timestamped close prices for one instrument at one frequency.
 
     Timestamps are UTC-naive ``datetime64[s]``, strictly increasing; closes
@@ -68,27 +110,14 @@ class PriceSeries:
     frequency: Frequency
     timestamps: np.ndarray
     closes: np.ndarray
+    _values = "closes"
 
-    def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-        cl = np.asarray(self.closes, dtype=np.float64)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "closes", cl)
-        if ts.shape != cl.shape or ts.ndim != 1:
-            raise ValueError("timestamps and closes must be 1-d arrays of equal length")
-        if len(ts) > 1 and not np.all(ts[1:] > ts[:-1]):
-            raise ValueError("timestamps must be strictly increasing")
-        if len(cl) and (not np.all(np.isfinite(cl)) or not np.all(cl > 0)):
+    def _check(self, ts: np.ndarray, closes: np.ndarray) -> None:
+        if not (np.all(np.isfinite(closes)) and np.all(closes > 0)):
             raise ValueError("closes must be finite and positive")
-        if self.frequency is Frequency.DAILY and len(ts):
+        if self.frequency is Frequency.DAILY:
             if not np.array_equal(ts, ts.astype("datetime64[D]").astype("datetime64[s]")):
                 raise ValueError("daily series must not retain a time-of-day component")
-
-    def __len__(self) -> int:
-        return len(self.closes)
-
-    def dates(self) -> np.ndarray:
-        return self.timestamps.astype("datetime64[D]")
 
 
 class _Lines:
@@ -305,7 +334,7 @@ def aggregate_to_daily(series: PriceSeries) -> PriceSeries:
     the last close of each date."""
     if len(series) == 0:
         raise EmptyInput("nothing to aggregate")
-    days, bounds = codec.runs(series.dates())
+    days, bounds = series.days
     return PriceSeries(
         series.instrument_id,
         Frequency.DAILY,

@@ -4,8 +4,9 @@ All downstream entropy and statistics default to log returns; nominal
 returns are kept for descriptive reporting. Windows are expressed in
 trading days actually present in the data, not calendar days, so holiday
 gaps shrink a window rather than shifting it. Every day window is a
-slice of one index, ``codec.runs`` of the dates: the distinct dates and
-where each begins, so a window of days i..j-1 is ``[bounds[i], bounds[j])``.
+slice of one index, the series' ``days`` (see ``ingest.Stamped``): the
+distinct dates and where each begins, so a window of days i..j-1 is
+``[bounds[i], bounds[j])``.
 """
 from __future__ import annotations
 
@@ -15,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import codec
 from .errors import OutOfRange, TooShort
-from .ingest import Frequency, PriceSeries
+from .ingest import Frequency, PriceSeries, Stamped
 
 
 class ReturnKind(Enum):
@@ -26,7 +26,7 @@ class ReturnKind(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class ReturnSeries:
+class ReturnSeries(Stamped):
     """Ordered return observations derived from a PriceSeries.
 
     Each value is timestamped with the later price of its pair, so a
@@ -40,23 +40,9 @@ class ReturnSeries:
     timestamps: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", vals)
-        if ts.shape != vals.shape or ts.ndim != 1:
-            raise ValueError("timestamps and values must be 1-d arrays of equal length")
-        if len(ts) > 1 and not np.all(ts[1:] > ts[:-1]):
-            raise ValueError("timestamps must be strictly increasing")
-        if len(vals) and not np.all(np.isfinite(vals)):
+    def _check(self, ts: np.ndarray, values: np.ndarray) -> None:
+        if not np.all(np.isfinite(values)):
             raise ValueError("returns must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def dates(self) -> np.ndarray:
-        return self.timestamps.astype("datetime64[D]")
 
 
 @dataclass(frozen=True)
@@ -88,7 +74,8 @@ def _returns(series: PriceSeries, kind: ReturnKind, of_ratio) -> ReturnSeries:
     returns of ``kind``."""
     if len(series) < 2:
         raise TooShort("need at least 2 prices")
-    vals = of_ratio(series.closes[1:] / series.closes[:-1])
+    with np.errstate(over="ignore", divide="ignore"):  # ReturnSeries refuses what overflows
+        vals = of_ratio(series.closes[1:] / series.closes[:-1])
     return ReturnSeries(series.instrument_id, kind, series.frequency, series.timestamps[1:], vals)
 
 
@@ -116,7 +103,7 @@ def slice_window(
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
     start = np.datetime64(start_date, "D")
-    days, bounds = codec.runs(returns.dates())
+    days, bounds = returns.days
     if start > days[-1]:
         raise OutOfRange(f"{start} is after the last observation")
     first = int(np.searchsorted(days, start, side="left"))
@@ -140,7 +127,7 @@ def bracket_windows(
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
     anchor = np.datetime64(anchor_date, "D")
-    days, bounds = codec.runs(returns.dates())
+    days, bounds = returns.days
     end = int(np.searchsorted(days, anchor, side="left"))
     if end == 0:
         raise OutOfRange(f"no data before {anchor}")

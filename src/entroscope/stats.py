@@ -122,17 +122,22 @@ def compare_windows(
     symmetric percentage difference.
 
     For the entropy metric the bin count defaults to the rule applied to
-    the before-window length and is used for both windows.
+    the before-window length and is used for both windows. A metric that
+    is not finite on either window (a variance past the float range) is
+    refused with ValueError.
     """
-    if metric is Metric.ENTROPY:
-        if binning is None:
-            binning = BinningSpec(velleman_bins(len(before)))
-        b = window_entropy(returns, before, binning)
-        a = window_entropy(returns, after, binning)
-    elif metric is Metric.STD_DEV:
-        b = _std_dev(slice_values(returns, before))
-        a = _std_dev(slice_values(returns, after))
-    else:
-        b = summarize(returns, before).kurtosis
-        a = summarize(returns, after).kurtosis
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric is Metric.ENTROPY:
+            if binning is None:
+                binning = BinningSpec(velleman_bins(len(before)))
+            b = window_entropy(returns, before, binning)
+            a = window_entropy(returns, after, binning)
+        elif metric is Metric.STD_DEV:
+            b = _std_dev(slice_values(returns, before))
+            a = _std_dev(slice_values(returns, after))
+        else:
+            b = summarize(returns, before).kurtosis
+            a = summarize(returns, after).kurtosis
+    if not (math.isfinite(b) and math.isfinite(a)):
+        raise ValueError(f"{metric.value} is not finite: before={b:g}, after={a:g}")
     return BeforeAfterComparison(metric.value, b, a, pct_difference(b, a))

@@ -95,23 +95,24 @@ def generate(spec: SynthSpec) -> tuple[PriceSeries, list[InjectionRecord]]:
     """
     n = spec.n_days * spec.bars_per_day
     rng = np.random.default_rng(spec.seed)
-    increments = spec.drift + spec.volatility * rng.standard_normal(n - 1)
-
     timestamps = _timestamps(spec)
     log: list[InjectionRecord] = []
-    for shock in sorted(spec.shocks, key=lambda s: s.day_index):
-        day_start = shock.day_index * spec.bars_per_day
-        if shock.shape is ShockShape.SINGLE_BAR:
-            t = max(day_start + spec.bars_per_day // 2, 1)
-            increments[t - 1] += shock.magnitude_sigma * spec.volatility
-            log.append(InjectionRecord(timestamps[t], shock.magnitude_sigma, shock.shape))
-        else:
-            t0 = max(day_start, 1)
-            t1 = day_start + spec.bars_per_day
-            increments[t0 - 1 : t1 - 1] *= shock.magnitude_sigma
-            log.append(InjectionRecord(timestamps[t0], shock.magnitude_sigma, shock.shape))
-
-    closes = spec.start_price * np.exp(np.concatenate(([0.0], np.cumsum(increments))))
+    # Increments or closes that overflow leave an inf or nan, which
+    # PriceSeries refuses in one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = spec.drift + spec.volatility * rng.standard_normal(n - 1)
+        for shock in sorted(spec.shocks, key=lambda s: s.day_index):
+            day_start = shock.day_index * spec.bars_per_day
+            if shock.shape is ShockShape.SINGLE_BAR:
+                t = max(day_start + spec.bars_per_day // 2, 1)
+                increments[t - 1] += shock.magnitude_sigma * spec.volatility
+                log.append(InjectionRecord(timestamps[t], shock.magnitude_sigma, shock.shape))
+            else:
+                t0 = max(day_start, 1)
+                t1 = day_start + spec.bars_per_day
+                increments[t0 - 1 : t1 - 1] *= shock.magnitude_sigma
+                log.append(InjectionRecord(timestamps[t0], shock.magnitude_sigma, shock.shape))
+        closes = spec.start_price * np.exp(np.concatenate(([0.0], np.cumsum(increments))))
     frequency = Frequency.DAILY if spec.bars_per_day == 1 else Frequency.FIVE_MINUTE
     series = PriceSeries(spec.instrument_id, frequency, timestamps, closes)
     return series, log

@@ -1438,6 +1438,8 @@ def _invocations(draw):
         *header, intraday, draw(st.sampled_from([False] * 3 + [True])),
         draw(st.lists(_ROW, max_size=30)), draw(st.sampled_from(["\n", "", "\r\n"])),
     )
+    if draw(st.sampled_from([False] * 9 + [True])):
+        dirty, intraday = _RATIO_OVERFLOWS, True
     clean = serialize_csv(generate(SynthSpec(
         seed=draw(st.integers(0, 50)), n_days=draw(st.integers(2, 12)),
         bars_per_day=draw(st.sampled_from([1, 3, 8])), start_date="2024-01-02",
@@ -1471,7 +1473,21 @@ _UNITS = {
 }
 _CLEAN = serialize_csv(generate(SynthSpec(seed=1, n_days=4, bars_per_day=8,
                                           start_date="2024-01-02"))[0])
+# Consecutive closes whose ratio overflows, then one whose ratio underflows
+# to 0: their log returns are inf and -inf.
+_RATIO_OVERFLOWS = "timestamp,close\n" + "".join(
+    f"2024-01-0{day} {clock},{close}\n" for day in (2, 3, 4) for clock, close in [
+        ("09:30:00", "100.0"), ("09:35:00", "1e-300"), ("09:40:00", "1e300"),
+        ("09:45:00", "1e-300"), ("09:50:00", "100.0"),
+    ]
+)
 _INPUTS = {"in/dirty.csv": "timestamp,close\n2024-01-02 09:30:00,100.0\n", "in/clean.csv": _CLEAN}
+# The clean file, then the overflowing one: one "b: error:" line.
+_OVERFLOWING = json.dumps({
+    "instruments": [{"id": "a", "path": "in/clean.csv", "frequency": "5min"},
+                    {"id": "b", "path": "in/dirty.csv", "frequency": "5min"}],
+    "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
+})
 # The spaced id on an intraday file read as daily: one "b c: error:" line.
 _SPACED = json.dumps({
     "instruments": [{"id": "a", "path": "in/clean.csv", "frequency": "5min"},
@@ -1491,6 +1507,8 @@ _SPACED = json.dumps({
          fault=2)
 @example(invocation=(["compare", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
          fault=1)
+@example(invocation=(["spectrum", "--config", "config.json"], _OVERFLOWING,
+                     {**_INPUTS, "in/dirty.csv": _RATIO_OVERFLOWS}, ["a", "b"]), fault=None)
 def test_every_failure_is_an_exit_code_and_one_line_messages(invocation, fault):
     """``fault`` makes the fault-th rename of an output file raise."""
     argv, config, inputs, ids = invocation
@@ -1538,3 +1556,78 @@ def test_every_failure_is_an_exit_code_and_one_line_messages(invocation, fault):
         suffix = max((s for s in _UNITS[argv[0]] if p.name.endswith(s)), key=len)
         units.setdefault((p.parent, p.name[: -len(suffix)]), set()).add(suffix)
     assert all(found == set(_UNITS[argv[0]]) for found in units.values()), units
+
+
+def _with_closes(text: str, closes: dict[int, str]) -> str:
+    """``text`` of a price CSV with the close of each data row i in
+    ``closes`` replaced by its text."""
+    lines = text.splitlines()
+    for i, close in closes.items():
+        lines[i + 1] = lines[i + 1].split(",")[0] + "," + close
+    return "\n".join(lines) + "\n"
+
+
+# Each case: the bad file's closes by row, the return kind, and the one
+# stderr line (a pattern). A clean file "ok" runs before it. Only compare
+# reports a dispersion, so the variance case runs compare alone.
+_OVERFLOWS = {
+    "ratio overflows": ({40: "1e-300", 41: "1e300"}, "log", r"bad: error: returns must be finite"),
+    "ratio underflows": ({40: "1e300", 41: "1e-300"}, "log", r"bad: error: returns must be finite"),
+    "variance overflows": ({60: "1" + "0" * 200}, "nominal",
+                           r"bad: error: std_dev is not finite: before=[0-9.e-]+, after=inf"),
+}
+
+
+def _run_quietly(argv, capsys):
+    """The exit code and stderr lines of ``main(argv)``, which must raise
+    no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case, (_, kind, _) in _OVERFLOWS.items()
+    for command in (["compare", "spectrum", "pmf"] if kind == "log" else ["compare"])
+])
+def test_overflowing_closes_end_in_one_error_line(case, command, tmp_path, monkeypatch, capsys):
+    closes, kind, message = _OVERFLOWS[case]
+    monkeypatch.chdir(tmp_path)
+    clean = serialize_csv(generate(SynthSpec(seed=1, n_days=12, bars_per_day=8,
+                                             start_date="2024-01-02"))[0])
+    Path("ok.csv").write_text(clean, encoding="utf-8")
+    Path("bad.csv").write_text(_with_closes(clean, closes), encoding="utf-8")
+    Path("c.json").write_text(json.dumps({
+        "instruments": [{"id": "ok", "path": "ok.csv", "frequency": "5min"},
+                        {"id": "bad", "path": "bad.csv", "frequency": "5min"}],
+        "out_dir": "out", "anchor_date": "2024-01-07", "window_days": 3, "return_kind": kind,
+        "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
+    }), encoding="utf-8")
+    extra = {"pmf": ["--day", "2024-01-08", "--span-days", "2", "--instrument", "bad"]}
+    code, lines = _run_quietly([command, "--config", "c.json", *extra.get(command, [])], capsys)
+    assert code == 2
+    assert len(lines) == 1 and re.fullmatch(message, lines[0]), lines
+    made = sorted(p.name for p in Path("out").glob("*")) if Path("out").exists() else []
+    assert not [name for name in made if name.startswith("bad")]
+    if command == "compare":
+        rows = Path("out/compare.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["ok"]
+        assert "inf" not in rows[1] and "nan" not in rows[1]
+    elif command == "spectrum":
+        assert made == ["ok_events.csv", "ok_monthly.csv", "ok_spectrum.csv"]
+    else:
+        assert made == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma", "1000"], ["--mu", "1000"], ["--shock", "1:1e300:single_bar"],
+    ["--sigma", "1e308"], ["--sigma", "1e200", "--shock", "1:1e200:dispersed_day"],
+], ids=["sigma", "mu", "single-bar shock", "sigma near the float range", "dispersed shock"])
+def test_overflowing_synth_path_ends_in_one_error_line(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "4", "--out", "out", *flags]
+    code, lines = _run_quietly(argv, capsys)
+    assert (code, lines) == (2, ["error: closes must be finite and positive"])
+    assert not Path("out").exists()

@@ -314,11 +314,15 @@ def test_granule_prefix_counts_bits_equal_per_value_prefix(g, anchor_mode):
 def _sequence_rows(patterns, anchor_mode):
     # One sequence per row of ``patterns``, each ordered from the edge its
     # windows share, laid end to end in a series and read back as
-    # spectra_for_series reads it: a strided view, reversed for grow-left.
+    # spectra_for_series reads it: grow-right rows of the series, or for
+    # grow-left of a reversed copy of it, whose rows run from each
+    # sequence's right edge in reverse anchor order.
     span = patterns.shape[1]
-    values = patterns if anchor_mode == "grow-right" else patterns[:, ::-1]
-    rows = sliding_window_view(values.ravel(), span)[::span]
-    return rows if anchor_mode == "grow-right" else rows[:, ::-1]
+    values = patterns.ravel()
+    if anchor_mode == "grow-left":
+        series = patterns[::-1, ::-1].ravel()  # sequence j ends at its right edge
+        values = series[::-1].copy()
+    return sliding_window_view(values, span)[::span]
 
 
 def _counts_oracle(window, n_bins):

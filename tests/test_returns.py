@@ -106,6 +106,62 @@ def test_invalid_window_input_is_refused(make, message):
     assert str(caught.value) == message
 
 
+_STAMPS = np.datetime64("2025-01-02", "s") + np.arange(3) * np.timedelta64(1, "D")
+
+
+def _price(timestamps, values):
+    return PriceSeries("t", Frequency.DAILY, timestamps, values)
+
+
+def _return(timestamps, values):
+    return ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, timestamps, values)
+
+
+@pytest.mark.parametrize("make, field, own", [
+    (_price, "closes", [
+        ([1.0, 0.0, 3.0], "closes must be finite and positive"),
+        ([1.0, -np.inf, 3.0], "closes must be finite and positive"),
+    ]),
+    (_return, "values", [([0.1, np.nan, -0.2], "returns must be finite")]),
+], ids=["PriceSeries", "ReturnSeries"])
+def test_series_share_the_stamp_rules_and_keep_their_own(make, field, own):
+    # One shape and one order rule for both classes, with the class's field
+    # named; then each class's rule for its values.
+    shape = f"timestamps and {field} must be 1-d arrays of equal length"
+    cases = [
+        (_STAMPS, [1.0, 2.0], shape),
+        (_STAMPS[None, :], [[1.0, 2.0, 3.0]], shape),
+        (_STAMPS[:1], 1.0, shape),
+        (_STAMPS[::-1], [1.0, 2.0, 3.0], "timestamps must be strictly increasing"),
+        (_STAMPS[[0, 1, 1]], [1.0, 2.0, 3.0], "timestamps must be strictly increasing"),
+    ] + [(_STAMPS, values, message) for values, message in own]
+    for timestamps, values, message in cases:
+        with pytest.raises(ValueError) as caught:
+            make(timestamps, values)
+        assert str(caught.value) == message
+    series = make(_STAMPS.astype("datetime64[D]"), [1, 2, 3])
+    assert series.timestamps.dtype == np.dtype("datetime64[s]")
+    assert getattr(series, field).dtype == np.float64
+    assert len(series) == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_daily([]),
+    lambda: make_daily([100.0, 101.0, 99.0]),
+    lambda: make_returns(np.full(200, 0.01), frequency=Frequency.FIVE_MINUTE, bars_per_day=7),
+    lambda: _restrict_dates(make_returns(np.full(60, 0.01), frequency=Frequency.FIVE_MINUTE,
+                                         bars_per_day=9), "2025-01-03", "2025-01-05"),
+], ids=["empty prices", "daily prices", "intraday returns", "restricted returns"])
+def test_days_is_the_run_index_of_the_dates_taken_once(make):
+    series = make()
+    days, bounds = series.days
+    want_days, want_bounds = runs(series.dates())
+    assert days.tolist() == want_days.tolist() and bounds.tolist() == want_bounds.tolist()
+    assert series.days is series.days  # the series is immutable: its index is kept
+    if len(series) == 0:
+        assert bounds.tolist() == [0] and len(days) == 0
+
+
 def test_values_invariant_under_time_shift():
     closes = [100.0, 103.0, 99.0, 104.0]
     a = log_returns(make_daily(closes, start="2025-01-02"))

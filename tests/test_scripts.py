@@ -47,7 +47,12 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
     assert [c[:3] for c in commands] == [
         ["batch-day", "ingest", "exit=0"], ["batch-day", "compare", "exit=0"],
         ["batch-day", "spectrum", "exit=0"], ["batch-day", "pmf", "exit=0"],
+        ["batch-day", "compare/nominal", "exit=0"], ["batch-day", "spectrum/nominal", "exit=0"],
+        ["batch-day", "compare/daily", "exit=0"], ["batch-day", "spectrum/daily", "exit=0"],
+        ["batch-day", "spectrum/dates", "exit=0"],
         ["onset-bar", "spectrum", "exit=0"], ["per-window", "spectrum", "exit=0"],
+        ["per-window", "spectrum/grow-left", "exit=0"],
+        ["per-window", "spectrum/grow-left-fixed", "exit=0"],
         ["synth", "synth", "exit=0"],
     ]
     files = dict(line.split() for line in lines if " exit=" not in line)
@@ -57,6 +62,18 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
             "onset-bar/report/on00_events.csv", "per-window/report/pe03_monthly.csv",
             "batch-day/pmf/ba03_pmf_day.csv", "batch-day/pmf/ba03_pmf_span.csv",
             "synth/out/sy00.csv", "synth/out/sy00_injections.csv"} <= on_disk
+    # Each variant writes its own files, and none equals the workload's own.
+    for variant, report in [
+        ("batch-day/nominal/compare.csv", "batch-day/report/compare.csv"),
+        ("batch-day/daily/compare.csv", "batch-day/report/compare.csv"),
+        ("batch-day/nominal/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
+        ("batch-day/daily/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
+        ("batch-day/dates/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
+        ("per-window/grow-left/pe00_spectrum.csv", "per-window/report/pe00_spectrum.csv"),
+        ("per-window/grow-left-fixed/pe00_spectrum.csv",
+         "per-window/grow-left/pe00_spectrum.csv"),
+    ]:
+        assert files[variant] != files[report], variant
     assert files["batch-day/report/compare.csv"] == hashlib.sha256(
         (work / "batch-day/report/compare.csv").read_bytes()
     ).hexdigest()

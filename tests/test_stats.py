@@ -208,6 +208,22 @@ def test_compare_propagates_metric_name():
     assert cmp.metric_name == "kurtosis"
 
 
+@pytest.mark.parametrize("metric, big, message", [
+    # One 1e200 squares past the float range: the variance is inf.
+    (Metric.STD_DEV, [1e200], "std_dev is not finite: before=0.00151694, after=inf"),
+    # Values whose sum overflows make the mean inf, and the standardized
+    # moments inf / inf.
+    (Metric.KURTOSIS, [1.5e308, 1.5e308], "kurtosis is not finite: before=-1.2, after=nan"),
+])
+def test_compare_refuses_a_metric_past_the_float_range(metric, big, message):
+    values = np.linspace(-0.005, 0.005, 40)
+    values[30 : 30 + len(big)] = big
+    r = make_returns(values)
+    with pytest.raises(ValueError) as caught:
+        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40), metric)
+    assert str(caught.value) == message
+
+
 def test_summarize_slice_bounds_checked():
     r = make_returns([0.01, 0.02, 0.03, 0.04])
     with pytest.raises(ValueError):
