@@ -6,16 +6,24 @@ Usage:
     python3 scripts/bench_ab.py PARENT CHANGE --workload W --seed S --pairs N --seconds T
 
 Each pair runs ``benchmark/run.py --workload W --seed S --seconds T`` of
-the PARENT checkout and then of the CHANGE checkout, each in a subprocess
-whose working directory is that checkout, so both sides share the host's
-load as evenly as alternation allows. This script only runs the
-benchmarks; it changes no file of either checkout beyond what
-``benchmark/run.py`` itself writes.
+both checkouts, each in a subprocess whose working directory is that
+checkout. The side that runs first alternates, the PARENT on even pairs
+and the CHANGE on odd ones, so both sides share the host's load as evenly
+as alternation allows. This script only runs the benchmarks; it changes
+no file of either checkout beyond what ``benchmark/run.py`` itself
+writes.
 
 One line is printed per run: the pair, the side, ``correct`` and the
 end-to-end metrics of the run's last stdout line. Then each side's
-medians, and the change/parent ratio of each median. The exit code is 1
-when any run is not correct or ends without its JSON line, else 0.
+medians and quartiles (``Q1..Q3``), and the change/parent ratio of each
+median. Last, for each end-to-end metric of the PARENT checkout's
+``BENCHMARK.json`` (read only for its ``better`` direction), one ``gain``
+line applies the rule for claiming a gain: the pairs the change won (ties
+count for neither), whether that is at least nine tenths of the pairs,
+the gap between the medians in the better direction, the parent's spread
+(the distance between its quartiles) and whether the gap exceeds it.
+The exit code is 1 when any run is not correct or ends without its JSON
+line, else 0.
 """
 from __future__ import annotations
 
@@ -60,13 +68,23 @@ def run_once(checkout: Path, args) -> dict | None:
         return None
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, median and third quartile of ``values``,
+    interpolated linearly between order statistics."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
-    values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    runs: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}  # one per pair
     all_correct = True
     for pair in range(args.pairs):
-        for side in SIDES:
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             result = run_once(checkouts[side], args)
             correct = result is not None and result["correct"] is True
             all_correct &= correct
@@ -74,19 +92,37 @@ def main(argv=None) -> int:
             shown = " ".join(f"{name}={m['value']:.6g}" for name, m in metrics.items())
             print(f"pair {pair} {side} correct={str(correct).lower()} {shown}".rstrip(),
                   flush=True)
-            for name, m in metrics.items():
-                values[side].setdefault(name, []).append(m["value"])
-    medians = {
-        side: {name: statistics.median(v) for name, v in values[side].items()} for side in SIDES
-    }
+            runs[side].append({name: m["value"] for name, m in metrics.items()})
+    spread = {side: {} for side in SIDES}
     for side in SIDES:
-        shown = " ".join(f"{name}={m:.6g}" for name, m in medians[side].items())
+        for name in dict.fromkeys(name for run in runs[side] for name in run):
+            spread[side][name] = quartiles([run[name] for run in runs[side] if name in run])
+    for side in SIDES:
+        shown = " ".join(f"{name}={q[1]:.6g}" for name, q in spread[side].items())
         print(f"median {side} {shown}".rstrip())
+    for side in SIDES:
+        shown = " ".join(f"{name}={q[0]:.6g}..{q[2]:.6g}" for name, q in spread[side].items())
+        print(f"quartiles {side} {shown}".rstrip())
+    parent, change = spread["parent"], spread["change"]
     ratios = " ".join(
-        f"{name}={medians['change'][name] / m:.4f}"
-        for name, m in medians["parent"].items() if name in medians["change"] and m
+        f"{name}={change[name][1] / q[1]:.4f}"
+        for name, q in parent.items() if name in change and q[1]
     )
     print(f"ratio change/parent {ratios}".rstrip())
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        if name not in parent or name not in change:
+            continue
+        sign = 1 if metric["better"] == "higher" else -1  # sign * (change - parent) > 0: better
+        wins = sum(
+            sign * (c[name] - p[name]) > 0
+            for p, c in zip(runs["parent"], runs["change"]) if name in p and name in c
+        )
+        gap = sign * (change[name][1] - parent[name][1])
+        iqr = parent[name][2] - parent[name][0]
+        print(f"gain {name} wins={wins}/{args.pairs} "
+              f"nine_tenths={str(wins >= 0.9 * args.pairs).lower()} "
+              f"gap={gap:.6g} parent_iqr={iqr:.6g} gap_exceeds_iqr={str(gap > iqr).lower()}")
     return 0 if all_correct else 1
 
 

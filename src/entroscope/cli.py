@@ -499,22 +499,56 @@ class _Rendered:
         return _text_rows(items)
 
 
+def _records(middles: list[bytes], rows: int, head_width: int, text_width: int):
+    """A template of ``rows`` sequence records and the views of its fields.
+
+    A record holds one sequence's rows: window k's row is a head field of
+    ``head_width`` bytes, ``middles[k]``, a text field of ``text_width``
+    bytes and the line end. The middles and line ends are written here,
+    once per template. Each run of windows whose middles have one length
+    shares one stride between rows, so its head fields and its text fields
+    are each one (rows, windows) view of void items; a block fills them
+    with whole-item copies."""
+    record = b"".join(
+        b"\0" * head_width + middle + b"\0" * text_width + b"\n" for middle in middles
+    )
+    template = np.tile(np.frombuffer(record, dtype=np.uint8), (rows, 1))
+    fields = []
+    lengths, bounds = codec.runs(np.array([len(middle) for middle in middles]))
+    at = 0
+    for length, k0, k1 in zip(lengths.tolist(), bounds.tolist(), bounds[1:].tolist()):
+        stride = head_width + length + text_width + 1
+        shape, strides = (rows, k1 - k0), (len(record), stride)
+        heads = np.ndarray(shape, f"V{head_width}", template, at, strides)
+        texts = np.ndarray(shape, f"V{text_width}", template, at + head_width + length, strides)
+        fields.append((heads, texts, slice(k0, k1)))
+        at += (k1 - k0) * stride
+    return template, fields
+
+
 def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]:
     """The bytes of ``spectrum.csv``, one block of rows at a time. The
     first block's entropies are rendered by ``codec.fixed6``; when more
     blocks follow, their text seeds a ``_Rendered`` cache, and every later
-    block renders only the entropies it does not hold."""
+    block renders only the entropies it does not hold.
+
+    Row (j, k) is sequence j's head ``j,anchor``, window k's middle
+    ``,k,window_len,``, H and the line end. A block's heads and entropy
+    text are copied whole into a ``_records`` template, built once per
+    layout (head width, text width), and the block's bytes are copied out
+    of the template's first records. NUL padding is dropped only from a
+    block whose heads or text hold it: indices of more than one width,
+    anchors that ``codec.stamps`` padded, or entropy text of mixed
+    widths."""
     n_sequences, n_windows = table.values.shape
-    # Row (j, k) is sequence j's "j,anchor", window k's ",k,window_len,"
-    # and H; each of the first two is rendered once and broadcast.
-    middle = codec.columns([
+    middles = codec.rows(
         b",", codec.integers(np.arange(n_windows)), b",",
-        codec.integers(table.spec.lengths), b",",
-    ])
+        codec.integers(table.spec.lengths), b",\n",
+    ).split(b"\n")[:-1]
     anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
     yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
     block = max(1, codec.BLOCK_ROWS // n_windows)
-    rendered = None
+    rendered = layout = None
     for lo in range(0, n_sequences, block):
         hi = min(lo + block, n_sequences)
         head = codec.columns([codec.integers(np.arange(lo, hi)), b",", anchors[lo:hi]])
@@ -525,8 +559,21 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
                 rendered = _Rendered(values, text, table.values.size)
         else:
             text = rendered(values)
-        h = text.reshape(hi - lo, n_windows, -1)
-        yield codec.rows(head[:, None], middle, h, b"\n")
+        if layout != (head.shape[1], text.shape[1]):
+            layout = (head.shape[1], text.shape[1])
+            template, fields = _records(middles, min(block, n_sequences), *layout)
+        heads = _items(head, layout[0])[:, None]
+        texts = _items(text, layout[1]).reshape(hi - lo, n_windows)
+        for head_field, text_field, windows in fields:
+            head_field[: hi - lo] = heads
+            text_field[: hi - lo] = texts[:, windows]
+        padded = head.min() == 0 or text.min() == 0
+        # Records are copied out a quarter block at a time: beside the
+        # template, a part's bytes and their stripped copy then hold half a
+        # block, where a whole block's would hold two.
+        for part in np.array_split(template[: hi - lo], 4):
+            out = part.tobytes()
+            yield out.replace(b"\0", b"") if padded else out
 
 
 def _monthly_csv(table: SpectrumTable) -> bytes:

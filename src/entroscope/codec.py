@@ -31,7 +31,13 @@ value. ``fixed6`` is the one ``%.6f`` renderer; the spectrum writer
 caches its text of earlier blocks. ``columns`` lays such matrices and
 constant separators side by side, broadcasting their leading axes, and
 ``rows`` returns the text of all rows with the padding dropped. Every CSV
-table of the package is rendered this way.
+table of one block is laid out this way. ``spectrum.csv``, whose tables
+run to many blocks, is laid out in fixed sequence records instead
+(``cli._spectrum_csv``): a record holds one sequence's rows, each
+window's ``,k,window_len,`` and line end at fixed offsets, written once
+per template; a block copies its heads and entropy text, rendered here,
+into the record fields as whole void items, and drops NUL only when its
+fields hold padding.
 
 Grouping. ``runs`` is the package's one index of runs of equal
 consecutive values: each run's value and where it begins. Trading days

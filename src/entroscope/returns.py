@@ -96,7 +96,8 @@ def slice_window(
     or after ``start_date``; for intraday series the slice covers every bar
     of those dates.
 
-    Raises OutOfRange when ``start_date`` lies beyond the last observation.
+    Raises OutOfRange when ``start_date`` lies beyond the last observation,
+    or the series has none.
     When fewer than ``trading_days`` dates are available the slice is
     truncated and a warning is issued.
     """
@@ -104,9 +105,9 @@ def slice_window(
         raise ValueError("trading_days must be positive")
     start = np.datetime64(start_date, "D")
     days, bounds = returns.days
-    if start > days[-1]:
-        raise OutOfRange(f"{start} is after the last observation")
     first = int(np.searchsorted(days, start, side="left"))
+    if first == len(days):  # no day at or after ``start``, as in an empty series
+        raise OutOfRange(f"{start} is after the last observation")
     end = min(first + trading_days, len(days))
     if end - first < trading_days:
         warnings.warn(

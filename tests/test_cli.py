@@ -614,6 +614,47 @@ def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
         table, Frequency.FIVE_MINUTE)
 
 
+def _writer_case(case):
+    """A table and its frequency that isolate one block layout of the
+    writer; entropies in [0, 3) all have one text width."""
+    bar = np.timedelta64(300, "s")
+    start = np.datetime64("2025-01-02T09:30:00")
+    frequency = Frequency.FIVE_MINUTE
+    if case == "far-years":
+        # Block 1 of 3 holds years -1 and 10000, whose numpy text is
+        # patched in; 10000 widens every stamp of the block, so the block's
+        # other anchors are padded, and nothing else in it is.
+        n_windows = 4
+        n_sequences = 3 * (codec.BLOCK_ROWS // n_windows)
+        anchors = start + np.arange(n_sequences) * bar
+        anchors[n_sequences // 3 + 7] = np.datetime64("-0001-06-01T09:30:00")
+        anchors[n_sequences // 3 + 8] = np.datetime64("10000-01-01T00:00:05")
+    elif case == "daily":
+        # Three blocks of the default day geometry's 14 windows.
+        n_windows = 14
+        n_sequences = 2 * (codec.BLOCK_ROWS // n_windows) + 5
+        anchors = (start.astype("datetime64[D]") + np.arange(n_sequences)).astype("datetime64[s]")
+        frequency = Frequency.DAILY
+    elif case == "ten-thousand":
+        # Block 1 holds indices 8192..10049: 4 and 5 digits.
+        n_windows = 2
+        n_sequences = 10_050
+        anchors = start + np.arange(n_sequences) * bar
+    else:  # one sequence
+        n_windows = 14
+        n_sequences = 1
+        anchors = start[None]
+    geometry = WindowSequenceSpec(78, 78, n_windows - 1, sequence_count=n_sequences)
+    values = np.random.default_rng(53).random((n_sequences, n_windows)) * 3.0
+    return SpectrumTable(values, anchors, BinningSpec(18), geometry), frequency
+
+
+@pytest.mark.parametrize("case", ["far-years", "daily", "ten-thousand", "one-sequence"])
+def test_spectrum_csv_block_layouts_equal_fstring_rows(case):
+    table, frequency = _writer_case(case)
+    assert b"".join(_spectrum_csv(table, frequency)) == _spectrum_rows(table, frequency)
+
+
 def test_spectrum_csv_of_one_block_builds_no_cache(monkeypatch):
     # A table of one writer block, as every day-stride table of the
     # workloads, renders with fixed6 alone; a second block builds the cache.

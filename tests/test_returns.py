@@ -326,6 +326,12 @@ def test_slice_window_start_beyond_series():
         slice_window(r, "2030-01-01", 10)
 
 
+def test_slice_window_of_empty_series_is_out_of_range():
+    r = make_returns([])
+    with pytest.raises(OutOfRange):
+        slice_window(r, "2025-01-02", 10)
+
+
 def test_slice_window_covers_all_bars_of_selected_days():
     r = make_returns(np.arange(30, dtype=float) / 1e4, frequency=Frequency.FIVE_MINUTE,
                      bars_per_day=10)

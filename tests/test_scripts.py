@@ -87,19 +87,37 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
 
 
 def test_bench_ab_runs_both_sides_in_turn():
-    # Both sides are this checkout: one pair of short per-window runs.
+    # Both sides are this checkout: two pairs of short per-window runs, the
+    # parent first in pair 0 and the change first in pair 1.
     lines = _run_script(
         "bench_ab.py", str(ROOT), str(ROOT), "--workload", "per-window", "--seed", "1",
-        "--pairs", "1", "--seconds", "0.05",
+        "--pairs", "2", "--seconds", "0.05",
     ).splitlines()
-    runs = [line.split() for line in lines[:2]]
+    runs = [line.split() for line in lines[:4]]
     assert [run[:4] for run in runs] == [
         ["pair", "0", "parent", "correct=true"], ["pair", "0", "change", "correct=true"],
+        ["pair", "1", "change", "correct=true"], ["pair", "1", "parent", "correct=true"],
     ]
     names = ["pipeline_s", "peak_rss_mb", "setup_s"]
     for run in runs:
         assert [field.split("=")[0] for field in run[4:]] == names
-    assert [line.split()[:2] for line in lines[2:]] == [
-        ["median", "parent"], ["median", "change"], ["ratio", "change/parent"],
+    assert [line.split()[:2] for line in lines[4:9]] == [
+        ["median", "parent"], ["median", "change"], ["quartiles", "parent"],
+        ["quartiles", "change"], ["ratio", "change/parent"],
     ]
-    assert [field.split("=")[0] for field in lines[4].split()[2:]] == names
+    for line in lines[4:9]:
+        assert [field.split("=")[0] for field in line.split()[2:]] == names
+    q1, q3 = map(float, lines[6].split()[2].split("=")[1].split(".."))
+    assert q1 <= q3
+    # One gain line per end-to-end metric of BENCHMARK.json, in its order.
+    gains = [line.split() for line in lines[9:]]
+    assert [gain[:2] for gain in gains] == [["gain", name] for name in names]
+    for gain in gains:
+        fields = dict(field.split("=") for field in gain[2:])
+        assert list(fields) == ["wins", "nine_tenths", "gap", "parent_iqr", "gap_exceeds_iqr"]
+        wins, pairs = map(int, fields["wins"].split("/"))
+        assert pairs == 2 and 0 <= wins <= 2
+        assert fields["nine_tenths"] == str(wins == 2).lower()
+        gap, iqr = float(fields["gap"]), float(fields["parent_iqr"])
+        if gap != iqr:  # printed to 6 digits, equal ones may differ unprinted
+            assert fields["gap_exceeds_iqr"] == str(gap > iqr).lower()
