@@ -9,10 +9,11 @@ Usage (from the root of a checkout):
 For each workload of ``benchmark/workloads.py`` (which this script only
 reads), the inputs of ``SEED`` are built in ``WORK_DIR/<workload>``, which
 is emptied first, and each of the workload's commands is run through the
-CLI of this checkout in a subprocess. So that all five commands run, two
-more follow: ``pmf`` on ``batch-day``'s report config into
-``batch-day/pmf``, and ``synth`` (seed ``SEED``, one shock) into
-``WORK_DIR/synth/out``. Then the paths no workload runs are run on the
+CLI of this checkout in a subprocess. So that all five commands run, more
+follow: ``pmf`` on ``batch-day``'s report config into ``batch-day/pmf``,
+and ``synth`` (seed ``SEED``, one shock) into ``WORK_DIR/synth/out``,
+then a daily ``synth`` (one bar per day, one shock after day 0) into
+``WORK_DIR/synth/daily``. Then the paths no workload runs are run on the
 inputs already built (see ``VARIANTS``): grow-left sequences under both
 range policies on ``per-window``, and on ``batch-day`` nominal returns,
 daily aggregation and a ``--from-date``/``--to-date`` range. Each such run
@@ -90,6 +91,9 @@ def main(argv: list[str]) -> int:
             runs.append(("synth", ["synth", "--seed", str(seed), "--days", "30",
                                    "--bars-per-day", "78", "--shock", "12:6:dispersed_day",
                                    "--id", "sy00", "--out", "out"]))
+            runs.append(("synth/daily", ["synth", "--seed", str(seed), "--days", "30",
+                                         "--bars-per-day", "1", "--shock", "12:6:single_bar",
+                                         "--id", "sy01", "--out", "daily"]))
         for label, changes, commands in VARIANTS.get(name, []):
             config = json.loads(configs["spectrum"].read_text(encoding="utf-8"))
             config.update(changes, out_dir=str(work / label))

@@ -124,10 +124,11 @@ class IsFileName:
     """``Annotated`` metadata of a config field: the text names a file
     inside a directory: not empty, not ``.`` or ``..``, and without ``/``,
     ``\\`` or a control character (NUL and line ends among them), since
-    the name also starts one-line messages."""
+    the name also starts one-line messages, and without ``,`` or ``"``,
+    since it is also a field of ``compare.csv``."""
 
     def check(self, value, where: str) -> None:
-        if value in ("", ".", "..") or any(c in "/\\\x7f" or c < " " for c in value):
+        if value in ("", ".", "..") or any(c in '/\\,"\x7f' or c < " " for c in value):
             raise ValueError(f"{where}: expected a plain file name, got {value!r}")
 
 
@@ -537,9 +538,8 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
     text are copied whole into a ``_records`` template, built once per
     layout (head width, text width), and the block's bytes are copied out
     of the template's first records. NUL padding is dropped only from a
-    block whose heads or text hold it: indices of more than one width,
-    anchors that ``codec.stamps`` padded, or entropy text of mixed
-    widths."""
+    block whose heads or text hold it: indices of more than one width or
+    entropy text of mixed widths."""
     n_sequences, n_windows = table.values.shape
     middles = codec.rows(
         b",", codec.integers(np.arange(n_windows)), b",",

@@ -27,17 +27,11 @@ per run of equal days, so the bars of one trading day share one
 conversion to ``datetime64[M]``, which gives the year, month and day,
 and copies a clock from a table of every second of the day, rendered once
 per process; so dates and clocks are each rendered once per distinct
-value. ``fixed6`` is the one ``%.6f`` renderer; the spectrum writer
-caches its text of earlier blocks. ``columns`` lays such matrices and
-constant separators side by side, broadcasting their leading axes, and
-``rows`` returns the text of all rows with the padding dropped. Every CSV
-table of one block is laid out this way. ``spectrum.csv``, whose tables
-run to many blocks, is laid out in fixed sequence records instead
-(``cli._spectrum_csv``): a record holds one sequence's rows, each
-window's ``,k,window_len,`` and line end at fixed offsets, written once
-per template; a block copies its heads and entropy text, rendered here,
-into the record fields as whole void items, and drops NUL only when its
-fields hold padding.
+value. It writes only the years 0000..9999 that ``scan_rows`` reads, so
+every stamp it writes reads back, and refuses any other. ``fixed6`` is
+the one ``%.6f`` renderer. ``columns`` lays such matrices and constant
+separators side by side, broadcasting their leading axes, and ``rows``
+returns the text of all rows with the padding dropped.
 
 Grouping. ``runs`` is the package's one index of runs of equal
 consecutive values: each run's value and where it begins. Trading days
@@ -220,16 +214,14 @@ _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=n
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
     """Zero-padded decimal digits of non-negative integers of at most
-    ``width`` digits, one row each; two digits per table lookup. A value
-    that is negative or too wide (an out-of-range year, patched later)
-    gets meaningless digits."""
+    ``width`` digits, one row each; two digits per table lookup."""
     pairs = np.empty((len(values), (width + 1) // 2), dtype=np.uint16)
     rest = values.astype(np.int32 if width <= 8 else np.int64)
     for k in range(pairs.shape[1] - 1, 0, -1):
         quotient = rest // 100  # a division by a constant; % is slower
         pairs[:, k] = _PAIRS.take(rest - quotient * 100)
         rest = quotient
-    pairs[:, 0] = _PAIRS.take(rest, mode="clip")
+    pairs[:, 0] = _PAIRS.take(rest)
     return pairs.view(np.uint8)[:, width % 2 :]
 
 
@@ -248,16 +240,6 @@ def text(strings: list[str]) -> np.ndarray:
     padding."""
     array = np.array([s.encode("utf-8") for s in strings], dtype=bytes)
     return array.view(np.uint8).reshape(len(array), array.itemsize)
-
-
-def _patch(out: np.ndarray, where: np.ndarray, strings: list[str]) -> np.ndarray:
-    """``out`` with the rows at ``where`` replaced by ``strings``."""
-    patch = text(strings)
-    if patch.shape[1] > out.shape[1]:
-        out = np.pad(out, ((0, 0), (0, patch.shape[1] - out.shape[1])))
-    out[where] = 0
-    out[where, : patch.shape[1]] = patch
-    return out
 
 
 def fixed6(values) -> np.ndarray:
@@ -284,7 +266,11 @@ def fixed6(values) -> np.ndarray:
     out = columns(fields)
     if not exact.all():
         python = np.flatnonzero(~exact)
-        out = _patch(out, python, [f"{v:.6f}" for v in values[python].tolist()])
+        patch = text([f"{v:.6f}" for v in values[python].tolist()])
+        if patch.shape[1] > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, patch.shape[1] - out.shape[1])))
+        out[python] = 0
+        out[python, : patch.shape[1]] = patch
     return out
 
 
@@ -306,8 +292,9 @@ def _clocks() -> np.ndarray:
 
 def stamps(timestamps, daily: bool) -> np.ndarray:
     """``YYYY-MM-DD`` (``daily``) or ``YYYY-MM-DD HH:MM:SS`` of each
-    timestamp; years outside 0..9999 and NaT are written as numpy writes
-    them.
+    timestamp. A stamp outside 0000-01-01 00:00:00..9999-12-31 23:59:59
+    (whose text ``scan_rows`` could not read back), or NaT, raises
+    ``ValueError``.
 
     A date is rendered once per run of equal days (``runs``; the bars of
     one trading day) and repeated over its run: the day's ``datetime64[M]``
@@ -321,20 +308,16 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
     months = dates.astype("datetime64[M]")
     year, month = np.divmod(months.view(np.int64), 12)
     year += 1970
+    outside = np.flatnonzero((year < 0) | (year > 9999))  # NaT's year is far below 0
+    if len(outside):
+        stamp = seconds[bounds[outside[0]]].view("datetime64[s]")
+        raise ValueError(f"timestamp {stamp} lies outside years 0000-9999")
     day = (dates - months).view(np.int64) + 1
     out = columns([_digits(year, 4), b"-", _digits(month + 1, 2), b"-", _digits(day, 2)])
     lengths = np.diff(bounds)
     out = np.repeat(out, lengths, axis=0)
     if not daily:
         out = columns([out, _clocks().take(second_of_day, axis=0)])
-    outside = np.flatnonzero(np.repeat((year < 0) | (year > 9999), lengths))
-    if len(outside):
-        numpy_text = np.datetime_as_string(
-            seconds[outside].view("datetime64[s]"), unit="D" if daily else "s"
-        ).tolist()
-        if not daily:  # "YYYY-MM-DDTHH:MM:SS"; NaT keeps its T
-            numpy_text = [s if s == "NaT" else s.replace("T", " ") for s in numpy_text]
-        out = _patch(out, outside, numpy_text)
     return out
 
 

@@ -66,6 +66,8 @@ class SynthSpec:
                 raise ValueError(f"shock magnitude_sigma must be finite, got {shock.magnitude_sigma!r}")
             if not 0 <= shock.day_index < self.n_days:
                 raise ValueError(f"shock day {shock.day_index} outside [0, {self.n_days})")
+            if shock.day_index == 0 and self.bars_per_day == 1:
+                raise ValueError("shock day 0 of a daily series has no return to shock")
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,9 @@ def generate(spec: SynthSpec) -> tuple[PriceSeries, list[InjectionRecord]]:
     Bar t's increment (the log return into bar t) is mu + sigma * z_t for
     t = 1..N-1; close[0] equals the start price exactly. A SINGLE_BAR shock
     lands on the middle bar of its day, a DISPERSED_DAY shock scales the
-    whole day. With bars_per_day == 1 the output is a daily series.
+    whole day (on day 0, every bar but the first, which has no return).
+    With bars_per_day == 1 the output is a daily series, which takes no
+    shock on day 0.
     """
     n = spec.n_days * spec.bars_per_day
     rng = np.random.default_rng(spec.seed)
@@ -104,7 +108,7 @@ def generate(spec: SynthSpec) -> tuple[PriceSeries, list[InjectionRecord]]:
         for shock in sorted(spec.shocks, key=lambda s: s.day_index):
             day_start = shock.day_index * spec.bars_per_day
             if shock.shape is ShockShape.SINGLE_BAR:
-                t = max(day_start + spec.bars_per_day // 2, 1)
+                t = day_start + spec.bars_per_day // 2
                 increments[t - 1] += shock.magnitude_sigma * spec.volatility
                 log.append(InjectionRecord(timestamps[t], shock.magnitude_sigma, shock.shape))
             else:

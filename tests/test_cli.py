@@ -614,21 +614,20 @@ def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
         table, Frequency.FIVE_MINUTE)
 
 
-def _writer_case(case):
+def _writer_case(case, far=("0000-01-01T00:00:00", "9999-12-31T23:59:59")):
     """A table and its frequency that isolate one block layout of the
-    writer; entropies in [0, 3) all have one text width."""
+    writer; entropies in [0, 3) all have one text width. ``far`` are the
+    two anchors that "far-years" puts in block 1 of 3."""
     bar = np.timedelta64(300, "s")
     start = np.datetime64("2025-01-02T09:30:00")
     frequency = Frequency.FIVE_MINUTE
     if case == "far-years":
-        # Block 1 of 3 holds years -1 and 10000, whose numpy text is
-        # patched in; 10000 widens every stamp of the block, so the block's
-        # other anchors are padded, and nothing else in it is.
+        # Block 1 of 3 holds the first and the last stamp of years
+        # 0000..9999, as wide as every other, so nothing in it is padded.
         n_windows = 4
         n_sequences = 3 * (codec.BLOCK_ROWS // n_windows)
         anchors = start + np.arange(n_sequences) * bar
-        anchors[n_sequences // 3 + 7] = np.datetime64("-0001-06-01T09:30:00")
-        anchors[n_sequences // 3 + 8] = np.datetime64("10000-01-01T00:00:05")
+        anchors[n_sequences // 3 + 7 : n_sequences // 3 + 9] = np.array(far, "datetime64[s]")
     elif case == "daily":
         # Three blocks of the default day geometry's 14 windows.
         n_windows = 14
@@ -653,6 +652,20 @@ def _writer_case(case):
 def test_spectrum_csv_block_layouts_equal_fstring_rows(case):
     table, frequency = _writer_case(case)
     assert b"".join(_spectrum_csv(table, frequency)) == _spectrum_rows(table, frequency)
+
+
+@pytest.mark.parametrize("far", [("-001-06-01T09:30:00", "2025-01-02T09:30:00"),
+                                 ("2025-01-02T09:30:00", "10000-01-01T00:00:05"),
+                                 ("NaT", "2025-01-02T09:30:00")])
+def test_spectrum_tables_refuse_anchors_outside_years_0000_9999(far):
+    # Such an anchor's text would not read back: the writer and the monthly
+    # table raise rather than write it.
+    table, frequency = _writer_case("far-years", far)
+    stamp = next(s for s in far if not s.startswith("2025"))
+    with pytest.raises(ValueError, match=f"^timestamp {stamp} lies outside years 0000-9999$"):
+        b"".join(_spectrum_csv(table, frequency))
+    with pytest.raises(ValueError, match="lies outside years 0000-9999$"):
+        _monthly_csv(table)
 
 
 def test_spectrum_csv_of_one_block_builds_no_cache(monkeypatch):
@@ -1078,6 +1091,11 @@ def test_synth_rejects_malformed_shock(tmp_path):
      f"n_days * bars_per_day must be at most 2**60, got {2**60 + 1}"),
     (["--days", str(2**62), "--bars-per-day", "2"],
      f"n_days * bars_per_day must be at most 2**60, got {2**63}"),
+    # Day 0's one bar has no return: no shape can land there.
+    (["--bars-per-day", "1", "--shock", "0:5:dispersed_day"],
+     "shock day 0 of a daily series has no return to shock"),
+    (["--days", "1", "--bars-per-day", "1", "--shock", "0:5:single_bar"],
+     "shock day 0 of a daily series has no return to shock"),
 ])
 def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, message):
     out = tmp_path / "fixtures"
@@ -1088,7 +1106,19 @@ def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "a\\b", "a\0b", "a\nb", "a\x7f"])
+def test_synth_path_past_9999_exits_2_before_any_output(tmp_path, capsys):
+    # Daily bars from 2025-01-02 whose last lies on 10000-01-01: ingest
+    # would drop that row as unparseable, so nothing is written.
+    out = tmp_path / "fixtures"
+    argv = ["synth", "--seed", "1", "--days", "2912808", "--bars-per-day", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: timestamp 10000-01-01T00:00:00 lies outside years 0000-9999\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "a\\b", "a\0b", "a\nb", "a\x7f",
+                                  "SPX,1"])
 def test_synth_bad_id_exits_2_with_one_line_before_any_output(tmp_path, capsys, name):
     # The output directory sits inside "run", so an id that climbs out of
     # it would still write inside "run".
@@ -1155,6 +1185,9 @@ BAD_IDS = {
     "empty": ([""], 0, "expected a plain file name, got ''"),
     "dot": (["."], 0, "expected a plain file name, got '.'"),
     "dot dot": ([".."], 0, "expected a plain file name, got '..'"),
+    # A compare.csv field: a comma adds a column, a quote swallows later rows.
+    "comma": (["SPX,1"], 0, "expected a plain file name, got 'SPX,1'"),
+    "quote": (["a", '"SPX'], 1, "expected a plain file name, got '\"SPX'"),
 }
 
 

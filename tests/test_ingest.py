@@ -6,7 +6,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from entroscope import (
@@ -164,18 +164,45 @@ def test_parse_duplicate_timestamps_keep_first():
     assert diag.dropped == 1
 
 
+# Start days from which 40 daily closes, or 40 bars of 12 a day, stay in
+# years 0000..9999, the years the codec writes and reads.
+_FIRST_DAY = int(np.datetime64("0000-01-01", "D").astype(np.int64))
+_LAST_START = int(np.datetime64("9999-12-31", "D").astype(np.int64)) - 39
+
+
 @settings(max_examples=60)
 @given(
     micro=st.lists(st.integers(1, 500_000_000), min_size=1, max_size=40),
     daily=st.booleans(),
+    start=st.integers(_FIRST_DAY, _LAST_START),
 )
-def test_serialize_parse_roundtrip(micro, daily):
+@example(micro=[1] * 40, daily=True, start=_FIRST_DAY)
+@example(micro=[1] * 40, daily=True, start=_LAST_START)
+@example(micro=[1] * 40, daily=False, start=_LAST_START)
+def test_serialize_parse_roundtrip(micro, daily, start):
     closes = [k / 1e6 for k in micro]
-    series = make_daily(closes) if daily else make_intraday(closes, bars_per_day=12)
+    start = np.datetime64(start, "D")
+    series = make_daily(closes, start) if daily else make_intraday(closes, 12, start)
     parsed, diag = parse_csv(serialize_csv(series), series.frequency, "test")
     assert diag.dropped == 0
     assert np.array_equal(parsed.timestamps, series.timestamps)
     assert np.array_equal(parsed.closes, series.closes)
+
+
+@pytest.mark.parametrize("daily", [True, False], ids=["daily", "intraday"])
+def test_serialize_csv_of_a_series_past_9999_raises(daily):
+    # Its rows in year 10000 would read back as unparseable and be dropped.
+    start = "9999-12-30"
+    series = make_daily([1.0] * 4, start) if daily else make_intraday([1.0] * 6, 2, start)
+    with pytest.raises(ValueError, match="^timestamp 10000-01-01T.* lies outside years 0000-9999$"):
+        serialize_csv(series)
+
+
+def test_serialize_csv_of_a_nat_stamp_raises():
+    # One stamp has no order to check, so PriceSeries holds NaT.
+    series = PriceSeries("t", Frequency.FIVE_MINUTE, np.array(["NaT"], dtype="datetime64[s]"), [1.0])
+    with pytest.raises(ValueError, match="^timestamp NaT lies outside years 0000-9999$"):
+        serialize_csv(series)
 
 
 # ----------------------------------------------------------------------
@@ -633,7 +660,24 @@ def test_integers_equal_str():
     assert text.splitlines() == [str(v) for v in values]
 
 
+# The stamps ``stamps`` writes: those whose text ``scan_rows`` reads back.
+_FIRST_STAMP = np.datetime64("0000-01-01T00:00:00")
+_LAST_STAMP = np.datetime64("9999-12-31T23:59:59")
+
+
 def _assert_stamps_equal_numpy(stamps_in, daily):
+    """``stamps`` of the stamps in years 0000..9999 equal numpy's text. If
+    there are others (NaT compares outside), ``stamps`` of the whole input
+    raises, naming the first, and so does ``stamps`` of each alone."""
+    inside = (stamps_in >= _FIRST_STAMP) & (stamps_in <= _LAST_STAMP)
+    if not inside.all():
+        outside = stamps_in[~inside]
+        with pytest.raises(ValueError, match=f"^timestamp {outside[0]} lies outside years 0000-9999$"):
+            stamps(stamps_in, daily)
+        for stamp in outside:
+            with pytest.raises(ValueError, match=f"^timestamp {stamp} lies outside"):
+                stamps(stamp[None], daily)
+        stamps_in = stamps_in[inside]
     want = np.datetime_as_string(stamps_in, unit="D" if daily else "s").tolist()
     if not daily:
         want = [s if s == "NaT" else s.replace("T", " ") for s in want]
@@ -644,7 +688,7 @@ def _assert_stamps_equal_numpy(stamps_in, daily):
 
 @pytest.mark.parametrize("daily", [True, False])
 def test_stamps_equal_numpy(daily):
-    # Years outside 0..9999 and NaT are handed to numpy's own text.
+    # Years outside 0..9999 and NaT are refused; the others equal numpy's text.
     stamps_in = np.array([
         f"{y}-{md}T{hms}"
         for y in ("0000", "0001", "1969", "1970", "9999", "10000", "-001")
@@ -654,8 +698,8 @@ def test_stamps_equal_numpy(daily):
 
 
 def test_every_second_of_a_day_renders_like_numpy():
-    # Every row of the clock table, in one call with NaT and years outside
-    # 0..9999, which numpy renders.
+    # Every row of the clock table; with NaT and years outside 0..9999 in
+    # the same call, the call is refused.
     day = np.datetime64("2025-03-14T00:00:00") + np.arange(86400) * np.timedelta64(1, "s")
     odd = np.array(["NaT", "10000-01-01T23:59:59", "-001-12-31T00:00:01"], dtype="datetime64[s]")
     _assert_stamps_equal_numpy(np.concatenate([day[:40000], odd, day[40000:]]), daily=False)

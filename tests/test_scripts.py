@@ -21,13 +21,6 @@ def _run_script(name, *args):
     return proc.stdout
 
 
-def test_shock_demo_detects_the_shock_only():
-    quiet, shocked = _run_script("shock_demo.py").split("--- with dispersed-day shock")
-    assert "  detected: none" in quiet.splitlines()
-    assert "detected: onset" not in quiet
-    assert sum(line.strip().startswith("detected: onset") for line in shocked.splitlines()) == 1
-
-
 def test_calibrate_detector_default_row():
     rows = [line.split() for line in _run_script("calibrate_detector.py", "--seeds", "5").splitlines()]
     assert ["3.0", "2", "0", "100"] in rows
@@ -53,7 +46,7 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ["onset-bar", "spectrum", "exit=0"], ["per-window", "spectrum", "exit=0"],
         ["per-window", "spectrum/grow-left", "exit=0"],
         ["per-window", "spectrum/grow-left-fixed", "exit=0"],
-        ["synth", "synth", "exit=0"],
+        ["synth", "synth", "exit=0"], ["synth", "synth/daily", "exit=0"],
     ]
     files = dict(line.split() for line in lines if " exit=" not in line)
     on_disk = {p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file()}
@@ -61,7 +54,8 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
     assert {"batch-day/raw/ba00.csv", "batch-day/report/compare.csv",
             "onset-bar/report/on00_events.csv", "per-window/report/pe03_monthly.csv",
             "batch-day/pmf/ba03_pmf_day.csv", "batch-day/pmf/ba03_pmf_span.csv",
-            "synth/out/sy00.csv", "synth/out/sy00_injections.csv"} <= on_disk
+            "synth/out/sy00.csv", "synth/out/sy00_injections.csv",
+            "synth/daily/sy01.csv", "synth/daily/sy01_injections.csv"} <= on_disk
     # Each variant writes its own files, and none equals the workload's own.
     for variant, report in [
         ("batch-day/nominal/compare.csv", "batch-day/report/compare.csv"),

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroscope import (
     Frequency,
@@ -144,6 +148,41 @@ def test_non_finite_shock_magnitude_rejected(value):
     shock = Shock(1, value, ShockShape.DISPERSED_DAY)
     with pytest.raises(ValueError, match="^shock magnitude_sigma must be finite"):
         SynthSpec(seed=1, n_days=3, bars_per_day=2, shocks=(shock,))
+
+
+@pytest.mark.parametrize("n_days", [1, 3])
+@pytest.mark.parametrize("shape", list(ShockShape))
+def test_shock_on_day_0_of_a_daily_series_is_refused(shape, n_days):
+    # Day 0's one bar is the start price and has no return to shock.
+    with pytest.raises(ValueError, match="^shock day 0 of a daily series has no return to shock$"):
+        SynthSpec(seed=1, n_days=n_days, bars_per_day=1, shocks=(Shock(0, 5.0, shape),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bars_per_day=st.sampled_from([1, 2, 78]),
+    n_days=st.integers(2, 5),
+    shape=st.sampled_from(list(ShockShape)),
+    magnitude=st.floats(2.0, 20.0),
+    data=st.data(),
+)
+def test_shock_changes_returns_of_its_day_only(
+    seed, bars_per_day, n_days, shape, magnitude, data
+):
+    # Against the same seed's unshocked run: the logged bar's return moves
+    # beyond rounding, and no return into a bar of another day moves.
+    day = data.draw(st.integers(1 if bars_per_day == 1 else 0, n_days - 1))
+    quiet = SynthSpec(seed=seed, n_days=n_days, bars_per_day=bars_per_day)
+    base, _ = generate(quiet)
+    shocked, log = generate(replace(quiet, shocks=(Shock(day, magnitude, shape),)))
+    returns = log_returns(shocked)
+    moved = np.abs(returns.values - log_returns(base).values) > 1e-12
+    days = returns.timestamps.astype("datetime64[D]")
+    assert not moved[days != np.datetime64("2025-01-02") + day].any()
+    assert [rec.shape for rec in log] == [shape]
+    logged = np.searchsorted(returns.timestamps, log[0].timestamp)
+    assert returns.timestamps[logged] == log[0].timestamp and moved[logged]
 
 
 def test_emitted_csv_flows_through_parser():
