@@ -22,6 +22,13 @@ line applies the rule for claiming a gain: the pairs the change won (ties
 count for neither), whether that is at least nine tenths of the pairs,
 the gap between the medians in the better direction, the parent's spread
 (the distance between its quartiles) and whether the gap exceeds it.
+Then, for each such metric, one ``regression`` line applies the rule for
+claiming no regression: ``worse_by``, how far the change's median lies
+from the parent's in the worse direction, and ``spread``, the parent's
+quartile distance, each as a share of the parent's median, beside the
+metric's ``bound``. The verdict is ``worse`` when ``worse_by`` exceeds the
+bound, else ``unresolved`` when ``spread`` exceeds it and some change run
+does not beat every parent run, else ``ok``.
 The exit code is 1 when any run is not correct or ends without its JSON
 line, else 0.
 """
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -109,8 +117,9 @@ def main(argv=None) -> int:
         for name, q in parent.items() if name in change and q[1]
     )
     print(f"ratio change/parent {ratios}".rstrip())
+    regressions = []  # printed after every gain line
     for metric in benchmark["end_to_end"]:
-        name = metric["name"]
+        name, bound = metric["name"], metric["bound"]
         if name not in parent or name not in change:
             continue
         sign = 1 if metric["better"] == "higher" else -1  # sign * (change - parent) > 0: better
@@ -123,6 +132,18 @@ def main(argv=None) -> int:
         print(f"gain {name} wins={wins}/{args.pairs} "
               f"nine_tenths={str(wins >= 0.9 * args.pairs).lower()} "
               f"gap={gap:.6g} parent_iqr={iqr:.6g} gap_exceeds_iqr={str(gap > iqr).lower()}")
+        base = parent[name][1] or math.nan  # no share of a zero median
+        worse_by, spread_share = -gap / base, iqr / base
+        beats = all(
+            sign * (c[name] - p[name]) > 0
+            for p in runs["parent"] if name in p for c in runs["change"] if name in c
+        )
+        verdict = ("worse" if worse_by > bound else
+                   "ok" if spread_share <= bound or beats else "unresolved")
+        regressions.append(f"regression {name} worse_by={worse_by:.4g} bound={bound:g} "
+                           f"spread={spread_share:.4g} verdict={verdict}")
+    for line in regressions:
+        print(line)
     return 0 if all_correct else 1
 
 

@@ -27,11 +27,12 @@ per run of equal days, so the bars of one trading day share one
 conversion to ``datetime64[M]``, which gives the year, month and day,
 and copies a clock from a table of every second of the day, rendered once
 per process; so dates and clocks are each rendered once per distinct
-value. It writes only the years 0000..9999 that ``scan_rows`` reads, so
-every stamp it writes reads back, and refuses any other. ``fixed6`` is
-the one ``%.6f`` renderer. ``columns`` lays such matrices and constant
-separators side by side, broadcasting their leading axes, and ``rows``
-returns the text of all rows with the padding dropped.
+value. It is given stamps of a series, which ``ingest.Stamped`` keeps in
+the years 0000..9999 that ``scan_rows`` reads, so every stamp it writes
+reads back. ``fixed6`` is the one ``%.6f`` renderer. ``columns`` lays
+such matrices and constant separators side by side, broadcasting their
+leading axes, and ``rows`` returns the text of all rows with the padding
+dropped.
 
 Grouping. ``runs`` is the package's one index of runs of equal
 consecutive values: each run's value and where it begins. Trading days
@@ -292,9 +293,8 @@ def _clocks() -> np.ndarray:
 
 def stamps(timestamps, daily: bool) -> np.ndarray:
     """``YYYY-MM-DD`` (``daily``) or ``YYYY-MM-DD HH:MM:SS`` of each
-    timestamp. A stamp outside 0000-01-01 00:00:00..9999-12-31 23:59:59
-    (whose text ``scan_rows`` could not read back), or NaT, raises
-    ``ValueError``.
+    timestamp, one in 0000-01-01 00:00:00..9999-12-31 23:59:59, as every
+    stamp of a series is (``ingest.Stamped``).
 
     A date is rendered once per run of equal days (``runs``; the bars of
     one trading day) and repeated over its run: the day's ``datetime64[M]``
@@ -308,10 +308,6 @@ def stamps(timestamps, daily: bool) -> np.ndarray:
     months = dates.astype("datetime64[M]")
     year, month = np.divmod(months.view(np.int64), 12)
     year += 1970
-    outside = np.flatnonzero((year < 0) | (year > 9999))  # NaT's year is far below 0
-    if len(outside):
-        stamp = seconds[bounds[outside[0]]].view("datetime64[s]")
-        raise ValueError(f"timestamp {stamp} lies outside years 0000-9999")
     day = (dates - months).view(np.int64) + 1
     out = columns([_digits(year, 4), b"-", _digits(month + 1, 2), b"-", _digits(day, 2)])
     lengths = np.diff(bounds)

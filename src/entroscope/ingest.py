@@ -52,6 +52,9 @@ class Frequency(Enum):
 
 DEFAULT_DEDUP_RUN_LENGTH = 6  # 6 five-minute bars = 30 minutes
 
+# The first and the last stamp a series may hold (see ``Stamped``).
+_FIRST_STAMP, _LAST_STAMP = np.array(["0000-01-01", "9999-12-31T23:59:59"], "datetime64[s]")
+
 
 @dataclass
 class Diagnostics:
@@ -67,6 +70,13 @@ class Stamped:
     ``datetime64[s]``, strictly increasing, and the values field named by
     ``_values`` as float64, both 1-d and of equal length. A class adds its
     own rule for its values in ``_check``.
+
+    Every stamp lies in 0000-01-01T00:00:00..9999-12-31T23:59:59, the
+    years whose text ``codec.scan_rows`` reads, so ``codec.stamps`` writes
+    every stamp of a series, and every stamp taken from one, as text that
+    reads back. NaT, which no order check can see in a series of one, and
+    any other stamp are refused, naming the first. Stamps ascend, so a
+    series that keeps the rule pays for comparing its first and last.
 
     ``days`` is the series' trading-day index, ``codec.runs`` of its dates:
     the distinct dates and where each begins, so days i..j-1 are
@@ -84,6 +94,9 @@ class Stamped:
             raise ValueError(f"timestamps and {self._values} must be 1-d arrays of equal length")
         if len(ts) > 1 and not np.all(ts[1:] > ts[:-1]):
             raise ValueError("timestamps must be strictly increasing")
+        if len(ts) and not (_FIRST_STAMP <= ts[0] and ts[-1] <= _LAST_STAMP):  # False for NaT
+            outside = ts[~((_FIRST_STAMP <= ts) & (ts <= _LAST_STAMP))]
+            raise ValueError(f"timestamp {outside[0]} lies outside years 0000-9999")
         self._check(ts, vals)
 
     def __len__(self) -> int:
@@ -284,7 +297,14 @@ def parse_csv_file(
 def serialize_csv(series: PriceSeries) -> str:
     """Render a PriceSeries in the normalized format: header 'timestamp,close',
     closes with 6 decimal places. parse_csv of the result reproduces the
-    series whenever the closes are representable at that precision."""
+    series whenever the closes are representable at that precision.
+
+    A close whose text is zero (one below 5e-7) would read back as
+    non-positive and be dropped, so a series holding one raises
+    ``ValueError``, naming its lowest close and that close's stamp."""
+    if f"{np.min(series.closes, initial=np.inf):.6f}" == "0.000000":  # monotone in the close
+        i = series.closes.argmin()
+        raise ValueError(f"close {series.closes[i]:g} at {series.timestamps[i]} prints as zero")
     daily = series.frequency is Frequency.DAILY
     body = b"".join(
         codec.rows(

@@ -113,6 +113,21 @@ def test_ingest_continues_past_undecodable_file(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["good.csv"]
 
 
+def test_ingest_refuses_a_close_that_prints_as_zero(tmp_path, capsys):
+    # 0.000000 would read back as non-positive and be dropped, so the
+    # instrument fails in one line and writes no file; the others run.
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("timestamp,close\n2025-01-02,1.5\n2025-01-03,0.0000001\n"
+                    "2025-01-06,1.6\n2025-01-07,1.7\n")
+    good, _, _ = write_synth_fixture(tmp_path, name="good")
+    config = write_config(tmp_path, [("tiny", tiny, "daily"), ("good", good, "5min")])
+    assert main(["ingest", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "tiny: error: close 1e-07 at 2025-01-03T00:00:00 prints as zero\n"
+    assert captured.out.startswith("good: rows=")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["good.csv"]
+
+
 def test_ingest_unparseable_file_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("timestamp,close\n")
@@ -614,10 +629,9 @@ def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
         table, Frequency.FIVE_MINUTE)
 
 
-def _writer_case(case, far=("0000-01-01T00:00:00", "9999-12-31T23:59:59")):
+def _writer_case(case):
     """A table and its frequency that isolate one block layout of the
-    writer; entropies in [0, 3) all have one text width. ``far`` are the
-    two anchors that "far-years" puts in block 1 of 3."""
+    writer; entropies in [0, 3) all have one text width."""
     bar = np.timedelta64(300, "s")
     start = np.datetime64("2025-01-02T09:30:00")
     frequency = Frequency.FIVE_MINUTE
@@ -627,7 +641,8 @@ def _writer_case(case, far=("0000-01-01T00:00:00", "9999-12-31T23:59:59")):
         n_windows = 4
         n_sequences = 3 * (codec.BLOCK_ROWS // n_windows)
         anchors = start + np.arange(n_sequences) * bar
-        anchors[n_sequences // 3 + 7 : n_sequences // 3 + 9] = np.array(far, "datetime64[s]")
+        anchors[n_sequences // 3 + 7 : n_sequences // 3 + 9] = np.array(
+            ["0000-01-01T00:00:00", "9999-12-31T23:59:59"], "datetime64[s]")
     elif case == "daily":
         # Three blocks of the default day geometry's 14 windows.
         n_windows = 14
@@ -652,20 +667,6 @@ def _writer_case(case, far=("0000-01-01T00:00:00", "9999-12-31T23:59:59")):
 def test_spectrum_csv_block_layouts_equal_fstring_rows(case):
     table, frequency = _writer_case(case)
     assert b"".join(_spectrum_csv(table, frequency)) == _spectrum_rows(table, frequency)
-
-
-@pytest.mark.parametrize("far", [("-001-06-01T09:30:00", "2025-01-02T09:30:00"),
-                                 ("2025-01-02T09:30:00", "10000-01-01T00:00:05"),
-                                 ("NaT", "2025-01-02T09:30:00")])
-def test_spectrum_tables_refuse_anchors_outside_years_0000_9999(far):
-    # Such an anchor's text would not read back: the writer and the monthly
-    # table raise rather than write it.
-    table, frequency = _writer_case("far-years", far)
-    stamp = next(s for s in far if not s.startswith("2025"))
-    with pytest.raises(ValueError, match=f"^timestamp {stamp} lies outside years 0000-9999$"):
-        b"".join(_spectrum_csv(table, frequency))
-    with pytest.raises(ValueError, match="lies outside years 0000-9999$"):
-        _monthly_csv(table)
 
 
 def test_spectrum_csv_of_one_block_builds_no_cache(monkeypatch):
@@ -1096,6 +1097,10 @@ def test_synth_rejects_malformed_shock(tmp_path):
      "shock day 0 of a daily series has no return to shock"),
     (["--days", "1", "--bars-per-day", "1", "--shock", "0:5:single_bar"],
      "shock day 0 of a daily series has no return to shock"),
+    # A path that decays below 5e-7 (the message names its lowest close):
+    # 0.000000 would be written, which ingest drops as non-positive.
+    (["--days", "30", "--bars-per-day", "1", "--mu", "-1", "--sigma", "0.01"],
+     "close 2.48831e-11 at 2025-01-31T00:00:00 prints as zero"),
 ])
 def test_synth_invalid_spec_exits_2_with_one_line(tmp_path, capsys, flags, message):
     out = tmp_path / "fixtures"

@@ -16,6 +16,8 @@ from entroscope import (
     Frequency,
     MalformedCsv,
     PriceSeries,
+    ReturnKind,
+    ReturnSeries,
     aggregate_to_daily,
     dedup_closed_market,
     parse_csv,
@@ -189,20 +191,59 @@ def test_serialize_parse_roundtrip(micro, daily, start):
     assert np.array_equal(parsed.closes, series.closes)
 
 
-@pytest.mark.parametrize("daily", [True, False], ids=["daily", "intraday"])
-def test_serialize_csv_of_a_series_past_9999_raises(daily):
-    # Its rows in year 10000 would read back as unparseable and be dropped.
-    start = "9999-12-30"
-    series = make_daily([1.0] * 4, start) if daily else make_intraday([1.0] * 6, 2, start)
-    with pytest.raises(ValueError, match="^timestamp 10000-01-01T.* lies outside years 0000-9999$"):
-        serialize_csv(series)
+@pytest.mark.parametrize("frequency, ends", [
+    (Frequency.DAILY, ["9999-12-29", "9999-12-30", "9999-12-31"]),
+    (Frequency.DAILY, ["0000-01-01", "9999-12-31"]),
+    (Frequency.FIVE_MINUTE, ["0000-01-01T00:00:00", "0000-01-01T09:30:00", "9999-12-31T09:30:00",
+                             "9999-12-31T23:59:59"]),
+], ids=["daily to 9999-12-31", "daily 0000 to 9999", "intraday 0000 to 9999"])
+def test_series_at_the_ends_of_years_0000_9999_round_trip(frequency, ends):
+    closes = np.arange(1.0, len(ends) + 1)
+    series = PriceSeries("t", frequency, np.array(ends, "datetime64[s]"), closes)
+    parsed, diag = parse_csv(serialize_csv(series), frequency, "t")
+    assert diag.dropped == 0
+    assert np.array_equal(parsed.timestamps, series.timestamps)
+    assert np.array_equal(parsed.closes, series.closes)
 
 
-def test_serialize_csv_of_a_nat_stamp_raises():
-    # One stamp has no order to check, so PriceSeries holds NaT.
-    series = PriceSeries("t", Frequency.FIVE_MINUTE, np.array(["NaT"], dtype="datetime64[s]"), [1.0])
-    with pytest.raises(ValueError, match="^timestamp NaT lies outside years 0000-9999$"):
-        serialize_csv(series)
+_SERIES_OF = {
+    "intraday prices": lambda ts: PriceSeries("t", Frequency.FIVE_MINUTE, ts, np.ones(len(ts))),
+    "daily prices": lambda ts: PriceSeries("t", Frequency.DAILY, ts, np.ones(len(ts))),
+    "returns": lambda ts: ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, ts, np.ones(len(ts))),
+}
+
+
+@pytest.mark.parametrize("stamps_in, first", [
+    (["NaT"], "NaT"),
+    (["-001-12-31T23:59:59", "0000-01-01T00:00:00"], "-001-12-31T23:59:59"),
+    (["9999-12-31T23:59:59", "10000-01-01T00:00:00"], "10000-01-01T00:00:00"),
+    (["9999-12-30", "9999-12-31", "10000-01-01", "10000-01-02"], "10000-01-01T00:00:00"),
+], ids=["NaT alone", "a second before 0000", "a second past 9999", "days past 9999"])
+@pytest.mark.parametrize("kind", list(_SERIES_OF))
+def test_series_refuse_stamps_outside_years_0000_9999(kind, stamps_in, first):
+    # Their text would not read back. NaT alone has no order to check, and
+    # in a daily series the rule runs before the time-of-day rule.
+    with pytest.raises(ValueError) as caught:
+        _SERIES_OF[kind](np.array(stamps_in, "datetime64[s]"))
+    assert str(caught.value) == f"timestamp {first} lies outside years 0000-9999"
+
+
+def test_serialize_csv_refuses_a_close_that_prints_as_zero():
+    # Such a close would read back as 0 and be dropped as non-positive;
+    # the refusal follows f"{v:.6f}" exactly, on both sides of its edge.
+    for close in [4.9e-7, 5e-7, np.nextafter(5e-7, 1.0), 5.1e-7]:
+        series = make_daily([1.5, close, 1.6, 1.7])
+        if f"{close:.6f}" == "0.000000":
+            with pytest.raises(ValueError) as caught:
+                serialize_csv(series)
+            assert str(caught.value) == f"close {close:g} at 2025-01-03T00:00:00 prints as zero"
+        else:
+            parsed, diag = parse_csv(serialize_csv(series), Frequency.DAILY, "t")
+            assert (len(parsed), diag.dropped) == (4, 0)
+    assert [f"{v:.6f}" for v in (4.9e-7, 5e-7, np.nextafter(5e-7, 1.0), 5.1e-7)] == [
+        "0.000000", "0.000000", "0.000001", "0.000001"]
+    with pytest.raises(ValueError, match="^close 1e-07 at 2025-01-04T00:00:00 prints as zero$"):
+        serialize_csv(make_daily([1.5, 4e-7, 1e-7, 1.7]))  # the lowest is named
 
 
 # ----------------------------------------------------------------------
@@ -666,21 +707,23 @@ _LAST_STAMP = np.datetime64("9999-12-31T23:59:59")
 
 
 def _assert_stamps_equal_numpy(stamps_in, daily):
-    """``stamps`` of the stamps in years 0000..9999 equal numpy's text. If
-    there are others (NaT compares outside), ``stamps`` of the whole input
-    raises, naming the first, and so does ``stamps`` of each alone."""
+    """``stamps`` of the stamps in years 0000..9999 equal numpy's text. A
+    series holds no other stamp (NaT compares outside): each alone, and the
+    distinct ones other than NaT in order, are refused when the series is
+    built, naming the first."""
     inside = (stamps_in >= _FIRST_STAMP) & (stamps_in <= _LAST_STAMP)
-    if not inside.all():
-        outside = stamps_in[~inside]
-        with pytest.raises(ValueError, match=f"^timestamp {outside[0]} lies outside years 0000-9999$"):
-            stamps(stamps_in, daily)
-        for stamp in outside:
-            with pytest.raises(ValueError, match=f"^timestamp {stamp} lies outside"):
-                stamps(stamp[None], daily)
-        stamps_in = stamps_in[inside]
+    refused = [stamp[None] for stamp in stamps_in[~inside]]
+    if (~inside & ~np.isnat(stamps_in)).any():
+        refused.append(np.unique(stamps_in[~np.isnat(stamps_in)]))
+    for held in refused:
+        first = held[~((held >= _FIRST_STAMP) & (held <= _LAST_STAMP))][0]
+        with pytest.raises(ValueError, match=f"^timestamp {first} lies outside years 0000-9999$"):
+            PriceSeries("t", Frequency.DAILY if daily else Frequency.FIVE_MINUTE, held,
+                        np.ones(len(held)))
+    stamps_in = stamps_in[inside]
     want = np.datetime_as_string(stamps_in, unit="D" if daily else "s").tolist()
     if not daily:
-        want = [s if s == "NaT" else s.replace("T", " ") for s in want]
+        want = [s.replace("T", " ") for s in want]
     out = stamps(stamps_in, daily)
     assert len(out) == len(stamps_in)
     assert rows(out, b"\n").decode("ascii").splitlines() == want
@@ -688,7 +731,8 @@ def _assert_stamps_equal_numpy(stamps_in, daily):
 
 @pytest.mark.parametrize("daily", [True, False])
 def test_stamps_equal_numpy(daily):
-    # Years outside 0..9999 and NaT are refused; the others equal numpy's text.
+    # Years outside 0..9999 and NaT are refused by a series; the others
+    # equal numpy's text.
     stamps_in = np.array([
         f"{y}-{md}T{hms}"
         for y in ("0000", "0001", "1969", "1970", "9999", "10000", "-001")
@@ -698,8 +742,8 @@ def test_stamps_equal_numpy(daily):
 
 
 def test_every_second_of_a_day_renders_like_numpy():
-    # Every row of the clock table; with NaT and years outside 0..9999 in
-    # the same call, the call is refused.
+    # Every row of the clock table; NaT and years outside 0..9999 among
+    # them are refused by a series.
     day = np.datetime64("2025-03-14T00:00:00") + np.arange(86400) * np.timedelta64(1, "s")
     odd = np.array(["NaT", "10000-01-01T23:59:59", "-001-12-31T00:00:01"], dtype="datetime64[s]")
     _assert_stamps_equal_numpy(np.concatenate([day[:40000], odd, day[40000:]]), daily=False)

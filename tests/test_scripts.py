@@ -1,9 +1,13 @@
 """Smoke tests of the runnable experiments in scripts/."""
 import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,8 +107,9 @@ def test_bench_ab_runs_both_sides_in_turn():
         assert [field.split("=")[0] for field in line.split()[2:]] == names
     q1, q3 = map(float, lines[6].split()[2].split("=")[1].split(".."))
     assert q1 <= q3
-    # One gain line per end-to-end metric of BENCHMARK.json, in its order.
-    gains = [line.split() for line in lines[9:]]
+    # One gain line per end-to-end metric of BENCHMARK.json, in its order,
+    # then one regression line per metric.
+    gains = [line.split() for line in lines[9:12]]
     assert [gain[:2] for gain in gains] == [["gain", name] for name in names]
     for gain in gains:
         fields = dict(field.split("=") for field in gain[2:])
@@ -115,3 +120,42 @@ def test_bench_ab_runs_both_sides_in_turn():
         gap, iqr = float(fields["gap"]), float(fields["parent_iqr"])
         if gap != iqr:  # printed to 6 digits, equal ones may differ unprinted
             assert fields["gap_exceeds_iqr"] == str(gap > iqr).lower()
+    bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]}
+    regressions = [line.split() for line in lines[12:]]
+    assert [regression[:2] for regression in regressions] == [["regression", n] for n in names]
+    for regression in regressions:
+        fields = dict(field.split("=") for field in regression[2:])
+        assert list(fields) == ["worse_by", "bound", "spread", "verdict"]
+        worse_by, bound, spread = (float(fields[k]) for k in ("worse_by", "bound", "spread"))
+        assert bound == bounds[regression[1]] and spread >= 0
+        assert fields["verdict"] in ("ok", "worse", "unresolved")
+        if worse_by > bound:
+            assert fields["verdict"] == "worse"
+        elif worse_by < bound and spread < bound:  # printed to 4 digits: equal ones may differ
+            assert fields["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ([1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "ok"),
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "worse"),
+    ([1.0, 2.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0], "unresolved"),  # spread 2/3 > bound 0.25
+    ([1.0, 2.0, 1.0, 2.0], [0.5, 0.9, 0.5, 0.9], "ok"),  # as wide, but every change run beats
+    ([1.0, 2.0, 1.0, 2.0], [1.0, 3.0, 1.0, 3.0], "worse"),  # median 2 against 1.5
+])
+def test_bench_ab_regression_verdicts(tmp_path, monkeypatch, capsys, parent, change, verdict):
+    # pipeline_s (lower is better, bound 0.25) of four pairs of given runs,
+    # judged under the parent checkout's BENCHMARK.json.
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    values = {tmp_path / "parent": iter(parent), tmp_path / "change": iter(change)}
+    monkeypatch.setattr(bench_ab, "run_once", lambda checkout, args: {
+        "correct": True, "metrics": {"pipeline_s": {"value": next(values[checkout])}}})
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "1",
+            "--pairs", "4", "--seconds", "1"]
+    assert bench_ab.main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("regression pipeline_s ") and line.endswith(f" verdict={verdict}")
