@@ -3,15 +3,16 @@
 
 Usage:
 
-    python3 scripts/bench_ab.py PARENT CHANGE --workload W --seed S --pairs N --seconds T
+    python3 scripts/bench_ab.py PARENT CHANGE --workload W [W ...] --seed S --pairs N --seconds T
 
-Each pair runs ``benchmark/run.py --workload W --seed S --seconds T`` of
-both checkouts, each in a subprocess whose working directory is that
-checkout. The side that runs first alternates, the PARENT on even pairs
-and the CHANGE on odd ones, so both sides share the host's load as evenly
-as alternation allows. This script only runs the benchmarks; it changes
-no file of either checkout beyond what ``benchmark/run.py`` itself
-writes.
+The workloads are run in turn, all pairs of one before the next, and each
+prints the lines below after a ``workload W`` line. Each pair runs
+``benchmark/run.py --workload W --seed S --seconds T`` of both checkouts,
+each in a subprocess whose working directory is that checkout. The side
+that runs first alternates, the PARENT on even pairs and the CHANGE on
+odd ones, so both sides share the host's load as evenly as alternation
+allows. This script only runs the benchmarks; it changes no file of
+either checkout beyond what ``benchmark/run.py`` itself writes.
 
 One line is printed per run: the pair, the side, ``correct`` and the
 end-to-end metrics of the run's last stdout line. Then each side's
@@ -29,8 +30,8 @@ quartile distance, each as a share of the parent's median, beside the
 metric's ``bound``. The verdict is ``worse`` when ``worse_by`` exceeds the
 bound, else ``unresolved`` when ``spread`` exceeds it and some change run
 does not beat every parent run, else ``ok``.
-The exit code is 1 when any run is not correct or ends without its JSON
-line, else 0.
+The exit code is 1 when any run of any workload is not correct or ends
+without its JSON line, else 0.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, required=True)
@@ -59,11 +60,11 @@ def parse_args(argv):
     return args
 
 
-def run_once(checkout: Path, args) -> dict | None:
-    """The JSON result of one benchmark run in ``checkout``, or None when
-    the run prints none."""
+def run_once(checkout: Path, workload: str, args) -> dict | None:
+    """The JSON result of one benchmark run of ``workload`` in
+    ``checkout``, or None when the run prints none."""
     proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", args.workload,
+        [sys.executable, "benchmark/run.py", "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
         cwd=checkout, capture_output=True, text=True,
     )
@@ -85,15 +86,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
-    benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+def compare(workload: str, checkouts: dict[str, Path], benchmark: dict, args) -> bool:
+    """Run and print the pairs of one workload, then its medians, quartiles,
+    ratios, ``gain`` and ``regression`` lines; True when every run is
+    correct."""
+    print(f"workload {workload}", flush=True)
     runs: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}  # one per pair
     all_correct = True
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            result = run_once(checkouts[side], args)
+            result = run_once(checkouts[side], workload, args)
             correct = result is not None and result["correct"] is True
             all_correct &= correct
             metrics = result["metrics"] if result is not None else {}
@@ -144,7 +146,15 @@ def main(argv=None) -> int:
                            f"spread={spread_share:.4g} verdict={verdict}")
     for line in regressions:
         print(line)
-    return 0 if all_correct else 1
+    return all_correct
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    correct = [compare(workload, checkouts, benchmark, args) for workload in args.workload]
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":

@@ -352,9 +352,10 @@ def _write(files: list[tuple[Path, str | bytes | Iterable[bytes]]]) -> None:
     encoded as UTF-8; an iterable of byte strings is written in order as
     it is produced. Each file goes through a sibling temp file renamed over
     ``path``, so no path holds a partial file. When one fails, every path
-    of the call is removed (those already renamed into place, and a file
-    an earlier run left at a path not yet reached) and the error is raised
-    again, so no unit is left mixing this run's files with another's."""
+    of the call and its temp file are removed (those already renamed into
+    place, and a file an earlier run left at a path not yet reached) and
+    the error is raised again, so no unit is left mixing this run's files
+    with another's."""
     try:
         for path, content in files:
             if isinstance(content, str):
@@ -363,15 +364,13 @@ def _write(files: list[tuple[Path, str | bytes | Iterable[bytes]]]) -> None:
                 content = (content,)
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
-            try:
-                with tmp.open("wb") as f:
-                    f.writelines(content)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+            with tmp.open("wb") as f:
+                f.writelines(content)
+            os.replace(tmp, path)
     except BaseException:
         for path, _ in files:
             path.unlink(missing_ok=True)
+            path.with_name(path.name + ".tmp").unlink(missing_ok=True)
         raise
 
 
@@ -442,33 +441,29 @@ def _items(text: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(text).view(f"V{width}")[:, 0]
 
 
-def _text_rows(items: np.ndarray) -> np.ndarray:
-    """The byte rows of void items."""
-    return items.view(np.uint8).reshape(len(items), items.itemsize)
-
-
 class _Rendered:
-    """``codec.fixed6`` text of values rendered before, in a direct-mapped
-    cache keyed by each value's 64 bits.
+    """``codec.fixed6`` text of values rendered before, as NUL-padded void
+    items of one width, in a direct-mapped cache keyed by each value's 64
+    bits.
 
     A value's slot is the top bits of its bits times 0x9E3779B97F4A7C15
     (Fibonacci hashing); a value that takes a slot evicts the one before.
     A table of ``cells`` values gets the next power of two >= 2 * min(cells,
     2**15) slots. Every slot holds the text of its key: an empty slot's key
     is a NaN pattern that no entropy has, and its text is ``nan``, as
-    ``fixed6`` renders any NaN, so a lookup is right for every value."""
+    ``fixed6`` renders any NaN, so a lookup is right for every value. The
+    cache is seeded with ``values`` and their text ``items``, whose width
+    every later text must fit."""
 
     _EMPTY = np.uint64(0x7FF0_0000_0000_0001)
 
-    def __init__(self, values: np.ndarray, text: np.ndarray, cells: int):
+    def __init__(self, values: np.ndarray, items: np.ndarray, cells: int):
         slot_bits = (2 * min(cells, 2**15) - 1).bit_length()
         self._shift = np.uint64(64 - slot_bits)
         self._keys = np.full(1 << slot_bits, self._EMPTY)
-        empty = codec.fixed6(self._keys[:1].view(np.float64))
-        width = max(empty.shape[1], text.shape[1])
-        self._text = np.repeat(_items(empty, width), 1 << slot_bits)
+        self._text = np.full(1 << slot_bits, b"nan".ljust(items.itemsize, b"\0"), items.dtype)
         bits = values.view(np.uint64)
-        self._store(bits, self._slots(bits), _items(text, width))
+        self._store(bits, self._slots(bits), items)
 
     def _slots(self, bits: np.ndarray) -> np.ndarray:
         # The product wraps modulo 2**64; the slot fits an int64.
@@ -482,22 +477,18 @@ class _Rendered:
         self._text[slots[won]] = items[won]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """``codec.fixed6(values)`` up to NUL padding: the text of cached
-        values is copied, and only the others are rendered and cached."""
+        """``codec.fixed6(values)`` as items of the cache's width: the text
+        of cached values is copied, and only the others are rendered and
+        cached."""
         bits = values.view(np.uint64)
         slots = self._slots(bits)
         items = self._text.take(slots)  # read before a miss takes a slot
         miss = np.flatnonzero(self._keys.take(slots) != bits)
         if len(miss):
-            fresh = codec.fixed6(values[miss])
-            width = max(fresh.shape[1], self._text.itemsize)
-            if width > self._text.itemsize:
-                self._text = _items(_text_rows(self._text), width)
-                items = _items(_text_rows(items), width)
-            fresh = _items(fresh, width)
+            fresh = _items(codec.fixed6(values[miss]), self._text.itemsize)
             items[miss] = fresh
             self._store(bits[miss], slots[miss], fresh)
-        return _text_rows(items)
+        return items
 
 
 def _records(middles: list[bytes], rows: int, head_width: int, text_width: int):
@@ -528,18 +519,22 @@ def _records(middles: list[bytes], rows: int, head_width: int, text_width: int):
 
 
 def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]:
-    """The bytes of ``spectrum.csv``, one block of rows at a time. The
-    first block's entropies are rendered by ``codec.fixed6``; when more
-    blocks follow, their text seeds a ``_Rendered`` cache, and every later
-    block renders only the entropies it does not hold.
+    """The bytes of ``spectrum.csv``, one block of rows at a time.
+
+    Entropies are finite and >= 0, and ``%.6f`` text only widens as a value
+    grows, so the table's largest entropy has its widest text: that width
+    holds every entropy's text, NUL-padded. The first block's entropies
+    are rendered by ``codec.fixed6``; when more blocks follow, their text
+    seeds a ``_Rendered`` cache, and every later block renders only the
+    entropies it does not hold.
 
     Row (j, k) is sequence j's head ``j,anchor``, window k's middle
     ``,k,window_len,``, H and the line end. A block's heads and entropy
-    text are copied whole into a ``_records`` template, built once per
-    layout (head width, text width), and the block's bytes are copied out
-    of the template's first records. NUL padding is dropped only from a
-    block whose heads or text hold it: indices of more than one width or
-    entropy text of mixed widths."""
+    text are copied whole into a ``_records`` template, built again only
+    when the head width changes, and the block's bytes are copied out of
+    the template's first records. NUL padding is dropped only from a block
+    whose heads or text hold it: indices of more than one width or entropy
+    text narrower than the table's widest."""
     n_sequences, n_windows = table.values.shape
     middles = codec.rows(
         b",", codec.integers(np.arange(n_windows)), b",",
@@ -548,26 +543,27 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
     anchors = codec.stamps(table.anchor_timestamps, frequency is Frequency.DAILY)
     yield b"sequence_index,anchor_timestamp,k,window_len,H\n"
     block = max(1, codec.BLOCK_ROWS // n_windows)
-    rendered = layout = None
+    width = len(f"{table.peaks.max():.6f}")
+    rendered = head_width = None
     for lo in range(0, n_sequences, block):
         hi = min(lo + block, n_sequences)
         head = codec.columns([codec.integers(np.arange(lo, hi)), b",", anchors[lo:hi]])
         values = table.values[lo:hi].ravel()
         if rendered is None:
-            text = codec.fixed6(values)
+            text = _items(codec.fixed6(values), width)
             if hi < n_sequences:
                 rendered = _Rendered(values, text, table.values.size)
         else:
             text = rendered(values)
-        if layout != (head.shape[1], text.shape[1]):
-            layout = (head.shape[1], text.shape[1])
-            template, fields = _records(middles, min(block, n_sequences), *layout)
-        heads = _items(head, layout[0])[:, None]
-        texts = _items(text, layout[1]).reshape(hi - lo, n_windows)
+        if head_width != head.shape[1]:
+            head_width = head.shape[1]
+            template, fields = _records(middles, min(block, n_sequences), head_width, width)
+        heads = _items(head, head_width)[:, None]
+        texts = text.reshape(hi - lo, n_windows)
         for head_field, text_field, windows in fields:
             head_field[: hi - lo] = heads
             text_field[: hi - lo] = texts[:, windows]
-        padded = head.min() == 0 or text.min() == 0
+        padded = head.min() == 0 or text.view(np.uint8).min() == 0
         # Records are copied out a quarter block at a time: beside the
         # template, a part's bytes and their stripped copy then hold half a
         # block, where a whole block's would hold two.

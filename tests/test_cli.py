@@ -593,9 +593,10 @@ def _spectrum_rows(table, frequency):
 def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
     # Five writer blocks of a stride-1-like table whose entropies repeat
     # (a few hundred distinct values), as at bar stride. Later blocks add
-    # near ties that fixed6 hands to Python, a value >= 10 that widens the
-    # cached text, and, in block 3 only, a value whose cache slot is that
-    # of a value cached since block 0, before and after it.
+    # near ties that fixed6 hands to Python, a value >= 10 in block 2 that
+    # sets the table's text width, and, in block 3 only, a value whose
+    # cache slot is that of a value cached since block 0, before and after
+    # it.
     n_windows = 4
     block = codec.BLOCK_ROWS // n_windows
     n_sequences = 4 * block + 300
@@ -609,7 +610,7 @@ def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
     values[3 * block + 5 :: 97, 1] = 10.25
     cached = values[0, 0]
     cells = values.size
-    probe = cli._Rendered(values[:1, 0], codec.fixed6(values[:1, 0]), cells)
+    probe = cli._Rendered(values[:1, 0], cli._items(codec.fixed6(values[:1, 0]), 9), cells)
     candidates = 1.0 + rng.random(1 << 20) * 2
     slot = probe._slots(np.array([cached]).view(np.uint64))[0]
     sharing = candidates[probe._slots(candidates.view(np.uint64)) == slot][0]
@@ -631,7 +632,8 @@ def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
 
 def _writer_case(case):
     """A table and its frequency that isolate one block layout of the
-    writer; entropies in [0, 3) all have one text width."""
+    writer; entropies lie in [0, 3), whose text has one width, but for
+    ``wide-first-block``'s one entropy >= 10."""
     bar = np.timedelta64(300, "s")
     start = np.datetime64("2025-01-02T09:30:00")
     frequency = Frequency.FIVE_MINUTE
@@ -649,6 +651,12 @@ def _writer_case(case):
         n_sequences = 2 * (codec.BLOCK_ROWS // n_windows) + 5
         anchors = (start.astype("datetime64[D]") + np.arange(n_sequences)).astype("datetime64[s]")
         frequency = Frequency.DAILY
+    elif case == "wide-first-block":
+        # The table's only entropy >= 10 sits in block 0 of 3, so every
+        # later block's text is narrower than the table's width.
+        n_windows = 4
+        n_sequences = 3 * (codec.BLOCK_ROWS // n_windows)
+        anchors = start + np.arange(n_sequences) * bar
     elif case == "ten-thousand":
         # Block 1 holds indices 8192..10049: 4 and 5 digits.
         n_windows = 2
@@ -660,10 +668,13 @@ def _writer_case(case):
         anchors = start[None]
     geometry = WindowSequenceSpec(78, 78, n_windows - 1, sequence_count=n_sequences)
     values = np.random.default_rng(53).random((n_sequences, n_windows)) * 3.0
+    if case == "wide-first-block":
+        values[5, 2] = 10.5
     return SpectrumTable(values, anchors, BinningSpec(18), geometry), frequency
 
 
-@pytest.mark.parametrize("case", ["far-years", "daily", "ten-thousand", "one-sequence"])
+@pytest.mark.parametrize(
+    "case", ["far-years", "daily", "wide-first-block", "ten-thousand", "one-sequence"])
 def test_spectrum_csv_block_layouts_equal_fstring_rows(case):
     table, frequency = _writer_case(case)
     assert b"".join(_spectrum_csv(table, frequency)) == _spectrum_rows(table, frequency)

@@ -85,12 +85,22 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
 
 
 def test_bench_ab_runs_both_sides_in_turn():
-    # Both sides are this checkout: two pairs of short per-window runs, the
-    # parent first in pair 0 and the change first in pair 1.
+    # Both sides are this checkout: two pairs of short runs of each of two
+    # workloads, all of per-window first; in each, the parent runs first in
+    # pair 0 and the change first in pair 1.
     lines = _run_script(
-        "bench_ab.py", str(ROOT), str(ROOT), "--workload", "per-window", "--seed", "1",
-        "--pairs", "2", "--seconds", "0.05",
+        "bench_ab.py", str(ROOT), str(ROOT), "--workload", "per-window", "onset-bar",
+        "--seed", "1", "--pairs", "2", "--seconds", "0.05",
     ).splitlines()
+    assert len(lines) == 2 * 16
+    assert [lines[0], lines[16]] == ["workload per-window", "workload onset-bar"]
+    for section in (lines[1:16], lines[17:]):
+        _check_bench_ab_section(section)
+
+
+def _check_bench_ab_section(lines):
+    """The lines ``bench_ab.py`` prints for one workload of two pairs,
+    after its ``workload`` line."""
     runs = [line.split() for line in lines[:4]]
     assert [run[:4] for run in runs] == [
         ["pair", "0", "parent", "correct=true"], ["pair", "0", "change", "correct=true"],
@@ -144,18 +154,25 @@ def test_bench_ab_runs_both_sides_in_turn():
     ([1.0, 2.0, 1.0, 2.0], [1.0, 3.0, 1.0, 3.0], "worse"),  # median 2 against 1.5
 ])
 def test_bench_ab_regression_verdicts(tmp_path, monkeypatch, capsys, parent, change, verdict):
-    # pipeline_s (lower is better, bound 0.25) of four pairs of given runs,
-    # judged under the parent checkout's BENCHMARK.json.
+    # pipeline_s (lower is better, bound 0.25) of four pairs of given runs
+    # per workload, judged under the parent checkout's BENCHMARK.json.
     spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
     bench_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_ab)
     (tmp_path / "parent").mkdir()
     (tmp_path / "parent" / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
-    values = {tmp_path / "parent": iter(parent), tmp_path / "change": iter(change)}
-    monkeypatch.setattr(bench_ab, "run_once", lambda checkout, args: {
-        "correct": True, "metrics": {"pipeline_s": {"value": next(values[checkout])}}})
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "1",
-            "--pairs", "4", "--seconds", "1"]
+    # Workload "w" gets the given runs, then workload "v" equal runs on
+    # both sides, which read ok.
+    values = {("w", "parent"): iter(parent), ("w", "change"): iter(change),
+              ("v", "parent"): iter([1.0] * 4), ("v", "change"): iter([1.0] * 4)}
+    monkeypatch.setattr(bench_ab, "run_once", lambda checkout, workload, args: {
+        "correct": True,
+        "metrics": {"pipeline_s": {"value": next(values[workload, checkout.name])}}})
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "v",
+            "--seed", "1", "--pairs", "4", "--seconds", "1"]
     assert bench_ab.main(argv) == 0
-    line = capsys.readouterr().out.splitlines()[-1]
-    assert line.startswith("regression pipeline_s ") and line.endswith(f" verdict={verdict}")
+    kept = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("workload", "regression"))]
+    assert len(kept) == 4 and kept[0] == "workload w" and kept[2] == "workload v"
+    assert kept[1].startswith("regression pipeline_s ") and kept[1].endswith(f" verdict={verdict}")
+    assert kept[3].startswith("regression pipeline_s ") and kept[3].endswith(" verdict=ok")
