@@ -16,8 +16,7 @@ and without the floor ordinary fluctuation would flag constantly. Flags
 must persist over consecutive sequences to become an event, and events
 are separated by at least one baseline width. Peaks are a running
 maximum over the window columns, taken once per table; the screen's
-trailing minima come from block prefix and suffix minima (``sliding_min``),
-in time linear in the number of sequences whatever the baseline.
+trailing minima come from ``_trailing_min`` (see ``_flags``).
 
 A window's entropy comes from the int64 sum of its bins' fixed-point
 c ln c terms (``entropy._c_log_c_table``), which is exact. At stride 1
@@ -421,26 +420,20 @@ def spectra_for_series(
     return SpectrumTable(values, anchors, binning, replace(seq_spec, sequence_count=len(values)))
 
 
-def sliding_min(x: np.ndarray, width: int) -> np.ndarray:
+def _trailing_min(x: np.ndarray, width: int) -> np.ndarray:
     """``min(x[i : i + width])`` for every i in 0..len(x) - width (none when
-    width > len(x)), for width >= 1, in O(len(x)) whatever the width.
+    width > len(x)), for width >= 1.
 
-    The van Herk/Gil-Werman method: cut x into blocks of ``width``; every
-    window is one whole block or spans the tail of one block and the head
-    of the next, so its minimum is the smaller of a suffix minimum and a
-    prefix minimum within blocks. Minima are exact, so the result equals
-    the direct one."""
-    n = len(x)
-    if width > n:
+    Doubling: after each step ``low[i]`` is the minimum of
+    ``x[i : i + span]``; two spans, one at each end of a window, cover it."""
+    count = len(x) - width + 1
+    if count < 1:
         return x[:0]
-    blocks = -(-n // width)
-    cut = np.empty(blocks * width, dtype=x.dtype)
-    cut[:n] = x
-    cut[n:] = x[-1:]  # padding past every window's last value: no result reads it
-    cut = cut.reshape(blocks, width)
-    prefix = np.minimum.accumulate(cut, axis=1).ravel()
-    suffix = np.minimum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.minimum(suffix[: n - width + 1], prefix[width - 1 : n])
+    low, span = x, 1
+    while 2 * span <= width:
+        low = np.minimum(low[:-span], low[span:])
+        span *= 2
+    return np.minimum(low[:count], low[width - span : width - span + count])
 
 
 def _flags(
@@ -456,11 +449,12 @@ def _flags(
     median, the dispersion is at least the floor and IEEE rounding is
     monotone, so peak - median <= peak - minimum <= threshold * floor <=
     threshold * dispersion for every sequence screened out. The trailing
-    minima come from ``sliding_min``, in O(n) for any ``baseline``."""
+    minima come from ``_trailing_min``, in floor(log2 baseline) + 1 passes
+    over contiguous slices; minima are exact, so the screen is too."""
     n = len(peaks)
     flagged = np.zeros(n, dtype=bool)
     trailing = sliding_window_view(peaks, baseline)  # row i: peaks[i : i + baseline]
-    low = sliding_min(peaks[:-1], baseline)  # low[i]: min(trailing[i])
+    low = _trailing_min(peaks[:-1], baseline)  # low[i]: min(trailing[i])
     candidates = baseline + np.flatnonzero(peaks[baseline:] - low > threshold * dispersion_floor)
     for lo in range(0, len(candidates), BLOCK_SEQUENCES):
         c = candidates[lo : lo + BLOCK_SEQUENCES]

@@ -124,7 +124,8 @@ def compare_windows(
     For the entropy metric the bin count defaults to the rule applied to
     the before-window length and is used for both windows. A metric that
     is not finite on either window (a variance past the float range) is
-    refused with ValueError.
+    refused with ValueError; one whose difference is undefined, with
+    DegenerateDenominator naming the metric.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if metric is Metric.ENTROPY:
@@ -140,4 +141,7 @@ def compare_windows(
             a = summarize(returns, after).kurtosis
     if not (math.isfinite(b) and math.isfinite(a)):
         raise ValueError(f"{metric.value} is not finite: before={b:g}, after={a:g}")
-    return BeforeAfterComparison(metric.value, b, a, pct_difference(b, a))
+    try:
+        return BeforeAfterComparison(metric.value, b, a, pct_difference(b, a))
+    except DegenerateDenominator as exc:
+        raise DegenerateDenominator(f"{metric.value}: {exc}") from None

@@ -417,6 +417,23 @@ def test_compare_continues_past_single_failure(tmp_path, capsys):
     assert len(rows) == 2 and rows[1].startswith("good,")
 
 
+def test_compare_names_the_metric_whose_difference_is_undefined(tmp_path, capsys):
+    # Constant closes: both windows' entropies are 0, so their midpoint is.
+    flat = make_daily(np.full(31, 100.0), instrument="flat")
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0, 0.01, 31)))
+    (tmp_path / "flat.csv").write_text(serialize_csv(flat))
+    (tmp_path / "good.csv").write_text(serialize_csv(make_daily(prices, instrument="good")))
+    anchor = str(flat.timestamps[11].astype("datetime64[D]"))
+    config = write_config(
+        tmp_path, [(i, tmp_path / f"{i}.csv", "daily") for i in ("flat", "good")],
+        anchor_date=anchor, window_days=10,
+    )
+    assert main(["compare", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "flat: error: entropy: midpoint of (0.0, 0.0) is zero\n"
+    rows = (tmp_path / "out" / "compare.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("good,")
+
+
 TRUNCATED_COMPARE = {
     "both sides truncated": ("2025-01-17", 0, (
         "short: warning: only 14 trading days before 2025-01-17 (requested 100)\n"

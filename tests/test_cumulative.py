@@ -34,7 +34,7 @@ from entroscope.cumulative import (
     _flags,
     _per_window_counts,
     _prefix_counts,
-    sliding_min,
+    _trailing_min,
 )
 from entroscope.entropy import (
     _c_log_c_table, _entropy_from_sums, bin_indices, entropy_from_counts,
@@ -744,15 +744,17 @@ def test_detect_matches_loop_oracle_second_event_starts_mid_run():
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=300), st.data())
-def test_sliding_min_equals_direct_minimum(ints, data):
-    # Four distinct values: ties within and across the blocks of the width.
-    # Widths past n give no window.
+def test_trailing_min_equals_direct_minimum(ints, data):
+    # Four distinct values: ties within and across the spans. Widths 2^k - 1,
+    # 2^k and 2^k + 1 end the doubling at each span and move the second
+    # span's offset width - span; widths past n give no window.
     x = np.array(ints, dtype=float)
     n = len(x)
-    widths = sorted({w for w in (1, 2, 78, n - 1, n, n + 1, n + 2) if w >= 1})
+    powers = [w for k in range(2, 8) for w in (2**k - 1, 2**k, 2**k + 1)]
+    widths = sorted({w for w in (1, 2, 78, *powers, n - 1, n, n + 1, n + 2) if w >= 1})
     width = data.draw(st.sampled_from(widths) | st.integers(1, n + 3))
     want = sliding_window_view(x, width).min(axis=1) if width <= n else x[:0]
-    assert np.array_equal(sliding_min(x, width), want)
+    assert np.array_equal(_trailing_min(x, width), want)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,12 +85,16 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
     assert _run_script("output_digest.py", "1", str(tmp_path / "other")).splitlines() == lines
 
 
-def test_bench_ab_runs_both_sides_in_turn():
-    # Both sides are this checkout: two pairs of short runs of each of two
-    # workloads, all of per-window first; in each, the parent runs first in
-    # pair 0 and the change first in pair 1.
+def test_bench_ab_runs_both_sides_in_turn(tmp_path):
+    # Both sides are one copy of this checkout's sources and benchmark, so
+    # the runs write their records there and not here: two pairs of short
+    # runs of each of two workloads, all of per-window first; in each, the
+    # parent runs first in pair 0 and the change first in pair 1.
+    for name in ("src", "benchmark"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     lines = _run_script(
-        "bench_ab.py", str(ROOT), str(ROOT), "--workload", "per-window", "onset-bar",
+        "bench_ab.py", str(tmp_path), str(tmp_path), "--workload", "per-window", "onset-bar",
         "--seed", "1", "--pairs", "2", "--seconds", "0.05",
     ).splitlines()
     assert len(lines) == 2 * 16

@@ -224,6 +224,15 @@ def test_compare_refuses_a_metric_past_the_float_range(metric, big, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("metric", [Metric.ENTROPY, Metric.STD_DEV])
+def test_compare_names_the_metric_whose_difference_is_undefined(metric):
+    # Constant windows: both entropies and both deviations are 0.
+    r = make_returns(np.zeros(40))
+    with pytest.raises(DegenerateDenominator) as caught:
+        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40), metric)
+    assert str(caught.value) == f"{metric.value}: midpoint of (0.0, 0.0) is zero"
+
+
 def test_summarize_slice_bounds_checked():
     r = make_returns([0.01, 0.02, 0.03, 0.04])
     with pytest.raises(ValueError):
