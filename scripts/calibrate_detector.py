@@ -22,6 +22,7 @@ from entroscope import (
     log_returns,
     spectra_for_series,
     velleman_bins,
+    window_bounds,
 )
 
 SEQ = WindowSequenceSpec(base_length=78, increment=26, steps=3, stride=26)
@@ -58,10 +59,11 @@ def main():
             recall = 0
             for returns, spectra, log in shocked:
                 shock_ts = log[0].timestamp
+                # A sequence's widest window holds all of its windows.
+                starts, ends = window_bounds(len(returns), spectra.spec)
                 for ev in detect_events(spectra, threshold=theta, min_persistence=persistence):
-                    onset = spectra[ev.onset_index]
-                    lo = returns.timestamps[onset.span_start]
-                    hi = returns.timestamps[onset.span_end - 1]
+                    lo = returns.timestamps[starts[ev.onset_index, -1]]
+                    hi = returns.timestamps[ends[ev.onset_index, -1] - 1]
                     if lo <= shock_ts <= hi:
                         recall += 1
                         break

@@ -59,7 +59,6 @@ from .stats import (
     SummaryStats,
     compare_windows,
     pct_difference,
-    summarize,
     summarize_values,
 )
 from .synth import InjectionRecord, Shock, ShockShape, SynthSpec, generate

@@ -10,7 +10,7 @@ up as sharp ramps in these spectra.
 The detector compares each sequence's peak entropy against a trailing
 median baseline; a sequence is flagged when the excess exceeds a robust
 dispersion estimate. Dispersion is the MAD of the baseline scaled to the
-normal-consistent sigma, floored at a small fraction of ln(n_bins): the
+normal-consistent sigma, floored at 0.05 * ln(max(n_bins, 2)): the
 MAD of a short baseline of near-identical peaks collapses toward zero,
 and without the floor ordinary fluctuation would flag constantly. Flags
 must persist over consecutive sequences to become an event, and events
@@ -471,7 +471,6 @@ def detect_events(
     threshold: float = 3.0,
     min_persistence: int = 2,
     baseline: int = 8,
-    dispersion_floor: float | None = None,
 ) -> list[EventSignature]:
     """Flag ramp-like excursions of peak entropy above a trailing baseline.
 
@@ -481,27 +480,22 @@ def detect_events(
     form an event anchored at the first flagged sequence; subsequent events
     must start at least ``baseline`` sequences later.
 
-    ``dispersion_floor`` defaults to 0.05 * ln(n_bins), in entropy units,
-    which keeps the default threshold meaningful on quiet data.
-    ``threshold`` and a given ``dispersion_floor`` must be finite and >= 0.
+    The dispersion is floored at 0.05 * ln(max(n_bins, 2)), in entropy
+    units, which keeps the default threshold meaningful on quiet data.
+    ``threshold`` must be finite and >= 0.
     """
     if min_persistence < 1 or baseline < 1:
         raise ValueError("min_persistence and baseline must be >= 1")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    if dispersion_floor is not None and not (
-        math.isfinite(dispersion_floor) and dispersion_floor >= 0
-    ):
-        raise ValueError(f"dispersion_floor must be finite and >= 0, got {dispersion_floor}")
     required = max(baseline, 2 * min_persistence)
     if len(spectra) < required:
         raise InsufficientBaseline(
             f"need at least {required} spectra, got {len(spectra)}"
         )
-    if dispersion_floor is None:
-        dispersion_floor = DEFAULT_DISPERSION_FLOOR_FRACTION * math.log(
-            max(spectra.binning.n_bins, 2)
-        )
+    dispersion_floor = DEFAULT_DISPERSION_FLOOR_FRACTION * math.log(
+        max(spectra.binning.n_bins, 2)
+    )
 
     peaks = spectra.peaks
     flagged = _flags(peaks, threshold, baseline, dispersion_floor)

@@ -51,7 +51,6 @@ class WindowSlice:
 
     start_index: int
     end_index: int
-    label: str = ""
 
     def __post_init__(self):
         if not (0 <= self.start_index < self.end_index):
@@ -89,9 +88,7 @@ def nominal_returns(series: PriceSeries) -> ReturnSeries:
     return _returns(series, ReturnKind.NOMINAL, lambda ratio: ratio - 1.0)
 
 
-def slice_window(
-    returns: ReturnSeries, start_date, trading_days: int, label: str = ""
-) -> WindowSlice:
+def slice_window(returns: ReturnSeries, start_date, trading_days: int) -> WindowSlice:
     """Window covering the first ``trading_days`` distinct calendar dates at
     or after ``start_date``; for intraday series the slice covers every bar
     of those dates.
@@ -115,7 +112,7 @@ def slice_window(
             f"at or after {start} (requested {trading_days})",
             stacklevel=2,
         )
-    return WindowSlice(int(bounds[first]), int(bounds[end]), label)
+    return WindowSlice(int(bounds[first]), int(bounds[end]))
 
 
 def bracket_windows(
@@ -137,6 +134,6 @@ def bracket_windows(
             f"only {end} trading days before {anchor} (requested {trading_days})",
             stacklevel=2,
         )
-    before = WindowSlice(int(bounds[max(end - trading_days, 0)]), int(bounds[end]), "before")
-    after = slice_window(returns, anchor, trading_days, label="after")
+    before = WindowSlice(int(bounds[max(end - trading_days, 0)]), int(bounds[end]))
+    after = slice_window(returns, anchor, trading_days)
     return before, after

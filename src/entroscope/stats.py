@@ -21,7 +21,6 @@ from .returns import ReturnSeries, WindowSlice, slice_values
 class Metric(Enum):
     ENTROPY = "entropy"
     STD_DEV = "std_dev"
-    KURTOSIS = "kurtosis"
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,6 @@ def summarize_values(values) -> SummaryStats:
     )
 
 
-def summarize(returns: ReturnSeries, window: WindowSlice) -> SummaryStats:
-    return summarize_values(slice_values(returns, window))
-
-
 def pct_difference(before: float, after: float) -> float:
     """Signed symmetric percentage difference (after - before) / midpoint,
     as a fraction. Reporting layers may take the magnitude."""
@@ -118,8 +113,8 @@ def compare_windows(
     metric: Metric,
     binning: BinningSpec | None = None,
 ) -> BeforeAfterComparison:
-    """Evaluate one metric independently on two windows and attach the
-    symmetric percentage difference.
+    """Evaluate one metric, entropy or standard deviation, independently on
+    two windows and attach the symmetric percentage difference.
 
     For the entropy metric the bin count defaults to the rule applied to
     the before-window length and is used for both windows. A metric that
@@ -133,12 +128,9 @@ def compare_windows(
                 binning = BinningSpec(velleman_bins(len(before)))
             b = window_entropy(returns, before, binning)
             a = window_entropy(returns, after, binning)
-        elif metric is Metric.STD_DEV:
+        else:
             b = _std_dev(slice_values(returns, before))
             a = _std_dev(slice_values(returns, after))
-        else:
-            b = summarize(returns, before).kurtosis
-            a = summarize(returns, after).kurtosis
     if not (math.isfinite(b) and math.isfinite(a)):
         raise ValueError(f"{metric.value} is not finite: before={b:g}, after={a:g}")
     try:

@@ -42,7 +42,6 @@ class SynthSpec:
     volatility: float = 0.001
     shocks: tuple[Shock, ...] = ()
     instrument_id: str = "synth"
-    start_price: float = 100.0
     start_date: str = "2025-01-02"
 
     def __post_init__(self):
@@ -54,13 +53,11 @@ class SynthSpec:
         bars = self.n_days * self.bars_per_day
         if bars > 2**60:  # the most float64 increments numpy can size
             raise ValueError(f"n_days * bars_per_day must be at most 2**60, got {bars}")
-        for name in ("drift", "volatility", "start_price"):
+        for name in ("drift", "volatility"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.volatility < 0:
             raise ValueError("volatility must be >= 0")
-        if self.start_price <= 0:
-            raise ValueError("start_price must be positive")
         for shock in self.shocks:
             if not np.isfinite(shock.magnitude_sigma):
                 raise ValueError(f"shock magnitude_sigma must be finite, got {shock.magnitude_sigma!r}")
@@ -90,8 +87,8 @@ def _timestamps(spec: SynthSpec) -> np.ndarray:
 def generate(spec: SynthSpec) -> tuple[PriceSeries, list[InjectionRecord]]:
     """Generate a price path and the log of injected shocks.
 
-    Bar t's increment (the log return into bar t) is mu + sigma * z_t for
-    t = 1..N-1; close[0] equals the start price exactly. A SINGLE_BAR shock
+    The path starts at a close of exactly 100.0. Bar t's increment (the log
+    return into bar t) is mu + sigma * z_t for t = 1..N-1. A SINGLE_BAR shock
     lands on the middle bar of its day, a DISPERSED_DAY shock scales the
     whole day (on day 0, every bar but the first, which has no return).
     With bars_per_day == 1 the output is a daily series, which takes no
@@ -116,7 +113,7 @@ def generate(spec: SynthSpec) -> tuple[PriceSeries, list[InjectionRecord]]:
                 t1 = day_start + spec.bars_per_day
                 increments[t0 - 1 : t1 - 1] *= shock.magnitude_sigma
                 log.append(InjectionRecord(timestamps[t0], shock.magnitude_sigma, shock.shape))
-        closes = spec.start_price * np.exp(np.concatenate(([0.0], np.cumsum(increments))))
+        closes = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(increments))))
     frequency = Frequency.DAILY if spec.bars_per_day == 1 else Frequency.FIVE_MINUTE
     series = PriceSeries(spec.instrument_id, frequency, timestamps, closes)
     return series, log

@@ -37,7 +37,7 @@ def distinct_days(dates):
     return dates[starts], np.diff(starts, append=len(dates))
 
 
-def slice_window(returns, start_date, trading_days, label=""):
+def slice_window(returns, start_date, trading_days):
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
     start = np.datetime64(start_date, "D")
@@ -57,7 +57,7 @@ def slice_window(returns, start_date, trading_days, label=""):
     else:
         last_date = available[trading_days - 1]
     end_index = int(np.searchsorted(dates, last_date, side="right"))
-    return WindowSlice(start_index, end_index, label)
+    return WindowSlice(start_index, end_index)
 
 
 def bracket_windows(returns, anchor_date, trading_days):
@@ -77,8 +77,8 @@ def bracket_windows(returns, anchor_date, trading_days):
     else:
         first_date = before_dates[-trading_days]
     before_start = int(np.searchsorted(dates, first_date, side="left"))
-    before = WindowSlice(before_start, before_end, "before")
-    after = slice_window(returns, anchor, trading_days, label="after")
+    before = WindowSlice(before_start, before_end)
+    after = slice_window(returns, anchor, trading_days)
     return before, after
 
 

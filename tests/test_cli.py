@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from entroscope import (
     BinnedDistribution, BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable,
-    SynthSpec, WindowSequenceSpec, generate, log_returns, parse_csv_file, serialize_csv,
-    spectra_for_series, velleman_bins, window_bounds,
+    SynthSpec, WindowSequenceSpec, detect_events, generate, log_returns, parse_csv_file,
+    pmf_snapshot, serialize_csv, spectra_for_series, velleman_bins, window_bounds,
 )
 from entroscope import cli, codec
 from entroscope.cli import (
@@ -325,6 +326,18 @@ def test_readme_config_reference_loads(tmp_path):
     path.write_text(json.dumps({"theta": 3}), encoding="utf-8")
     theta = load_config(path).theta
     assert theta == 3.0 and type(theta) is float
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    # The config's detector keys and pmf --span-days restate library
+    # defaults, which README gives once for both layers.
+    detector = inspect.signature(detect_events).parameters
+    config = cli.RunConfig()
+    assert (config.theta, config.min_persistence, config.baseline) == tuple(
+        detector[name].default for name in ("threshold", "min_persistence", "baseline")
+    )
+    args = cli.build_parser().parse_args(["pmf", "--config", "run.json", "--day", "2025-01-02"])
+    assert args.span_days == inspect.signature(pmf_snapshot).parameters["preceding_days"].default
 
 
 def test_failed_write_leaves_no_target_and_no_temp_file(tmp_path, capsys, monkeypatch):

@@ -687,14 +687,17 @@ def _table_of(values, n_bins=18):
 
 
 def _assert_matches_oracle(table, threshold, min_persistence, baseline, dispersion_floor):
-    """_flags and detect_events agree with the loop oracle; returns its flags
-    and events."""
+    """_flags at ``dispersion_floor`` (None: the detector's floor) agrees with
+    the loop oracle's flags, and detect_events with its events at the
+    detector's floor; returns the oracle's flags and events at
+    ``dispersion_floor``."""
     want_flags, want_events = _detect_events_oracle(
         table, threshold, min_persistence, baseline, dispersion_floor
     )
     floor = 0.05 * math.log(18) if dispersion_floor is None else dispersion_floor
     assert np.array_equal(_flags(table.peaks, threshold, baseline, floor), want_flags)
-    assert detect_events(table, threshold, min_persistence, baseline, dispersion_floor) == want_events
+    default_events = _detect_events_oracle(table, threshold, min_persistence, baseline)[1]
+    assert detect_events(table, threshold, min_persistence, baseline) == default_events
     return want_flags, want_events
 
 
@@ -740,6 +743,20 @@ def test_detect_matches_loop_oracle_second_event_starts_mid_run():
     flags, events = _assert_matches_oracle(table, 1.0, 2, 8, 0.1)
     assert np.flatnonzero(flags).tolist() == [20, 21, 27, 28, 29, 30]
     assert [(ev.onset_index, ev.persistence) for ev in events] == [(20, 2), (28, 3)]
+
+
+@pytest.mark.parametrize("n_bins", [1, 2])
+def test_detect_floor_takes_at_least_two_bins(n_bins):
+    # Both tables get the floor 0.05 * ln 2 = 0.0347: a jump of 0.03 over a
+    # flat baseline stays under it and one of 0.04 clears it. A floor of
+    # 0.05 * ln(n_bins) would be 0 at one bin and flag both.
+    def events(jump):
+        values = np.zeros((20, 1))
+        values[10:12] = jump
+        return detect_events(_table_of(values, n_bins=n_bins), 1.0, 1)
+
+    assert events(0.03) == []
+    assert [(ev.onset_index, ev.persistence) for ev in events(0.04)] == [(10, 2)]
 
 
 @settings(max_examples=200)
@@ -860,6 +877,3 @@ def test_detect_rejects_bad_parameters():
     for threshold in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             detect_events(spectra, threshold=threshold)
-    for floor in (math.nan, math.inf, -0.1):
-        with pytest.raises(ValueError, match="dispersion_floor"):
-            detect_events(spectra, dispersion_floor=floor)

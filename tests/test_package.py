@@ -1,6 +1,8 @@
-"""The package namespace and the README's Python example."""
+"""The package namespace, its settings and the README's Python example."""
+import dataclasses
 import inspect
 import re
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,81 @@ PUBLIC = {
     "bin_returns", "bracket_windows", "build_sequences", "compare_windows",
     "dedup_closed_market", "detect_events", "generate", "log_returns", "nominal_returns",
     "parse_csv", "parse_csv_file", "pct_difference", "pmf_snapshot", "serialize_csv",
-    "shannon_entropy", "slice_window", "spectra_for_series", "summarize", "summarize_values",
+    "shannon_entropy", "slice_window", "spectra_for_series", "summarize_values",
     "velleman_bins", "window_bounds", "window_entropy",
 }
+
+# Every setting of the library: each public enum's members, each public
+# dataclass's defaulted fields and each public function's defaulted
+# parameters, with their defaults. A change that adds, removes or changes
+# one changes this dict too.
+SETTINGS = {
+    "BeforeAfterComparison": {},
+    "BinnedDistribution": {"clamped_count": 0},
+    "BinningSpec": {"lo": None, "hi": None},
+    "Diagnostics": {"dropped": 0, "removed": 0},
+    "EntropySpectrum": {},
+    "EventSignature": {},
+    "Frequency": ["DAILY", "FIVE_MINUTE"],
+    "InjectionRecord": {},
+    "Metric": ["ENTROPY", "STD_DEV"],
+    "PmfSnapshot": {},
+    "PriceSeries": {},
+    "ReturnKind": ["NOMINAL", "LOG"],
+    "ReturnSeries": {},
+    "Shock": {},
+    "ShockShape": ["SINGLE_BAR", "DISPERSED_DAY"],
+    "SpectrumTable": {},
+    "SummaryStats": {},
+    "SynthSpec": {
+        "drift": 0.0, "volatility": 0.001, "shocks": (), "instrument_id": "synth",
+        "start_date": "2025-01-02",
+    },
+    "WindowSequenceSpec": {
+        "increment": 1, "steps": 0, "stride": 1, "sequence_count": None,
+        "anchor_mode": "grow-right",
+    },
+    "WindowSlice": {},
+    "aggregate_to_daily": {},
+    "bin_returns": {},
+    "bracket_windows": {},
+    "build_sequences": {},
+    "compare_windows": {"binning": None},
+    "dedup_closed_market": {"run_length": 6},
+    "detect_events": {"threshold": 3.0, "min_persistence": 2, "baseline": 8},
+    "generate": {},
+    "log_returns": {},
+    "nominal_returns": {},
+    "parse_csv": {"dt_col": "timestamp", "close_col": "close"},
+    "parse_csv_file": {"dt_col": "timestamp", "close_col": "close"},
+    "pct_difference": {},
+    "pmf_snapshot": {"preceding_days": 14, "n_bins": None},
+    "serialize_csv": {},
+    "shannon_entropy": {},
+    "slice_window": {},
+    "spectra_for_series": {},
+    "summarize_values": {},
+    "velleman_bins": {},
+    "window_bounds": {},
+    "window_entropy": {},
+}
+
+
+def _settings(value):
+    """An enum's member names, a dataclass's defaulted fields or a function's
+    defaulted parameters, with their defaults; None for anything else."""
+    if isinstance(value, type) and issubclass(value, Enum):
+        return [member.name for member in value]
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            for f in dataclasses.fields(value)
+            if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+        }
+    if inspect.isfunction(value):
+        parameters = inspect.signature(value).parameters.values()
+        return {p.name: p.default for p in parameters if p.default is not p.empty}
+    return None
 
 
 def test_public_names_are_package_attributes():
@@ -30,7 +104,12 @@ def test_public_names_are_package_attributes():
         name for name, value in vars(entroscope).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert len(PUBLIC) == 53 and names == PUBLIC
+    assert len(PUBLIC) == 52 and names == PUBLIC
+
+
+def test_public_settings_are_pinned():
+    found = {name: _settings(getattr(entroscope, name)) for name in PUBLIC}
+    assert {name: s for name, s in found.items() if s is not None} == SETTINGS
 
 
 def test_readme_python_example_runs():

@@ -369,7 +369,6 @@ def test_bracket_windows_symmetric():
     before, after = bracket_windows(r, anchor, 20)
     assert (before.start_index, before.end_index) == (10, 30)
     assert (after.start_index, after.end_index) == (30, 50)
-    assert before.label == "before" and after.label == "after"
 
 
 def test_bracket_windows_no_history():
