@@ -51,11 +51,9 @@ from .returns import (
     bracket_windows,
     log_returns,
     nominal_returns,
-    slice_window,
 )
 from .stats import (
     BeforeAfterComparison,
-    Metric,
     SummaryStats,
     compare_windows,
     pct_difference,

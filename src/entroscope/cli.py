@@ -16,8 +16,8 @@ instrument path that is not a file exits 2 before any output is written.
 A batch command runs every instrument even when some fail, reports each
 failure as one ``<id>: error: <message>`` line on stderr, and exits with
 the code of the first failure; ``pmf`` reports the failure of its one
-instrument the same way. A stdout closed by its reader is no failure: the
-summary lines it can no longer take are dropped.
+instrument the same way. A stdout or stderr closed by its reader is no
+failure: the lines it can no longer take are dropped.
 
 Outputs are plain CSV files, written deterministically: rerunning a
 command on identical inputs produces byte-identical files. This module
@@ -71,7 +71,7 @@ from .returns import (
     log_returns,
     nominal_returns,
 )
-from .stats import Metric, compare_windows
+from .stats import compare_windows
 from .synth import Shock, ShockShape, SynthSpec, generate
 
 EXIT_OK = 0
@@ -270,14 +270,14 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_INSUFFICIENT if insufficient else EXIT_INPUT
 
 
-def _say(line: str) -> None:
-    """Print one summary line on stdout. A reader that closes stdout early
-    fails no instrument: from the first BrokenPipeError on, later lines go
-    to os.devnull."""
+def _say(line: str, stream: str = "stdout") -> None:
+    """Print one line on ``sys.stdout``, or on the ``sys`` stream named by
+    ``stream``. A reader that closes the stream early fails no instrument:
+    from the first BrokenPipeError on, later lines to it go to os.devnull."""
     try:
-        print(line, flush=True)
+        print(line, file=getattr(sys, stream), flush=True)
     except BrokenPipeError:
-        sys.stdout = open(os.devnull, "w")
+        setattr(sys, stream, open(os.devnull, "w"))
 
 
 def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
@@ -296,7 +296,7 @@ def _each_instrument(config: RunConfig, fn, **kwargs) -> int:
             line, files = fn(config, entry, **kwargs)
             _write(files)
         except _FAILURES as exc:
-            print(f"{entry.id}: error: {exc}", file=sys.stderr)
+            _say(f"{entry.id}: error: {exc}", "stderr")
             code = code or _exit_code(exc)
             continue
         if line is not None:
@@ -399,15 +399,14 @@ def _compare_row(config: RunConfig, entry: InstrumentEntry, ids: list, values: l
             before, after = bracket_windows(returns, config.anchor_date, config.window_days)
         finally:
             for warning in caught:
-                print(f"{entry.id}: warning: {warning.message}", file=sys.stderr)
+                _say(f"{entry.id}: warning: {warning.message}", "stderr")
     # Without ``bins``, ``compare_windows`` takes the bin count of the
     # before-window.
     binning = None if config.bins is None else BinningSpec(config.bins)
-    entropy_cmp = compare_windows(returns, before, after, Metric.ENTROPY, binning=binning)
-    std_cmp = compare_windows(returns, before, after, Metric.STD_DEV)
+    comparisons = compare_windows(returns, before, after, binning=binning)
     ids.append(entry.id)
-    values += [entropy_cmp.before, entropy_cmp.after, entropy_cmp.pct_difference,
-               std_cmp.before, std_cmp.after, std_cmp.pct_difference]
+    for cmp in comparisons:  # entropy, then std_dev, as compare.csv's columns
+        values += [cmp.before, cmp.after, cmp.pct_difference]
     return None, []  # compare.csv is written once every instrument has run
 
 
@@ -782,7 +781,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", "stderr")
         return _exit_code(exc)
 
 

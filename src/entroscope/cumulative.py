@@ -430,7 +430,7 @@ def _trailing_min(x: np.ndarray, width: int) -> np.ndarray:
     if count < 1:
         return x[:0]
     low, span = x, 1
-    while 2 * span <= width:
+    while 2 * span < width:
         low = np.minimum(low[:-span], low[span:])
         span *= 2
     return np.minimum(low[:count], low[width - span : width - span + count])
@@ -449,8 +449,9 @@ def _flags(
     median, the dispersion is at least the floor and IEEE rounding is
     monotone, so peak - median <= peak - minimum <= threshold * floor <=
     threshold * dispersion for every sequence screened out. The trailing
-    minima come from ``_trailing_min``, in floor(log2 baseline) + 1 passes
-    over contiguous slices; minima are exact, so the screen is too."""
+    minima come from ``_trailing_min``, in ceil(log2 baseline) passes (1
+    at a baseline of 1) over contiguous slices; minima are exact, so the
+    screen is too."""
     n = len(peaks)
     flagged = np.zeros(n, dtype=bool)
     trailing = sliding_window_view(peaks, baseline)  # row i: peaks[i : i + baseline]

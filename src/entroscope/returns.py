@@ -88,52 +88,40 @@ def nominal_returns(series: PriceSeries) -> ReturnSeries:
     return _returns(series, ReturnKind.NOMINAL, lambda ratio: ratio - 1.0)
 
 
-def slice_window(returns: ReturnSeries, start_date, trading_days: int) -> WindowSlice:
-    """Window covering the first ``trading_days`` distinct calendar dates at
-    or after ``start_date``; for intraday series the slice covers every bar
-    of those dates.
-
-    Raises OutOfRange when ``start_date`` lies beyond the last observation,
-    or the series has none.
-    When fewer than ``trading_days`` dates are available the slice is
-    truncated and a warning is issued.
-    """
-    if trading_days < 1:
-        raise ValueError("trading_days must be positive")
-    start = np.datetime64(start_date, "D")
-    days, bounds = returns.days
-    first = int(np.searchsorted(days, start, side="left"))
-    if first == len(days):  # no day at or after ``start``, as in an empty series
-        raise OutOfRange(f"{start} is after the last observation")
-    end = min(first + trading_days, len(days))
-    if end - first < trading_days:
-        warnings.warn(
-            f"only {end - first} trading days available "
-            f"at or after {start} (requested {trading_days})",
-            stacklevel=2,
-        )
-    return WindowSlice(int(bounds[first]), int(bounds[end]))
-
-
 def bracket_windows(
     returns: ReturnSeries, anchor_date, trading_days: int
 ) -> tuple[WindowSlice, WindowSlice]:
-    """Symmetric windows around an anchor date: the last ``trading_days``
-    distinct dates strictly before it, and the first ``trading_days`` at or
-    after it. Either side may be truncated (with a warning) when the data
-    runs out."""
+    """The pair ``(before, after)`` of symmetric windows around an anchor
+    date: the last ``trading_days`` distinct dates strictly before it, and
+    the first ``trading_days`` at or after it; for intraday series a window
+    covers every bar of its dates. Both come from one search of the anchor
+    among the series' days.
+
+    In this order: ValueError when ``trading_days`` < 1; OutOfRange when
+    no date precedes the anchor, as in an empty series; a warning when
+    the before-side is truncated; OutOfRange when the anchor is after the
+    last observation; a warning when the after-side is truncated.
+    """
     if trading_days < 1:
         raise ValueError("trading_days must be positive")
     anchor = np.datetime64(anchor_date, "D")
     days, bounds = returns.days
-    end = int(np.searchsorted(days, anchor, side="left"))
-    if end == 0:
+    first = int(np.searchsorted(days, anchor, side="left"))  # days[first:] are at or after it
+    if first == 0:
         raise OutOfRange(f"no data before {anchor}")
-    if end < trading_days:
+    if first < trading_days:
         warnings.warn(
-            f"only {end} trading days before {anchor} (requested {trading_days})",
+            f"only {first} trading days before {anchor} (requested {trading_days})",
             stacklevel=2,
         )
-    before = WindowSlice(int(bounds[max(end - trading_days, 0)]), int(bounds[end]))
-    after = slice_window(returns, anchor, trading_days)
-    return before, after
+    if first == len(days):
+        raise OutOfRange(f"{anchor} is after the last observation")
+    end = min(first + trading_days, len(days))
+    if end - first < trading_days:
+        warnings.warn(
+            f"only {end - first} trading days available "
+            f"at or after {anchor} (requested {trading_days})",
+            stacklevel=2,
+        )
+    before = WindowSlice(int(bounds[max(first - trading_days, 0)]), int(bounds[first]))
+    return before, WindowSlice(int(bounds[first]), int(bounds[end]))

@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .entropy import BinningSpec, velleman_bins, window_entropy
 from .errors import DegenerateDenominator, TooShort
 from .returns import ReturnSeries, WindowSlice, slice_values
-
-
-class Metric(Enum):
-    ENTROPY = "entropy"
-    STD_DEV = "std_dev"
 
 
 @dataclass(frozen=True)
@@ -106,34 +100,39 @@ def pct_difference(before: float, after: float) -> float:
     return (after - before) / denom
 
 
+def _compared(name: str, measure, before, after) -> BeforeAfterComparison:
+    """``measure`` of both windows and their symmetric percentage difference.
+    A value that is not finite on either window (a variance past the float
+    range) is refused with ValueError; an undefined difference, with
+    DegenerateDenominator. Both messages name the metric."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, a = measure(before), measure(after)
+    if not (math.isfinite(b) and math.isfinite(a)):
+        raise ValueError(f"{name} is not finite: before={b:g}, after={a:g}")
+    try:
+        return BeforeAfterComparison(name, b, a, pct_difference(b, a))
+    except DegenerateDenominator as exc:
+        raise DegenerateDenominator(f"{name}: {exc}") from None
+
+
 def compare_windows(
     returns: ReturnSeries,
     before: WindowSlice,
     after: WindowSlice,
-    metric: Metric,
     binning: BinningSpec | None = None,
-) -> BeforeAfterComparison:
-    """Evaluate one metric, entropy or standard deviation, independently on
-    two windows and attach the symmetric percentage difference.
+) -> tuple[BeforeAfterComparison, BeforeAfterComparison]:
+    """The pair ``(entropy, std_dev)``: each metric evaluated independently
+    on the two windows, with the symmetric percentage difference attached.
 
-    For the entropy metric the bin count defaults to the rule applied to
-    the before-window length and is used for both windows. A metric that
-    is not finite on either window (a variance past the float range) is
-    refused with ValueError; one whose difference is undefined, with
+    Entropy is measured and checked first, then the standard deviation, so
+    a failure of both is reported as the entropy's. The bin count defaults
+    to the rule applied to the before-window length and is used for both
+    windows. A metric that is not finite on either window is refused with
+    ValueError; one whose difference is undefined, with
     DegenerateDenominator naming the metric.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if metric is Metric.ENTROPY:
-            if binning is None:
-                binning = BinningSpec(velleman_bins(len(before)))
-            b = window_entropy(returns, before, binning)
-            a = window_entropy(returns, after, binning)
-        else:
-            b = _std_dev(slice_values(returns, before))
-            a = _std_dev(slice_values(returns, after))
-    if not (math.isfinite(b) and math.isfinite(a)):
-        raise ValueError(f"{metric.value} is not finite: before={b:g}, after={a:g}")
-    try:
-        return BeforeAfterComparison(metric.value, b, a, pct_difference(b, a))
-    except DegenerateDenominator as exc:
-        raise DegenerateDenominator(f"{metric.value}: {exc}") from None
+    if binning is None:
+        binning = BinningSpec(velleman_bins(len(before)))
+    entropy = _compared("entropy", lambda w: window_entropy(returns, w, binning), before, after)
+    std_dev = _compared("std_dev", lambda w: _std_dev(slice_values(returns, w)), before, after)
+    return entropy, std_dev

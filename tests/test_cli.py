@@ -999,11 +999,11 @@ def test_daily_instrument_runs_dedup_and_aggregation_unchanged(tmp_path, capsys)
 
 
 # ----------------------------------------------------------------------
-# closed stdout
+# closed stdout and stderr
 # ----------------------------------------------------------------------
 
-class _ClosedStdout(io.StringIO):
-    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+class _ClosedStream(io.StringIO):
+    """A stream whose reader has gone: every write raises BrokenPipeError."""
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -1024,6 +1024,7 @@ def _batch_argv(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["ingest", "compare", "spectrum", "synth"])
 def test_closed_stdout_fails_no_instrument(tmp_path, capsys, monkeypatch, command):
+    # Each run closes one stream; the other takes what the open run wrote.
     if command == "synth":
         argv = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "12", "--out"]
     else:
@@ -1031,19 +1032,45 @@ def test_closed_stdout_fails_no_instrument(tmp_path, capsys, monkeypatch, comman
     assert main([*argv, str(tmp_path / "open")]) == (0 if command == "synth" else 2)
     open_run = capsys.readouterr()
     assert open_run.out or command == "compare"  # compare prints no summary
-    with monkeypatch.context() as m:
-        m.setattr(sys, "stdout", _ClosedStdout())
-        code = main([*argv, str(tmp_path / "closed")])
-        if command != "compare":  # the first summary line switched stdout to devnull
-            assert sys.stdout.name == os.devnull
-            sys.stdout.close()
-    assert code == (0 if command == "synth" else 2)
-    assert capsys.readouterr() == ("", open_run.err)
+    assert open_run.err or command == "synth"  # synth reports no failure
+    for stream in ("stdout", "stderr"):
+        with monkeypatch.context() as m:
+            m.setattr(sys, stream, _ClosedStream())
+            code = main([*argv, str(tmp_path / stream)])
+            if getattr(open_run, stream[3:]):  # the first line switched it to devnull
+                assert getattr(sys, stream).name == os.devnull
+                getattr(sys, stream).close()
+        assert code == (0 if command == "synth" else 2)
+        out = open_run.out.replace(str(tmp_path / "open"), str(tmp_path / stream))
+        assert capsys.readouterr() == (("", open_run.err) if stream == "stdout" else (out, ""))
     written = {
         run: {p.name: p.read_bytes() for p in sorted((tmp_path / run).iterdir())}
-        for run in ("open", "closed")
+        for run in ("open", "stdout", "stderr")
     }
-    assert written["closed"] == written["open"] and written["open"]
+    assert written["stdout"] == written["open"] == written["stderr"] and written["open"]
+
+
+def test_closed_stderr_pipe_fails_no_instrument(tmp_path):
+    # With stderr gone, the bad instrument's error line is dropped: the run
+    # still exits 2 with every good instrument's files and summary lines.
+    argv = _batch_argv(tmp_path, "spectrum")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroscope.cli", *argv, str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert [line.split(":")[0] for line in proc.stdout.decode().splitlines()] == ["a", "b"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"{i}_{name}.csv" for i in ("a", "b") for name in ("events", "monthly", "spectrum")
+    ]
 
 
 @pytest.mark.parametrize("command", ["ingest", "synth"])

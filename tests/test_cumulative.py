@@ -838,6 +838,35 @@ def test_detect_two_separated_shocks_in_order():
         assert rec.timestamp <= r.timestamps[onset.span_end - 1]
 
 
+def test_detect_finds_no_rise_under_per_window_ranges():
+    # A dispersed-day shock stretches the own range of every window that
+    # holds it, so the other days crowd into the central bins and H falls.
+    # The detector flags rises only. At the CLI's default geometry, bins and
+    # detector, the fixed range finds both 6-sigma shocks and per-window
+    # ranges find none. Take the median widest-window H of the sequences
+    # that hold the first shock over the median of all sequences: about 1.19
+    # under the fixed range and 0.56 under per-window ranges.
+    shocks = tuple(Shock(d, 6.0, ShockShape.DISPERSED_DAY) for d in (40, 90))
+    series, log = generate(SynthSpec(seed=1, n_days=120, bars_per_day=78, shocks=shocks))
+    r = log_returns(series)
+    seq_spec = WindowSequenceSpec(base_length=78, increment=78, steps=13, stride=78)
+    starts, ends = window_bounds(len(r), seq_spec)
+    first, last = r.timestamps[starts[:, -1]], r.timestamps[ends[:, -1] - 1]
+    holds = (first <= log[0].timestamp) & (log[0].timestamp <= last)
+    covered, ratio = {}, {}
+    for policy, binning in [("fixed", BinningSpec.spanning(r.values, velleman_bins(78))),
+                            ("per-window", BinningSpec(velleman_bins(78)))]:
+        spectra = spectra_for_series(r, seq_spec, binning)
+        covered[policy] = [
+            [bool(first[ev.onset_index] <= rec.timestamp <= last[ev.onset_index]) for rec in log]
+            for ev in detect_events(spectra)
+        ]
+        widest = spectra.values[:, -1]
+        ratio[policy] = np.median(widest[holds]) / np.median(widest)
+    assert covered == {"fixed": [[True, False], [False, True]], "per-window": []}
+    assert ratio["fixed"] > 1 > ratio["per-window"]
+
+
 def test_detect_insufficient_baseline():
     r = make_returns(np.linspace(-0.01, 0.01, 60))
     spectra = spectra_for_series(r, WindowSequenceSpec(20, 10, 2, 10), BinningSpec(8))

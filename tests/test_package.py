@@ -15,13 +15,13 @@ PUBLIC = {
     "AmbiguousTimestampFormat", "BeforeAfterComparison", "BinnedDistribution", "BinningSpec",
     "DegenerateDenominator", "Diagnostics", "EmptyInput", "EmptyWindow", "EntropySpectrum",
     "EventSignature", "Frequency", "InjectionRecord", "InsufficientBaseline", "MalformedCsv",
-    "Metric", "OutOfRange", "PipelineError", "PmfSnapshot", "PriceSeries", "ReturnKind",
+    "OutOfRange", "PipelineError", "PmfSnapshot", "PriceSeries", "ReturnKind",
     "ReturnSeries", "SeriesTooShort", "Shock", "ShockShape", "SpectrumTable", "SummaryStats",
     "SynthSpec", "TooShort", "WindowSequenceSpec", "WindowSlice", "aggregate_to_daily",
     "bin_returns", "bracket_windows", "build_sequences", "compare_windows",
     "dedup_closed_market", "detect_events", "generate", "log_returns", "nominal_returns",
     "parse_csv", "parse_csv_file", "pct_difference", "pmf_snapshot", "serialize_csv",
-    "shannon_entropy", "slice_window", "spectra_for_series", "summarize_values",
+    "shannon_entropy", "spectra_for_series", "summarize_values",
     "velleman_bins", "window_bounds", "window_entropy",
 }
 
@@ -38,7 +38,6 @@ SETTINGS = {
     "EventSignature": {},
     "Frequency": ["DAILY", "FIVE_MINUTE"],
     "InjectionRecord": {},
-    "Metric": ["ENTROPY", "STD_DEV"],
     "PmfSnapshot": {},
     "PriceSeries": {},
     "ReturnKind": ["NOMINAL", "LOG"],
@@ -72,7 +71,6 @@ SETTINGS = {
     "pmf_snapshot": {"preceding_days": 14, "n_bins": None},
     "serialize_csv": {},
     "shannon_entropy": {},
-    "slice_window": {},
     "spectra_for_series": {},
     "summarize_values": {},
     "velleman_bins": {},
@@ -104,7 +102,7 @@ def test_public_names_are_package_attributes():
         name for name, value in vars(entroscope).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert len(PUBLIC) == 52 and names == PUBLIC
+    assert len(PUBLIC) == 50 and names == PUBLIC
 
 
 def test_public_settings_are_pinned():

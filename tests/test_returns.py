@@ -18,7 +18,6 @@ from entroscope import (
     bracket_windows,
     log_returns,
     nominal_returns,
-    slice_window,
 )
 
 from entroscope.cli import _bars_per_day, _restrict_dates
@@ -96,10 +95,8 @@ def _with_values(r, values):
      "returns must be finite"),
     (lambda r: WindowSlice(4, 4), "invalid slice [4, 4)"),
     (lambda r: WindowSlice(-1, 3), "invalid slice [-1, 3)"),
-    (lambda r: slice_window(r, "2025-01-02", 0), "trading_days must be positive"),
     (lambda r: bracket_windows(r, "2025-01-05", 0), "trading_days must be positive"),
-], ids=["lengths", "infinite value", "empty slice", "negative start", "slice_window days",
-        "bracket_windows days"])
+], ids=["lengths", "infinite value", "empty slice", "negative start", "bracket_windows days"])
 def test_invalid_window_input_is_refused(make, message):
     with pytest.raises(ValueError) as caught:
         make(make_returns(np.full(10, 0.01)))
@@ -291,11 +288,8 @@ def test_day_index_matches_mask_oracle(calendar, data):
     n_days = len(offsets)
     anchor = _date(data, offsets)
     trading_days = data.draw(st.integers(1, n_days + 2), label="trading_days")
-    for ours, theirs, args in [
-        (slice_window, oracle.slice_window, (returns, anchor, trading_days)),
-        (bracket_windows, oracle.bracket_windows, (returns, anchor, trading_days)),
-    ]:
-        assert _outcome(ours, *args) == _outcome(theirs, *args)
+    args = (returns, anchor, trading_days)
+    assert _outcome(bracket_windows, *args) == _outcome(oracle.bracket_windows, *args)
 
     preceding = data.draw(st.integers(0, n_days + 1), label="preceding_days")
     n_bins = data.draw(st.sampled_from([None, 1, 4]), label="n_bins")
@@ -313,30 +307,36 @@ def test_day_index_matches_mask_oracle(calendar, data):
     assert _plain(aggregate_to_daily(prices)) == _plain(oracle.aggregate_to_daily(prices))
 
 
-def test_slice_window_full():
+def _windows(*pairs):
+    """Window index pairs as ``_outcome`` gives a pair of windows."""
+    return _plain(tuple(WindowSlice(*pair) for pair in pairs))
+
+
+def test_bracket_windows_full():
     r = make_returns(np.arange(200, dtype=float) / 1e4, start="2025-01-02")
-    start = r.timestamps[100].astype("datetime64[D]")
-    window = slice_window(r, start, 100)
-    assert (window.start_index, window.end_index) == (100, 200)
+    anchor = r.timestamps[100].astype("datetime64[D]")
+    assert _outcome(bracket_windows, r, anchor, 100) == (_windows((0, 100), (100, 200)), [])
 
 
-def test_slice_window_start_beyond_series():
+def test_bracket_windows_anchor_beyond_series():
+    # The before-side is short, and warns, before the after-side fails.
     r = make_returns([0.01, 0.02, 0.03])
-    with pytest.raises(OutOfRange):
-        slice_window(r, "2030-01-01", 10)
+    assert _outcome(bracket_windows, r, "2030-01-01", 10) == (
+        (OutOfRange, "2030-01-01 is after the last observation"),
+        ["only 3 trading days before 2030-01-01 (requested 10)"],
+    )
 
 
-def test_slice_window_of_empty_series_is_out_of_range():
+def test_bracket_windows_of_empty_series_is_out_of_range():
     r = make_returns([])
-    with pytest.raises(OutOfRange):
-        slice_window(r, "2025-01-02", 10)
+    with pytest.raises(OutOfRange, match="^no data before 2025-01-02$"):
+        bracket_windows(r, "2025-01-02", 10)
 
 
-def test_slice_window_covers_all_bars_of_selected_days():
-    r = make_returns(np.arange(30, dtype=float) / 1e4, frequency=Frequency.FIVE_MINUTE,
+def test_bracket_windows_cover_all_bars_of_selected_days():
+    r = make_returns(np.arange(40, dtype=float) / 1e4, frequency=Frequency.FIVE_MINUTE,
                      bars_per_day=10)
-    window = slice_window(r, "2025-01-02", 2)
-    assert (window.start_index, window.end_index) == (0, 20)
+    assert _outcome(bracket_windows, r, "2025-01-04", 2) == (_windows((0, 20), (20, 40)), [])
 
 
 def _us_trading_days_2025():
@@ -351,16 +351,20 @@ def _us_trading_days_2025():
     return np.array(out)
 
 
-def test_slice_window_truncates_on_calendar_gaps():
+def test_bracket_windows_truncate_on_calendar_gaps():
+    # An anchor on a holiday: the after-side starts on the next trading day,
+    # and each side holds the trading days present, not calendar days.
     days = _us_trading_days_2025()
     assert len(days) == 70
     rng = np.random.default_rng(1)
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(days))))
     series = PriceSeries("spx-like", Frequency.DAILY, days, closes)
     r = log_returns(series)
-    with pytest.warns(UserWarning):
-        window = slice_window(r, "2025-01-21", 100)
-    assert len(window) == 69
+    assert _outcome(bracket_windows, r, "2025-02-17", 100) == (_windows((0, 18), (18, 69)), [
+        "only 18 trading days before 2025-02-17 (requested 100)",
+        "only 51 trading days available at or after 2025-02-17 (requested 100)",
+    ])
+    assert r.timestamps[18] == np.datetime64("2025-02-18")
 
 
 def test_bracket_windows_symmetric():

@@ -47,7 +47,8 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ["batch-day", "spectrum", "exit=0"], ["batch-day", "pmf", "exit=0"],
         ["batch-day", "compare/nominal", "exit=0"], ["batch-day", "spectrum/nominal", "exit=0"],
         ["batch-day", "compare/daily", "exit=0"], ["batch-day", "spectrum/daily", "exit=0"],
-        ["batch-day", "spectrum/dates", "exit=0"],
+        ["batch-day", "spectrum/dates", "exit=0"], ["batch-day", "compare/truncated", "exit=0"],
+        ["batch-day", "compare/late-anchor", "exit=2"],
         ["onset-bar", "spectrum", "exit=0"], ["per-window", "spectrum", "exit=0"],
         ["per-window", "spectrum/grow-left", "exit=0"],
         ["per-window", "spectrum/grow-left-fixed", "exit=0"],
@@ -65,6 +66,8 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
     for variant, report in [
         ("batch-day/nominal/compare.csv", "batch-day/report/compare.csv"),
         ("batch-day/daily/compare.csv", "batch-day/report/compare.csv"),
+        ("batch-day/truncated/compare.csv", "batch-day/report/compare.csv"),
+        ("batch-day/late-anchor/compare.csv", "batch-day/truncated/compare.csv"),
         ("batch-day/nominal/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
         ("batch-day/daily/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
         ("batch-day/dates/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),

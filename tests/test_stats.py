@@ -1,4 +1,5 @@
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -10,12 +11,20 @@ from entroscope import (
     BinningSpec,
     DegenerateDenominator,
     Frequency,
-    Metric,
+    ReturnSeries,
+    Shock,
+    ShockShape,
+    SynthSpec,
     TooShort,
     WindowSlice,
+    bracket_windows,
     compare_windows,
+    generate,
+    log_returns,
     pct_difference,
     summarize_values,
+    velleman_bins,
+    window_entropy,
 )
 from entroscope.returns import slice_values
 
@@ -147,11 +156,8 @@ def test_pct_difference_antisymmetric(a, b):
 def test_compare_identical_slices():
     vals = np.tile([0.01, -0.02, 0.005, 0.015], 5)
     r = make_returns(np.concatenate([vals, vals]))
-    before = WindowSlice(0, 20)
-    after = WindowSlice(20, 40)
-    for metric in Metric:
-        cmp = compare_windows(r, before, after, metric)
-        assert cmp.pct_difference == 0.0
+    comparisons = compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+    assert [cmp.pct_difference for cmp in comparisons] == [0.0, 0.0]
 
 
 def test_compare_stddev_scale_ratio():
@@ -159,7 +165,7 @@ def test_compare_stddev_scale_ratio():
     n = 20_000
     vals = np.concatenate([rng.normal(0, 0.01, n), rng.normal(0, 0.02, n)])
     r = make_returns(vals, frequency=Frequency.FIVE_MINUTE)
-    cmp = compare_windows(r, WindowSlice(0, n), WindowSlice(n, 2 * n), Metric.STD_DEV)
+    _, cmp = compare_windows(r, WindowSlice(0, n), WindowSlice(n, 2 * n))
     assert cmp.pct_difference == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
@@ -167,13 +173,13 @@ def test_compare_stddev_equals_summarize_and_needs_four_values():
     rng = np.random.default_rng(5)
     r = make_returns(rng.normal(0, 0.01, 50))
     before, after = WindowSlice(0, 20), WindowSlice(20, 50)
-    cmp = compare_windows(r, before, after, Metric.STD_DEV)
+    _, cmp = compare_windows(r, before, after)
     assert (cmp.before, cmp.after) == (
         summarize_values(slice_values(r, before)).std_dev,
         summarize_values(slice_values(r, after)).std_dev,
     )
     with pytest.raises(TooShort, match="got 3"):
-        compare_windows(r, WindowSlice(0, 3), after, Metric.STD_DEV)
+        compare_windows(r, WindowSlice(0, 3), after)
 
 
 def test_compare_entropy_uniform_vs_single_bin():
@@ -181,11 +187,10 @@ def test_compare_entropy_uniform_vs_single_bin():
     before_vals = np.arange(n) + 0.5
     after_vals = np.full(n, 0.5)
     r = make_returns(np.concatenate([before_vals, after_vals]))
-    cmp = compare_windows(
+    cmp, _ = compare_windows(
         r,
         WindowSlice(0, n),
         WindowSlice(n, 2 * n),
-        Metric.ENTROPY,
         binning=BinningSpec(n, lo=0.0, hi=float(n)),
     )
     assert cmp.before == pytest.approx(math.log(n), abs=1e-12)
@@ -200,15 +205,23 @@ def test_compare_entropy_of_mirrored_windows_is_exactly_equal(seed):
     # so both windows have the same bits and the difference prints as 0.
     x = np.random.default_rng(seed).normal(0, 0.01, 40)
     r = make_returns(np.concatenate([x, -x]))
-    cmp = compare_windows(r, WindowSlice(0, 40), WindowSlice(40, 80), Metric.ENTROPY)
+    cmp, _ = compare_windows(r, WindowSlice(0, 40), WindowSlice(40, 80))
     assert cmp.before == cmp.after
     assert f"{cmp.pct_difference:.6f}" == "0.000000"
 
 
 def test_compare_propagates_metric_name():
     r = make_returns(np.linspace(-0.01, 0.01, 40))
-    cmp = compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40), Metric.STD_DEV)
-    assert cmp.metric_name == "std_dev"
+    comparisons = compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+    assert [cmp.metric_name for cmp in comparisons] == [m.name.lower() for m in Metric]
+
+
+class Metric(Enum):
+    """The position of each metric in the pair that ``compare_windows``
+    returns."""
+
+    ENTROPY = 0
+    STD_DEV = 1
 
 
 @pytest.mark.parametrize("metric, big, message", [
@@ -220,17 +233,58 @@ def test_compare_refuses_a_metric_past_the_float_range(metric, big, message):
     values[30 : 30 + len(big)] = big
     r = make_returns(values)
     with pytest.raises(ValueError) as caught:
-        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40), metric)
+        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("metric", [Metric.ENTROPY, Metric.STD_DEV])
+_UNDEFINED = {
+    # Constant windows: both entropies and both deviations are 0, and the
+    # entropy is checked first.
+    Metric.ENTROPY: np.zeros(40),
+    # Squares of 1e-300 and 2e-300 underflow to 0, so both deviations are 0,
+    # while each window holds two values: H is ln 2 on both.
+    Metric.STD_DEV: np.tile([1e-300, 2e-300], 20),
+}
+
+
+@pytest.mark.parametrize("metric", list(Metric))
 def test_compare_names_the_metric_whose_difference_is_undefined(metric):
-    # Constant windows: both entropies and both deviations are 0.
-    r = make_returns(np.zeros(40))
+    r = make_returns(_UNDEFINED[metric])
+    if metric is Metric.STD_DEV:
+        for window in (WindowSlice(0, 20), WindowSlice(20, 40)):
+            h = window_entropy(r, window, BinningSpec(velleman_bins(20)))
+            assert h == pytest.approx(math.log(2), abs=1e-12)
     with pytest.raises(DegenerateDenominator) as caught:
-        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40), metric)
-    assert str(caught.value) == f"{metric.value}: midpoint of (0.0, 0.0) is zero"
+        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+    assert str(caught.value) == f"{metric.name.lower()}: midpoint of (0.0, 0.0) is zero"
+
+
+def _scaled(returns, scale):
+    return ReturnSeries(returns.instrument_id, returns.kind, returns.frequency,
+                        returns.timestamps, returns.values * scale)
+
+
+@pytest.mark.parametrize("scale", [4.0, 0.25, 2.0**-20])
+def test_compare_entropy_does_not_see_amplitude(scale):
+    # Each window is binned over its own range, so scaling every return
+    # moves no value to another bin: H keeps its bits and only sigma sees
+    # the amplitude. A power of two scales exactly, so sigma scales exactly
+    # and its difference keeps its bits too. The windows are the README's
+    # compare.csv example: entropy -53.8% while sigma rises 78.4%.
+    shock = Shock(25, 6.0, ShockShape.DISPERSED_DAY)
+    series, _ = generate(SynthSpec(seed=3, n_days=40, bars_per_day=78, shocks=(shock,)))
+    r = log_returns(series)
+    before, after = bracket_windows(r, "2025-01-27", 10)
+    entropy, std_dev = compare_windows(r, before, after)
+    assert (f"{entropy.pct_difference:.6f}", f"{std_dev.pct_difference:.6f}") == (
+        "-0.537847", "0.784374"
+    )
+    scaled_entropy, scaled_std_dev = compare_windows(_scaled(r, scale), before, after)
+    assert scaled_entropy == entropy
+    assert (scaled_std_dev.before, scaled_std_dev.after) == (
+        std_dev.before * scale, std_dev.after * scale
+    )
+    assert scaled_std_dev.pct_difference == std_dev.pct_difference
 
 
 def test_summarize_slice_bounds_checked():
