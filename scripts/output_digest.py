@@ -16,11 +16,11 @@ then a daily ``synth`` (one bar per day, one shock after day 0) into
 ``WORK_DIR/synth/daily``. Then the paths no workload runs are run on the
 inputs already built (see ``VARIANTS``): grow-left sequences under both
 range policies on ``per-window``, and on ``batch-day`` nominal returns,
-daily aggregation, a ``--from-date``/``--to-date`` range, and ``compare``
+daily aggregation, a ``--from-date``/``--to-date`` range, ``compare``
 with windows longer than the data, around an anchor inside it and one
-past it. Each such run reads the workload's report config with some keys
-changed, written to ``<workload>/<label>.json`` with its ``out_dir`` at
-``<workload>/<label>``.
+past it, and ``compare`` and ``spectrum`` at 6 bins. Each such run reads
+the workload's report config with some keys changed, written to
+``<workload>/<label>.json`` with its ``out_dir`` at ``<workload>/<label>``.
 One line is printed per command, its label being ``<command>`` or
 ``<command>/<label>``:
 
@@ -57,6 +57,8 @@ VARIANTS = {
         # the data, whose short before-side warns before the instrument fails.
         ("truncated", {"window_days": 400}, [["compare"]]),
         ("late-anchor", {"anchor_date": "2026-01-02", "window_days": 400}, [["compare"]]),
+        # The paper's bin scale: compare_windows with an explicit binning.
+        ("bins", {"bins": 6}, [["compare"], ["spectrum"]]),
     ],
     "per-window": [
         ("grow-left", {"sequence": {"anchor_mode": "grow-left"}}, [["spectrum"]]),

@@ -7,7 +7,6 @@ from .cumulative import (
     EventSignature,
     SpectrumTable,
     WindowSequenceSpec,
-    build_sequences,
     detect_events,
     spectra_for_series,
     window_bounds,
@@ -47,7 +46,6 @@ from .ingest import (
 from .returns import (
     ReturnKind,
     ReturnSeries,
-    WindowSlice,
     bracket_windows,
     log_returns,
     nominal_returns,

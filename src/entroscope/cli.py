@@ -273,7 +273,13 @@ def _exit_code(exc: Exception) -> int:
 def _say(line: str, stream: str = "stdout") -> None:
     """Print one line on ``sys.stdout``, or on the ``sys`` stream named by
     ``stream``. A reader that closes the stream early fails no instrument:
-    from the first BrokenPipeError on, later lines to it go to os.devnull."""
+    from the first BrokenPipeError on, later lines to it go to os.devnull.
+
+    The swap must last until the process exits. The interpreter flushes
+    ``sys.stdout`` once more at exit, and a buffered stream still holding
+    the line that failed would then print "Exception ignored ...
+    BrokenPipeError" and turn the exit code into 120. Dropping lines by a
+    flag, or restoring the stream when ``main`` returns, leaves it there."""
     try:
         print(line, file=getattr(sys, stream), flush=True)
     except BrokenPipeError:
@@ -531,9 +537,8 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
     ``,k,window_len,``, H and the line end. A block's heads and entropy
     text are copied whole into a ``_records`` template, built again only
     when the head width changes, and the block's bytes are copied out of
-    the template's first records. NUL padding is dropped only from a block
-    whose heads or text hold it: indices of more than one width or entropy
-    text narrower than the table's widest."""
+    the template's first records, with their NUL padding dropped: when a
+    block holds none, ``bytes.replace`` returns the same object."""
     n_sequences, n_windows = table.values.shape
     middles = codec.rows(
         b",", codec.integers(np.arange(n_windows)), b",",
@@ -562,13 +567,11 @@ def _spectrum_csv(table: SpectrumTable, frequency: Frequency) -> Iterator[bytes]
         for head_field, text_field, windows in fields:
             head_field[: hi - lo] = heads
             text_field[: hi - lo] = texts[:, windows]
-        padded = head.min() == 0 or text.view(np.uint8).min() == 0
         # Records are copied out a quarter block at a time: beside the
         # template, a part's bytes and their stripped copy then hold half a
         # block, where a whole block's would hold two.
         for part in np.array_split(template[: hi - lo], 4):
-            out = part.tobytes()
-            yield out.replace(b"\0", b"") if padded else out
+            yield part.tobytes().replace(b"\0", b"")
 
 
 def _monthly_csv(table: SpectrumTable) -> bytes:

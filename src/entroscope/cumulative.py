@@ -18,26 +18,14 @@ are separated by at least one baseline width. Peaks are a running
 maximum over the window columns, taken once per table; the screen's
 trailing minima come from ``_trailing_min`` (see ``_flags``).
 
-A window's entropy comes from the int64 sum of its bins' fixed-point
-c ln c terms (``entropy._c_log_c_table``), which is exact. At stride 1
-under a fixed range, consecutive sequences differ by one observation at
-each end of every window, so a window's sum is the previous sequence's
-plus the change of the two bin counts the step touches: two cells of a
-prefix-count matrix per window instead of all ``n_bins``. Such a chain
-of single-observation steps costs about half the full recount at stride
-1, about as much at stride 2 and more from stride 4 on, so strides above
-1 count every window whole. Every window bound is a multiple of the
-granule g = gcd(stride, base_length, increment), so their prefix counts
-are taken once per granule of g values (78 at the day geometry), not
-after every value. All ways reach the same integers, hence the same bits.
-
-Per-window ranges bin each window over its own minimum and maximum. A
-window's counts are another window's plus those of the values between
-them wherever both share a range: window k - 1 of the same sequence, or,
-when the stride is m increments, window k - m of the neighbouring
-sequence, which is window k less the ``stride`` values at its shared
-edge. Only the first window of a sequence, and a window whose range
-matches neither, is binned whole. These counts too are exact integers.
+A window's entropy comes from its exact integer bin counts, through the
+int64 sum of their fixed-point c ln c terms (``entropy._c_log_c_table``).
+Under either bin-range policy, every way of counting a window, at any
+stride and any block size, reaches the same integers, hence the same
+bits. Working memory is bounded by a block of sequences, never by the
+series. How each path counts is told once, in ``spectra_for_series`` and
+its helpers ``_prefix_counts``, ``_stride_one_sums`` and
+``_per_window_counts``.
 """
 from __future__ import annotations
 
@@ -51,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .entropy import BinningSpec, _c_log_c_table, _entropy_from_sums, bin_indices
 from .entropy import window_entropy  # unused here: benchmark/tracing.py wraps it by this name
 from .errors import InsufficientBaseline, SeriesTooShort
-from .returns import ReturnSeries, WindowSlice
+from .returns import ReturnSeries
 
 MAD_TO_SIGMA = 1.4826
 DEFAULT_DISPERSION_FLOOR_FRACTION = 0.05
@@ -219,15 +207,7 @@ def window_bounds(series_length: int, spec: WindowSequenceSpec) -> tuple[np.ndar
     return starts, ends
 
 
-def build_sequences(series_length: int, spec: WindowSequenceSpec) -> list[list[WindowSlice]]:
-    """The windows of ``window_bounds`` as one list of WindowSlice per
-    sequence. Unused by the package: ``benchmark/tracing.py`` wraps it by
-    this name."""
-    starts, ends = window_bounds(series_length, spec)
-    return [
-        [WindowSlice(a, b) for a, b in zip(row_starts, row_ends)]
-        for row_starts, row_ends in zip(starts.tolist(), ends.tolist())
-    ]
+build_sequences = window_bounds  # unused here: benchmark/tracing.py wraps it by this name
 
 
 def _prefix_matrix(idx: np.ndarray, n_bins: int) -> np.ndarray:
@@ -272,7 +252,9 @@ def _stride_one_sums(
     both share a bin. With prefix counts C and r[i] = C[i, idx[i]], the
     values before i in i's bin, c_out = C[b, idx[a]] - r[a] and c_in = r[b]
     - C[a + 1, idx[b]]: two cells of C per window step. The int64 steps
-    accumulate exactly along the block."""
+    accumulate exactly along the block. Such a chain of single-observation
+    steps costs about half the full recount at stride 1, about as much at
+    stride 2 and more from stride 4 on, so only stride 1 takes it."""
     first, last = int(starts[0].min()), int(ends[-1].max())
     seg = idx[first:last]
     prefix = _prefix_matrix(seg, n_bins)

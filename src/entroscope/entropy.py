@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindow, OutOfRange
-from .returns import ReturnSeries, WindowSlice, slice_values
+from .returns import ReturnSeries, slice_values
 
 
 def velleman_bins(sample_count: int) -> int:
@@ -209,7 +209,7 @@ def _count_entropy(counts: np.ndarray) -> float:
     return float(entropy_from_counts(counts, counts.sum()))
 
 
-def window_entropy(returns: ReturnSeries, window: WindowSlice, spec: BinningSpec) -> float:
+def window_entropy(returns: ReturnSeries, window: range, spec: BinningSpec) -> float:
     """Entropy of one window of a return series, from its bin counts."""
     return _count_entropy(_bin(slice_values(returns, window), spec)[1])
 

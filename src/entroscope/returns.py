@@ -6,7 +6,8 @@ trading days actually present in the data, not calendar days, so holiday
 gaps shrink a window rather than shifting it. Every day window is a
 slice of one index, the series' ``days`` (see ``ingest.Stamped``): the
 distinct dates and where each begins, so a window of days i..j-1 is
-``[bounds[i], bounds[j])``.
+``range(bounds[i], bounds[j])``. A window is such a ``range`` of indices
+into a series; ``slice_values`` reads its values.
 """
 from __future__ import annotations
 
@@ -45,27 +46,16 @@ class ReturnSeries(Stamped):
             raise ValueError("returns must be finite")
 
 
-@dataclass(frozen=True)
-class WindowSlice:
-    """Half-open index range [start_index, end_index) into a ReturnSeries."""
-
-    start_index: int
-    end_index: int
-
-    def __post_init__(self):
-        if not (0 <= self.start_index < self.end_index):
-            raise ValueError(f"invalid slice [{self.start_index}, {self.end_index})")
-
-    def __len__(self) -> int:
-        return self.end_index - self.start_index
-
-
-def slice_values(returns: ReturnSeries, window: WindowSlice) -> np.ndarray:
-    if window.end_index > len(returns):
-        raise ValueError(
-            f"slice [{window.start_index}, {window.end_index}) exceeds series length {len(returns)}"
-        )
-    return returns.values[window.start_index : window.end_index]
+def slice_values(returns: ReturnSeries, window: range) -> np.ndarray:
+    """The values of ``window``, a ``range`` of indices into ``returns``.
+    ValueError for an empty, stepped or negative-start window, and for one
+    that runs past the end of the series."""
+    start, stop = window.start, window.stop
+    if not (0 <= start < stop and window.step == 1):
+        raise ValueError(f"invalid slice [{start}, {stop})")
+    if stop > len(returns):
+        raise ValueError(f"slice [{start}, {stop}) exceeds series length {len(returns)}")
+    return returns.values[start:stop]
 
 
 def _returns(series: PriceSeries, kind: ReturnKind, of_ratio) -> ReturnSeries:
@@ -90,12 +80,12 @@ def nominal_returns(series: PriceSeries) -> ReturnSeries:
 
 def bracket_windows(
     returns: ReturnSeries, anchor_date, trading_days: int
-) -> tuple[WindowSlice, WindowSlice]:
+) -> tuple[range, range]:
     """The pair ``(before, after)`` of symmetric windows around an anchor
-    date: the last ``trading_days`` distinct dates strictly before it, and
-    the first ``trading_days`` at or after it; for intraday series a window
-    covers every bar of its dates. Both come from one search of the anchor
-    among the series' days.
+    date, as ``range``s: the last ``trading_days`` distinct dates strictly
+    before it, and the first ``trading_days`` at or after it; for intraday
+    series a window covers every bar of its dates. Both come from one
+    search of the anchor among the series' days.
 
     In this order: ValueError when ``trading_days`` < 1; OutOfRange when
     no date precedes the anchor, as in an empty series; a warning when
@@ -123,5 +113,5 @@ def bracket_windows(
             f"at or after {anchor} (requested {trading_days})",
             stacklevel=2,
         )
-    before = WindowSlice(int(bounds[max(first - trading_days, 0)]), int(bounds[first]))
-    return before, WindowSlice(int(bounds[first]), int(bounds[end]))
+    before = range(bounds[max(first - trading_days, 0)], bounds[first])
+    return before, range(bounds[first], bounds[end])

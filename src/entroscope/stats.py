@@ -14,7 +14,7 @@ import numpy as np
 
 from .entropy import BinningSpec, velleman_bins, window_entropy
 from .errors import DegenerateDenominator, TooShort
-from .returns import ReturnSeries, WindowSlice, slice_values
+from .returns import ReturnSeries, slice_values
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def _compared(name: str, measure, before, after) -> BeforeAfterComparison:
 
 def compare_windows(
     returns: ReturnSeries,
-    before: WindowSlice,
-    after: WindowSlice,
+    before: range,
+    after: range,
     binning: BinningSpec | None = None,
 ) -> tuple[BeforeAfterComparison, BeforeAfterComparison]:
     """The pair ``(entropy, std_dev)``: each metric evaluated independently
@@ -129,10 +129,12 @@ def compare_windows(
     to the rule applied to the before-window length and is used for both
     windows. A metric that is not finite on either window is refused with
     ValueError; one whose difference is undefined, with
-    DegenerateDenominator naming the metric.
+    DegenerateDenominator naming the metric. The windows are ``range``s,
+    read through ``slice_values``, so a bad before-window is refused with
+    its ValueError before anything is counted.
     """
     if binning is None:
-        binning = BinningSpec(velleman_bins(len(before)))
+        binning = BinningSpec(velleman_bins(len(slice_values(returns, before))))
     entropy = _compared("entropy", lambda w: window_entropy(returns, w, binning), before, after)
     std_dev = _compared("std_dev", lambda w: _std_dev(slice_values(returns, w)), before, after)
     return entropy, std_dev

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from entroscope import EmptyInput, Frequency, OutOfRange, PriceSeries, ReturnSeries, WindowSlice
+from entroscope import EmptyInput, Frequency, OutOfRange, PriceSeries, ReturnSeries
 from entroscope.entropy import (
     BinningSpec,
     PmfSnapshot,
@@ -57,7 +57,7 @@ def slice_window(returns, start_date, trading_days):
     else:
         last_date = available[trading_days - 1]
     end_index = int(np.searchsorted(dates, last_date, side="right"))
-    return WindowSlice(start_index, end_index)
+    return range(start_index, end_index)
 
 
 def bracket_windows(returns, anchor_date, trading_days):
@@ -77,7 +77,7 @@ def bracket_windows(returns, anchor_date, trading_days):
     else:
         first_date = before_dates[-trading_days]
     before_start = int(np.searchsorted(dates, first_date, side="left"))
-    before = WindowSlice(before_start, before_end)
+    before = range(before_start, before_end)
     after = slice_window(returns, anchor, trading_days)
     return before, after
 

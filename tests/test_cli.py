@@ -1073,8 +1073,13 @@ def test_closed_stderr_pipe_fails_no_instrument(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("command", ["ingest", "synth"])
-def test_closed_stdout_pipe_ends_cleanly(tmp_path, command):
+@pytest.mark.parametrize("command, buffered", [
+    ("ingest", False), ("synth", False), ("ingest", True), ("synth", True),
+], ids=["ingest", "synth", "ingest-buffered", "synth-buffered"])
+def test_closed_stdout_pipe_ends_cleanly(tmp_path, command, buffered):
+    # A buffered stdout is flushed once more when the interpreter exits; a
+    # line still held for the broken pipe would then end the run with exit
+    # 120 and "Exception ignored ... BrokenPipeError" on stderr.
     if command == "synth":
         argv = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "12", "--out"]
         names = ["synth.csv", "synth_injections.csv"]
@@ -1085,6 +1090,8 @@ def test_closed_stdout_pipe_ends_cleanly(tmp_path, command):
         names = ["i0.csv", "i1.csv", "i2.csv"]
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     read_end, write_end = os.pipe()
     os.close(read_end)

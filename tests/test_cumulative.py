@@ -16,7 +16,6 @@ from entroscope import (
     SpectrumTable,
     SynthSpec,
     WindowSequenceSpec,
-    build_sequences,
     detect_events,
     generate,
     log_returns,
@@ -43,19 +42,23 @@ from entroscope.entropy import (
 from _fixtures import make_returns
 
 
-def _bounds(windows):
-    return [(w.start_index, w.end_index) for w in windows]
+def _sequences(length, spec):
+    """The rows of ``window_bounds``: each sequence's windows as (start,
+    end) pairs."""
+    starts, ends = window_bounds(length, spec)
+    return [list(zip(a, b)) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 # ----------------------------------------------------------------------
-# build_sequences
+# window_bounds, by rows (``cumulative.build_sequences`` names it too)
 # ----------------------------------------------------------------------
 
 def test_build_sequences_hand_enumerated():
+    assert cumulative.build_sequences is window_bounds
     spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5, sequence_count=2)
-    seqs = build_sequences(30, spec)
-    assert _bounds(seqs[0]) == [(0, 10), (0, 15), (0, 20)]
-    assert _bounds(seqs[1]) == [(5, 15), (5, 20), (5, 25)]
+    seqs = _sequences(30, spec)
+    assert seqs[0] == [(0, 10), (0, 15), (0, 20)]
+    assert seqs[1] == [(5, 15), (5, 20), (5, 25)]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -74,37 +77,37 @@ def test_window_sequence_spec_refuses_invalid_geometry(kwargs, message):
 
 def test_build_sequences_auto_fill():
     spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5)
-    seqs = build_sequences(30, spec)
+    seqs = _sequences(30, spec)
     assert len(seqs) == 3
-    assert _bounds(seqs[2]) == [(10, 20), (10, 25), (10, 30)]
+    assert seqs[2] == [(10, 20), (10, 25), (10, 30)]
 
 
 def test_build_sequences_zero_steps():
     spec = WindowSequenceSpec(base_length=6, stride=3)
-    seqs = build_sequences(12, spec)
-    assert all(len(seq) == 1 and len(seq[0]) == 6 for seq in seqs)
+    seqs = _sequences(12, spec)
+    assert all(len(seq) == 1 and seq[0][1] - seq[0][0] == 6 for seq in seqs)
 
 
 def test_build_sequences_exact_boundary():
     spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=7)
-    seqs = build_sequences(20, spec)
+    seqs = _sequences(20, spec)
     assert len(seqs) == 1
 
 
 def test_build_sequences_too_short():
     with pytest.raises(SeriesTooShort):
-        build_sequences(19, WindowSequenceSpec(base_length=10, increment=5, steps=2))
+        window_bounds(19, WindowSequenceSpec(base_length=10, increment=5, steps=2))
     with pytest.raises(SeriesTooShort):
-        build_sequences(30, WindowSequenceSpec(base_length=10, increment=5, steps=2,
-                                               stride=5, sequence_count=4))
+        window_bounds(30, WindowSequenceSpec(base_length=10, increment=5, steps=2,
+                                             stride=5, sequence_count=4))
 
 
 def test_build_sequences_grow_left_shares_right_edge():
     spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5,
                               anchor_mode="grow-left", sequence_count=2)
-    seqs = build_sequences(30, spec)
-    assert _bounds(seqs[0]) == [(10, 20), (5, 20), (0, 20)]
-    assert _bounds(seqs[1]) == [(15, 25), (10, 25), (5, 25)]
+    seqs = _sequences(30, spec)
+    assert seqs[0] == [(10, 20), (5, 20), (0, 20)]
+    assert seqs[1] == [(15, 25), (10, 25), (5, 25)]
 
 
 @settings(max_examples=80)
@@ -125,12 +128,12 @@ def test_sequences_strictly_nested(base, increment, steps, stride, extra, grow_l
         anchor_mode="grow-left" if grow_left else "grow-right",
     )
     length = spec.span + extra
-    for seq in build_sequences(length, spec):
-        for small, big in zip(seq, seq[1:]):
-            assert big.start_index <= small.start_index
-            assert small.end_index <= big.end_index
-            assert len(big) == len(small) + increment
-        assert all(0 <= w.start_index < w.end_index <= length for w in seq)
+    for seq in _sequences(length, spec):
+        for (a, b), (big_a, big_b) in zip(seq, seq[1:]):
+            assert big_a <= a
+            assert b <= big_b
+            assert big_b - big_a == b - a + increment
+        assert all(0 <= a < b <= length for a, b in seq)
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +160,8 @@ def test_spectrum_rises_when_new_bins_fill():
 def _spectrum_oracle(values, windows, n_bins, lo=None, hi=None):
     """Naive recomputation: rebin every window from scratch, then sum."""
     out = []
-    for w in windows:
-        vals = values[w.start_index : w.end_index]
+    for a, b in windows:
+        vals = values[a:b]
         if lo is None:
             wlo, whi = min(vals), max(vals)
             if wlo == whi:
@@ -182,7 +185,7 @@ def test_spectrum_matches_naive_oracle():
     seq_spec = WindowSequenceSpec(base_length=20, increment=10, steps=3, stride=15)
     for binning in (BinningSpec(11), BinningSpec(11, lo=-0.02, hi=0.02)):
         spectra = spectra_for_series(r, seq_spec, binning)
-        sequences = build_sequences(len(r), seq_spec)
+        sequences = _sequences(len(r), seq_spec)
         for sp, seq in zip(spectra, sequences):
             want = _spectrum_oracle(vals.tolist(), seq, 11, binning.lo, binning.hi)
             assert np.max(np.abs(sp.values - np.array(want))) <= 1e-12
@@ -236,7 +239,7 @@ def test_prefix_count_table_matches_oracle_across_blocks(case):
     values = vals.tolist()
     want = np.array([
         _spectrum_oracle(values, seq, n_bins, binning.lo, binning.hi)
-        for seq in build_sequences(len(r), seq_spec)
+        for seq in _sequences(len(r), seq_spec)
     ])
     assert np.max(np.abs(table.values - want)) <= 1e-12
     if constant:
@@ -534,7 +537,7 @@ def test_window_bounds_arrays():
     assert starts.dtype == ends.dtype == np.int64
     assert starts.tolist() == [[10, 5, 0], [15, 10, 5], [20, 15, 10]]
     assert ends.tolist() == [[20, 20, 20], [25, 25, 25], [30, 30, 30]]
-    assert [_bounds(seq) for seq in build_sequences(30, spec)][2] == [(20, 30), (15, 30), (10, 30)]
+    assert _sequences(30, spec)[2] == [(20, 30), (15, 30), (10, 30)]
 
 
 def test_spectrum_table_views():

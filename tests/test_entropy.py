@@ -12,7 +12,6 @@ from entroscope import (
     Frequency,
     OutOfRange,
     WindowSequenceSpec,
-    WindowSlice,
     bin_returns,
     pmf_snapshot,
     shannon_entropy,
@@ -267,13 +266,13 @@ def test_fixed_point_table_cannot_overflow_at_largest_total():
 
 def test_window_entropy_constant_slice():
     r = make_returns([0.01] * 10)
-    assert window_entropy(r, WindowSlice(0, 10), BinningSpec(8)) == 0.0
+    assert window_entropy(r, range(0, 10), BinningSpec(8)) == 0.0
 
 
 def test_window_entropy_one_per_bin():
     n = 10
     r = make_returns(np.arange(n) + 0.5)
-    h = window_entropy(r, WindowSlice(0, n), BinningSpec(n, lo=0.0, hi=float(n)))
+    h = window_entropy(r, range(0, n), BinningSpec(n, lo=0.0, hi=float(n)))
     assert h == pytest.approx(math.log(n), abs=1e-12)
 
 
@@ -282,7 +281,7 @@ def test_window_entropy_matches_two_pass_oracle():
     vals = rng.normal(0, 0.01, 100)
     r = make_returns(vals)
     for spec in (BinningSpec(17), BinningSpec(17, lo=-0.03, hi=0.03)):
-        got = window_entropy(r, WindowSlice(0, 100), spec)
+        got = window_entropy(r, range(0, 100), spec)
         want = _entropy_oracle(vals.tolist(), 17, spec.lo, spec.hi)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -302,7 +301,7 @@ def test_window_entropy_bits_equal_one_window_spectrum(length, n_bins, levels, s
     r = make_returns(vals)
     spec = BinningSpec(n_bins)
     table = spectra_for_series(r, WindowSequenceSpec(length), spec)
-    assert window_entropy(r, WindowSlice(0, length), spec) == table.values[0, 0]
+    assert window_entropy(r, range(0, length), spec) == table.values[0, 0]
 
 
 @settings(max_examples=150)

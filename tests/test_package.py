@@ -17,8 +17,8 @@ PUBLIC = {
     "EventSignature", "Frequency", "InjectionRecord", "InsufficientBaseline", "MalformedCsv",
     "OutOfRange", "PipelineError", "PmfSnapshot", "PriceSeries", "ReturnKind",
     "ReturnSeries", "SeriesTooShort", "Shock", "ShockShape", "SpectrumTable", "SummaryStats",
-    "SynthSpec", "TooShort", "WindowSequenceSpec", "WindowSlice", "aggregate_to_daily",
-    "bin_returns", "bracket_windows", "build_sequences", "compare_windows",
+    "SynthSpec", "TooShort", "WindowSequenceSpec", "aggregate_to_daily",
+    "bin_returns", "bracket_windows", "compare_windows",
     "dedup_closed_market", "detect_events", "generate", "log_returns", "nominal_returns",
     "parse_csv", "parse_csv_file", "pct_difference", "pmf_snapshot", "serialize_csv",
     "shannon_entropy", "spectra_for_series", "summarize_values",
@@ -54,11 +54,9 @@ SETTINGS = {
         "increment": 1, "steps": 0, "stride": 1, "sequence_count": None,
         "anchor_mode": "grow-right",
     },
-    "WindowSlice": {},
     "aggregate_to_daily": {},
     "bin_returns": {},
     "bracket_windows": {},
-    "build_sequences": {},
     "compare_windows": {"binning": None},
     "dedup_closed_market": {"run_length": 6},
     "detect_events": {"threshold": 3.0, "min_persistence": 2, "baseline": 8},
@@ -102,7 +100,7 @@ def test_public_names_are_package_attributes():
         name for name, value in vars(entroscope).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert len(PUBLIC) == 50 and names == PUBLIC
+    assert len(PUBLIC) == 48 and names == PUBLIC
 
 
 def test_public_settings_are_pinned():

@@ -14,7 +14,6 @@ from entroscope import (
     ReturnKind,
     ReturnSeries,
     TooShort,
-    WindowSlice,
     bracket_windows,
     log_returns,
     nominal_returns,
@@ -24,6 +23,7 @@ from entroscope.cli import _bars_per_day, _restrict_dates
 from entroscope.codec import runs
 from entroscope.entropy import pmf_snapshot
 from entroscope.ingest import aggregate_to_daily
+from entroscope.returns import slice_values
 
 import _day_oracle as oracle
 from _fixtures import make_daily, make_returns
@@ -93,10 +93,13 @@ def _with_values(r, values):
      "timestamps and values must be 1-d arrays of equal length"),
     (lambda r: _with_values(r, np.where(np.arange(len(r)) == 3, np.inf, r.values)),
      "returns must be finite"),
-    (lambda r: WindowSlice(4, 4), "invalid slice [4, 4)"),
-    (lambda r: WindowSlice(-1, 3), "invalid slice [-1, 3)"),
+    (lambda r: slice_values(r, range(4, 4)), "invalid slice [4, 4)"),
+    (lambda r: slice_values(r, range(-1, 3)), "invalid slice [-1, 3)"),
+    (lambda r: slice_values(r, range(0, 6, 2)), "invalid slice [0, 6)"),
+    (lambda r: slice_values(r, range(4, 11)), "slice [4, 11) exceeds series length 10"),
     (lambda r: bracket_windows(r, "2025-01-05", 0), "trading_days must be positive"),
-], ids=["lengths", "infinite value", "empty slice", "negative start", "bracket_windows days"])
+], ids=["lengths", "infinite value", "empty slice", "negative start", "stepped slice",
+        "past the end", "bracket_windows days"])
 def test_invalid_window_input_is_refused(make, message):
     with pytest.raises(ValueError) as caught:
         make(make_returns(np.full(10, 0.01)))
@@ -264,6 +267,8 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, tuple):
         return tuple(_plain(item) for item in value)
+    if isinstance(value, range):  # its bounds: ranges compare as sequences
+        return (value.start, value.stop, value.step)
     if dataclasses.is_dataclass(value):
         return {key: _plain(item) for key, item in vars(value).items()}
     return value
@@ -309,7 +314,7 @@ def test_day_index_matches_mask_oracle(calendar, data):
 
 def _windows(*pairs):
     """Window index pairs as ``_outcome`` gives a pair of windows."""
-    return _plain(tuple(WindowSlice(*pair) for pair in pairs))
+    return _plain(tuple(range(*pair) for pair in pairs))
 
 
 def test_bracket_windows_full():
@@ -371,8 +376,8 @@ def test_bracket_windows_symmetric():
     r = make_returns(np.arange(60, dtype=float) / 1e4, start="2025-01-02")
     anchor = r.timestamps[30].astype("datetime64[D]")
     before, after = bracket_windows(r, anchor, 20)
-    assert (before.start_index, before.end_index) == (10, 30)
-    assert (after.start_index, after.end_index) == (30, 50)
+    assert (type(before), before.start, before.stop) == (range, 10, 30)
+    assert (type(after), after.start, after.stop) == (range, 30, 50)
 
 
 def test_bracket_windows_no_history():

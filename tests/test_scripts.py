@@ -49,6 +49,7 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ["batch-day", "compare/daily", "exit=0"], ["batch-day", "spectrum/daily", "exit=0"],
         ["batch-day", "spectrum/dates", "exit=0"], ["batch-day", "compare/truncated", "exit=0"],
         ["batch-day", "compare/late-anchor", "exit=2"],
+        ["batch-day", "compare/bins", "exit=0"], ["batch-day", "spectrum/bins", "exit=0"],
         ["onset-bar", "spectrum", "exit=0"], ["per-window", "spectrum", "exit=0"],
         ["per-window", "spectrum/grow-left", "exit=0"],
         ["per-window", "spectrum/grow-left-fixed", "exit=0"],
@@ -71,6 +72,8 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ("batch-day/nominal/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
         ("batch-day/daily/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
         ("batch-day/dates/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
+        ("batch-day/bins/compare.csv", "batch-day/report/compare.csv"),
+        ("batch-day/bins/ba00_spectrum.csv", "batch-day/report/ba00_spectrum.csv"),
         ("per-window/grow-left/pe00_spectrum.csv", "per-window/report/pe00_spectrum.csv"),
         ("per-window/grow-left-fixed/pe00_spectrum.csv",
          "per-window/grow-left/pe00_spectrum.csv"),

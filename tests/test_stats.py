@@ -16,7 +16,6 @@ from entroscope import (
     ShockShape,
     SynthSpec,
     TooShort,
-    WindowSlice,
     bracket_windows,
     compare_windows,
     generate,
@@ -156,7 +155,7 @@ def test_pct_difference_antisymmetric(a, b):
 def test_compare_identical_slices():
     vals = np.tile([0.01, -0.02, 0.005, 0.015], 5)
     r = make_returns(np.concatenate([vals, vals]))
-    comparisons = compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+    comparisons = compare_windows(r, range(0, 20), range(20, 40))
     assert [cmp.pct_difference for cmp in comparisons] == [0.0, 0.0]
 
 
@@ -165,21 +164,21 @@ def test_compare_stddev_scale_ratio():
     n = 20_000
     vals = np.concatenate([rng.normal(0, 0.01, n), rng.normal(0, 0.02, n)])
     r = make_returns(vals, frequency=Frequency.FIVE_MINUTE)
-    _, cmp = compare_windows(r, WindowSlice(0, n), WindowSlice(n, 2 * n))
+    _, cmp = compare_windows(r, range(0, n), range(n, 2 * n))
     assert cmp.pct_difference == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
 def test_compare_stddev_equals_summarize_and_needs_four_values():
     rng = np.random.default_rng(5)
     r = make_returns(rng.normal(0, 0.01, 50))
-    before, after = WindowSlice(0, 20), WindowSlice(20, 50)
+    before, after = range(0, 20), range(20, 50)
     _, cmp = compare_windows(r, before, after)
     assert (cmp.before, cmp.after) == (
         summarize_values(slice_values(r, before)).std_dev,
         summarize_values(slice_values(r, after)).std_dev,
     )
     with pytest.raises(TooShort, match="got 3"):
-        compare_windows(r, WindowSlice(0, 3), after)
+        compare_windows(r, range(0, 3), after)
 
 
 def test_compare_entropy_uniform_vs_single_bin():
@@ -189,8 +188,8 @@ def test_compare_entropy_uniform_vs_single_bin():
     r = make_returns(np.concatenate([before_vals, after_vals]))
     cmp, _ = compare_windows(
         r,
-        WindowSlice(0, n),
-        WindowSlice(n, 2 * n),
+        range(0, n),
+        range(n, 2 * n),
         binning=BinningSpec(n, lo=0.0, hi=float(n)),
     )
     assert cmp.before == pytest.approx(math.log(n), abs=1e-12)
@@ -205,14 +204,14 @@ def test_compare_entropy_of_mirrored_windows_is_exactly_equal(seed):
     # so both windows have the same bits and the difference prints as 0.
     x = np.random.default_rng(seed).normal(0, 0.01, 40)
     r = make_returns(np.concatenate([x, -x]))
-    cmp, _ = compare_windows(r, WindowSlice(0, 40), WindowSlice(40, 80))
+    cmp, _ = compare_windows(r, range(0, 40), range(40, 80))
     assert cmp.before == cmp.after
     assert f"{cmp.pct_difference:.6f}" == "0.000000"
 
 
 def test_compare_propagates_metric_name():
     r = make_returns(np.linspace(-0.01, 0.01, 40))
-    comparisons = compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+    comparisons = compare_windows(r, range(0, 20), range(20, 40))
     assert [cmp.metric_name for cmp in comparisons] == [m.name.lower() for m in Metric]
 
 
@@ -233,7 +232,7 @@ def test_compare_refuses_a_metric_past_the_float_range(metric, big, message):
     values[30 : 30 + len(big)] = big
     r = make_returns(values)
     with pytest.raises(ValueError) as caught:
-        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+        compare_windows(r, range(0, 20), range(20, 40))
     assert str(caught.value) == message
 
 
@@ -251,11 +250,11 @@ _UNDEFINED = {
 def test_compare_names_the_metric_whose_difference_is_undefined(metric):
     r = make_returns(_UNDEFINED[metric])
     if metric is Metric.STD_DEV:
-        for window in (WindowSlice(0, 20), WindowSlice(20, 40)):
+        for window in (range(0, 20), range(20, 40)):
             h = window_entropy(r, window, BinningSpec(velleman_bins(20)))
             assert h == pytest.approx(math.log(2), abs=1e-12)
     with pytest.raises(DegenerateDenominator) as caught:
-        compare_windows(r, WindowSlice(0, 20), WindowSlice(20, 40))
+        compare_windows(r, range(0, 20), range(20, 40))
     assert str(caught.value) == f"{metric.name.lower()}: midpoint of (0.0, 0.0) is zero"
 
 
@@ -290,4 +289,15 @@ def test_compare_entropy_does_not_see_amplitude(scale):
 def test_summarize_slice_bounds_checked():
     r = make_returns([0.01, 0.02, 0.03, 0.04])
     with pytest.raises(ValueError):
-        summarize_values(slice_values(r, WindowSlice(0, 10)))
+        summarize_values(slice_values(r, range(0, 10)))
+
+
+@pytest.mark.parametrize("before, after, message", [
+    (range(4, 4), range(4, 20), "invalid slice [4, 4)"),
+    (range(0, 20), range(20, 41), "slice [20, 41) exceeds series length 40"),
+], ids=["empty before", "after past the end"])
+def test_compare_refuses_a_bad_window_with_its_slice_text(before, after, message):
+    r = make_returns(np.random.default_rng(3).normal(0, 0.01, 40))
+    with pytest.raises(ValueError) as caught:
+        compare_windows(r, before, after)
+    assert str(caught.value) == message
