@@ -30,7 +30,7 @@ its helpers ``_prefix_counts``, ``_stride_one_sums`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -82,16 +82,15 @@ class WindowSequenceSpec:
 
     ``base_length`` observations in the smallest window, ``increment``
     observations added per step, ``steps`` expansions (so steps + 1 windows
-    per sequence), ``stride`` between consecutive anchors. ``sequence_count``
-    of None fills the series. Windows share their left edge and grow
-    forward by default; ``grow-left`` shares the right edge instead.
+    per sequence), ``stride`` between consecutive anchors. Windows share
+    their left edge and grow forward by default; ``grow-left`` shares the
+    right edge instead.
     """
 
     base_length: int
     increment: int = 1
     steps: int = 0
     stride: int = 1
-    sequence_count: int | None = None
     anchor_mode: str = GROW_RIGHT
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class WindowSequenceSpec:
             raise ValueError("base_length must be >= 2")
         if self.increment < 1 or self.stride < 1 or self.steps < 0:
             raise ValueError("increment/stride must be >= 1 and steps >= 0")
-        if self.sequence_count is not None and self.sequence_count < 1:
-            raise ValueError("sequence_count must be >= 1")
         if self.anchor_mode not in (GROW_RIGHT, GROW_LEFT):
             raise ValueError(f"unknown anchor_mode {self.anchor_mode!r}")
 
@@ -130,11 +127,11 @@ class EntropySpectrum:
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Spectra of every sequence of one series: ``values[j, k]`` is the
-    entropy of window k of sequence j under ``spec``, whose
-    ``sequence_count`` is the table's length; ``window_bounds`` gives the
-    windows' index ranges. ``len`` and indexing (hence iteration) yield
-    EntropySpectrum rows, in anchor order; ``benchmark/tracing.py`` reads
-    ``len(table)`` and ``table[0].values``."""
+    entropy of window k of sequence j under ``spec``, the geometry the
+    table was computed with; ``window_bounds`` gives the windows' index
+    ranges. ``len`` and indexing (hence iteration) yield EntropySpectrum
+    rows, in anchor order; ``benchmark/tracing.py`` reads ``len(table)``
+    and ``table[0].values``."""
 
     values: np.ndarray
     anchor_timestamps: np.ndarray
@@ -181,22 +178,14 @@ def window_bounds(series_length: int, spec: WindowSequenceSpec) -> tuple[np.ndar
     ends[j, k]).
 
     Sequence j is anchored at index j*stride; its windows are strictly
-    nested. Raises SeriesTooShort when even one sequence does not fit, or
-    when an explicit sequence_count does not.
+    nested. Raises SeriesTooShort when even one sequence does not fit.
     """
     span = spec.span
     if series_length < span:
         raise SeriesTooShort(
             f"series length {series_length} cannot hold one sequence of span {span}"
         )
-    max_count = (series_length - span) // spec.stride + 1
-    count = spec.sequence_count if spec.sequence_count is not None else max_count
-    if count > max_count:
-        raise SeriesTooShort(
-            f"series length {series_length} holds at most {max_count} sequences, "
-            f"requested {count}"
-        )
-
+    count = (series_length - span) // spec.stride + 1
     anchors = np.arange(count, dtype=np.int64)[:, None] * spec.stride
     if spec.anchor_mode == GROW_RIGHT:
         starts = np.repeat(anchors, spec.steps + 1, axis=1)
@@ -398,8 +387,7 @@ def spectra_for_series(
         else:
             sums = table.take(_per_window_counts(rows[part], lengths, n_bins, shift)).sum(axis=-1)
         out[part] = _entropy_from_sums(sums, lengths, table, q)
-    anchors = returns.timestamps[:: seq_spec.stride][: len(values)]
-    return SpectrumTable(values, anchors, binning, replace(seq_spec, sequence_count=len(values)))
+    return SpectrumTable(values, returns.timestamps[starts[:, -1]], binning, seq_spec)
 
 
 def _trailing_min(x: np.ndarray, width: int) -> np.ndarray:

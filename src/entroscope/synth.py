@@ -42,7 +42,6 @@ class SynthSpec:
     volatility: float = 0.001
     shocks: tuple[Shock, ...] = ()
     instrument_id: str = "synth"
-    start_date: str = "2025-01-02"
 
     def __post_init__(self):
         if self.n_days < 1 or self.bars_per_day < 1:
@@ -75,7 +74,7 @@ class InjectionRecord:
 
 
 def _timestamps(spec: SynthSpec) -> np.ndarray:
-    days = np.datetime64(spec.start_date, "D") + np.arange(spec.n_days)
+    days = np.datetime64("2025-01-02", "D") + np.arange(spec.n_days)
     if spec.bars_per_day == 1:
         return days.astype("datetime64[s]")
     offsets = (OPEN_MINUTES + BAR_MINUTES * np.arange(spec.bars_per_day)) * np.timedelta64(
@@ -87,12 +86,12 @@ def _timestamps(spec: SynthSpec) -> np.ndarray:
 def generate(spec: SynthSpec) -> tuple[PriceSeries, list[InjectionRecord]]:
     """Generate a price path and the log of injected shocks.
 
-    The path starts at a close of exactly 100.0. Bar t's increment (the log
-    return into bar t) is mu + sigma * z_t for t = 1..N-1. A SINGLE_BAR shock
-    lands on the middle bar of its day, a DISPERSED_DAY shock scales the
-    whole day (on day 0, every bar but the first, which has no return).
-    With bars_per_day == 1 the output is a daily series, which takes no
-    shock on day 0.
+    The path starts at a close of exactly 100.0 on 2025-01-02, and day d is
+    d calendar days later. Bar t's increment (the log return into bar t) is
+    mu + sigma * z_t for t = 1..N-1. A SINGLE_BAR shock lands on the middle
+    bar of its day, a DISPERSED_DAY shock scales the whole day (on day 0,
+    every bar but the first, which has no return). With bars_per_day == 1
+    the output is a daily series, which takes no shock on day 0.
     """
     n = spec.n_days * spec.bars_per_day
     rng = np.random.default_rng(spec.seed)

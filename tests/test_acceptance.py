@@ -197,7 +197,7 @@ def test_criterion_3_oracle_equivalence_on_random_triples():
         span = base + steps * inc
         count = int(rng.integers(1, min(6, (n - span) // stride + 1) + 1))
         seq_spec = WindowSequenceSpec(
-            base, inc, steps, stride, sequence_count=count,
+            base, inc, steps, stride,
             anchor_mode="grow-left" if rng.random() < 0.3 else "grow-right",
         )
 
@@ -211,9 +211,12 @@ def test_criterion_3_oracle_equivalence_on_random_triples():
         else:
             binning = BinningSpec(n_bins)
 
-        r = make_returns(vals, frequency=Frequency.FIVE_MINUTE, bars_per_day=40)
+        # The series holds exactly ``count`` sequences; the fixed range
+        # above comes from the whole draw.
+        r = make_returns(vals[: span + (count - 1) * stride], frequency=Frequency.FIVE_MINUTE,
+                         bars_per_day=40)
         spectra = spectra_for_series(r, seq_spec, binning)
-        starts, ends = window_bounds(n, seq_spec)
+        starts, ends = window_bounds(len(r), seq_spec)
         for sp, row_starts, row_ends in zip(spectra, starts.tolist(), ends.tolist()):
             windows = list(zip(row_starts, row_ends))
             want = _naive_spectrum(vals.tolist(), windows, n_bins, binning.lo, binning.hi)

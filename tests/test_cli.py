@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from entroscope import (
     BinnedDistribution, BinningSpec, Frequency, ReturnKind, Shock, ShockShape, SpectrumTable,
     SynthSpec, WindowSequenceSpec, detect_events, generate, log_returns, parse_csv_file,
-    pmf_snapshot, serialize_csv, spectra_for_series, velleman_bins, window_bounds,
+    pmf_snapshot, serialize_csv, spectra_for_series, velleman_bins,
 )
 from entroscope import cli, codec
 from entroscope.cli import (
@@ -591,10 +591,9 @@ def test_spectrum_csv_bytes_equal_fstring_rows(frequency):
     # lengths across the 9 -> 10 and 99 -> 100 digit widths.
     n_windows = 12
     n_sequences = codec.BLOCK_ROWS // n_windows + 150
-    geometry = WindowSequenceSpec(9, 9, n_windows - 1, sequence_count=n_sequences)
-    starts, ends = window_bounds(n_sequences + geometry.span, geometry)
+    geometry = WindowSequenceSpec(9, 9, n_windows - 1)
     rng = np.random.default_rng(31)
-    values = rng.random(starts.shape) * 3.0
+    values = rng.random((n_sequences, n_windows)) * 3.0
     values[::5, 0] = 0.0
     values[3, :] = 1.25
     step = np.timedelta64(86400 if frequency is Frequency.DAILY else 10807, "s")
@@ -652,7 +651,7 @@ def test_spectrum_csv_cache_of_earlier_blocks_equals_fstring_rows():
     assert len(np.unique(slots)) == len(distinct) - 1
     assert sharing not in values[: 3 * block] and 12.3456785 not in values[: 2 * block]
 
-    geometry = WindowSequenceSpec(40, 1, n_windows - 1, sequence_count=n_sequences)
+    geometry = WindowSequenceSpec(40, 1, n_windows - 1)
     anchors = np.datetime64("2025-01-02T09:30:00") + np.arange(n_sequences) * np.timedelta64(
         300, "s")
     table = SpectrumTable(values, anchors, BinningSpec(7), geometry)
@@ -696,7 +695,7 @@ def _writer_case(case):
         n_windows = 14
         n_sequences = 1
         anchors = start[None]
-    geometry = WindowSequenceSpec(78, 78, n_windows - 1, sequence_count=n_sequences)
+    geometry = WindowSequenceSpec(78, 78, n_windows - 1)
     values = np.random.default_rng(53).random((n_sequences, n_windows)) * 3.0
     if case == "wide-first-block":
         values[5, 2] = 10.5
@@ -724,7 +723,7 @@ def test_spectrum_csv_of_one_block_builds_no_cache(monkeypatch):
     for n_sequences, caches in ((codec.BLOCK_ROWS // n_windows, 0),
                                 (codec.BLOCK_ROWS // n_windows + 1, 1)):
         built.clear()
-        geometry = WindowSequenceSpec(78, 78, n_windows - 1, sequence_count=n_sequences)
+        geometry = WindowSequenceSpec(78, 78, n_windows - 1)
         values = np.random.default_rng(48).random((n_sequences, n_windows)) * 3
         anchors = np.datetime64("2020-01-01T00:00:00") + np.arange(n_sequences) * np.timedelta64(
             1, "D")
@@ -761,9 +760,8 @@ _MONTHLY_ANCHORS = {
 @pytest.mark.parametrize("case", list(_MONTHLY_ANCHORS))
 def test_monthly_csv_bytes_equal_fstring_rows(case):
     anchors = _MONTHLY_ANCHORS[case].astype("datetime64[s]")
-    geometry = WindowSequenceSpec(5, 2, 2, sequence_count=len(anchors))
-    starts, ends = window_bounds(len(anchors) + geometry.span, geometry)
-    values = np.random.default_rng(43).random(starts.shape) * 2.0
+    geometry = WindowSequenceSpec(5, 2, 2)
+    values = np.random.default_rng(43).random((len(anchors), geometry.steps + 1)) * 2.0
     table = SpectrumTable(values, anchors, BinningSpec(7), geometry)
     assert _monthly_csv(table) == _monthly_rows(values, anchors)
 
@@ -774,7 +772,7 @@ def test_monthly_csv_month_without_anchor_gets_no_row():
         ["2025-02-28T15:55:00", "2025-04-01T09:30:00", "2025-04-01T09:35:00"],
         dtype="datetime64[s]",
     )
-    geometry = WindowSequenceSpec(5, 2, 2, sequence_count=len(anchors))
+    geometry = WindowSequenceSpec(5, 2, 2)
     table = SpectrumTable(np.array([[0.5, 1.0, 0.25], [1.5, 0.5, 0.5], [0.5, 2.0, 1.0]]),
                           anchors, BinningSpec(7), geometry)
     assert _monthly_csv(table).decode().splitlines()[1:] == [
@@ -1460,7 +1458,7 @@ def _options(valid: dict, wrong: dict):
 # Config keys, with right and wrong values.
 _CONFIG = _options(
     {
-        "anchor_date": st.sampled_from(["2024-01-05", "2024-01-08", "1999-06-01"]),
+        "anchor_date": st.sampled_from(["2025-01-05", "2025-01-08", "1999-06-01"]),
         "window_days": st.sampled_from([1, 2, 4]),
         "bins": st.sampled_from([None, 1, 2, 5]),
         "dedup_run_length": st.sampled_from([1, 6]),
@@ -1534,7 +1532,7 @@ def _config(draw, dirty_frequency):
         entry["id"] = instruments[0]["id"]
     config = {
         "instruments": draw(st.sampled_from([[], {}])) if fault == "list" else instruments,
-        "anchor_date": "2024-01-05",
+        "anchor_date": "2025-01-05",
         "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
     }
     config.update(draw(_CONFIG))
@@ -1553,15 +1551,15 @@ _COMMAND_FLAGS = {
     "ingest": st.just({}),
     "compare": st.just({}),
     "spectrum": _options(
-        {"--from-date": st.sampled_from(["2024-01-03", "1900-01-01"]),
-         "--to-date": st.sampled_from(["2024-12-31", "2024-01-09"])},
+        {"--from-date": st.sampled_from(["2025-01-03", "1900-01-01"]),
+         "--to-date": st.sampled_from(["2025-12-31", "2025-01-09"])},
         {"--from-date": st.sampled_from(["2024-02-30", "x", "2030-01-01"]),
          "--to-date": st.sampled_from(["", "1800-01-01"])},
     ),
     "pmf": _options(
-        {"--day": st.sampled_from(["2024-01-05", "2024-01-08"]),
+        {"--day": st.sampled_from(["2025-01-05", "2025-01-08"]),
          "--span-days": st.sampled_from(["0", "2"]), "--instrument": st.sampled_from(["a"])},
-        {"--day": st.sampled_from(["2025-01-07", "2024-02-30"]),
+        {"--day": st.sampled_from(["2026-01-07", "2024-02-30"]),
          "--span-days": st.sampled_from(["-1", "x", str(_BIG)]),
          "--instrument": st.just("zz")},
     ),
@@ -1596,7 +1594,7 @@ def _invocations(draw):
         dirty, intraday = _RATIO_OVERFLOWS, True
     clean = serialize_csv(generate(SynthSpec(
         seed=draw(st.integers(0, 50)), n_days=draw(st.integers(2, 12)),
-        bars_per_day=draw(st.sampled_from([1, 3, 8])), start_date="2024-01-02",
+        bars_per_day=draw(st.sampled_from([1, 3, 8])),
     ))[0])
     config, ids = draw(st.sampled_from([True] * 12 + ["{", "[]", "null", None])), []
     if config is True:
@@ -1610,7 +1608,7 @@ def _invocations(draw):
         flags.update(draw(_COMMAND_FLAGS[command]))
     required = {"pmf": "--day", "synth": "--seed"}.get(command)
     if required and required not in flags and draw(st.sampled_from([True] * 7 + [False])):
-        flags[required] = "2024-01-05" if command == "pmf" else "5"
+        flags[required] = "2025-01-05" if command == "pmf" else "5"
     argv = [command, *(part for item in flags.items() for part in item)]
     argv += draw(st.sampled_from([[]] * 14 + [["--bogus"], ["extra"]]))
     return argv, config, {"in/dirty.csv": dirty, "in/clean.csv": clean}, ids
@@ -1625,17 +1623,16 @@ _UNITS = {
     "pmf": ("_pmf_day.csv", "_pmf_span.csv"),
     "synth": (".csv", "_injections.csv"),
 }
-_CLEAN = serialize_csv(generate(SynthSpec(seed=1, n_days=4, bars_per_day=8,
-                                          start_date="2024-01-02"))[0])
+_CLEAN = serialize_csv(generate(SynthSpec(seed=1, n_days=4, bars_per_day=8))[0])
 # Consecutive closes whose ratio overflows, then one whose ratio underflows
 # to 0: their log returns are inf and -inf.
 _RATIO_OVERFLOWS = "timestamp,close\n" + "".join(
-    f"2024-01-0{day} {clock},{close}\n" for day in (2, 3, 4) for clock, close in [
+    f"2025-01-0{day} {clock},{close}\n" for day in (2, 3, 4) for clock, close in [
         ("09:30:00", "100.0"), ("09:35:00", "1e-300"), ("09:40:00", "1e300"),
         ("09:45:00", "1e-300"), ("09:50:00", "100.0"),
     ]
 )
-_INPUTS = {"in/dirty.csv": "timestamp,close\n2024-01-02 09:30:00,100.0\n", "in/clean.csv": _CLEAN}
+_INPUTS = {"in/dirty.csv": "timestamp,close\n2025-01-02 09:30:00,100.0\n", "in/clean.csv": _CLEAN}
 # The clean file, then the overflowing one: one "b: error:" line.
 _OVERFLOWING = json.dumps({
     "instruments": [{"id": "a", "path": "in/clean.csv", "frequency": "5min"},
@@ -1646,7 +1643,7 @@ _OVERFLOWING = json.dumps({
 _SPACED = json.dumps({
     "instruments": [{"id": "a", "path": "in/clean.csv", "frequency": "5min"},
                     {"id": "b c", "path": "in/dirty.csv", "frequency": "daily"}],
-    "anchor_date": "2024-01-04",
+    "anchor_date": "2025-01-04",
     "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
 })
 
@@ -1749,17 +1746,16 @@ def _run_quietly(argv, capsys):
 def test_overflowing_closes_end_in_one_error_line(case, command, tmp_path, monkeypatch, capsys):
     closes, kind, message = _OVERFLOWS[case]
     monkeypatch.chdir(tmp_path)
-    clean = serialize_csv(generate(SynthSpec(seed=1, n_days=12, bars_per_day=8,
-                                             start_date="2024-01-02"))[0])
+    clean = serialize_csv(generate(SynthSpec(seed=1, n_days=12, bars_per_day=8))[0])
     Path("ok.csv").write_text(clean, encoding="utf-8")
     Path("bad.csv").write_text(_with_closes(clean, closes), encoding="utf-8")
     Path("c.json").write_text(json.dumps({
         "instruments": [{"id": "ok", "path": "ok.csv", "frequency": "5min"},
                         {"id": "bad", "path": "bad.csv", "frequency": "5min"}],
-        "out_dir": "out", "anchor_date": "2024-01-07", "window_days": 3, "return_kind": kind,
+        "out_dir": "out", "anchor_date": "2025-01-07", "window_days": 3, "return_kind": kind,
         "sequence": {"base_length": 3, "increment": 1, "steps": 2, "stride": 1},
     }), encoding="utf-8")
-    extra = {"pmf": ["--day", "2024-01-08", "--span-days", "2", "--instrument", "bad"]}
+    extra = {"pmf": ["--day", "2025-01-08", "--span-days", "2", "--instrument", "bad"]}
     code, lines = _run_quietly([command, "--config", "c.json", *extra.get(command, [])], capsys)
     assert code == 2
     assert len(lines) == 1 and re.fullmatch(message, lines[0]), lines

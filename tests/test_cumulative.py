@@ -55,10 +55,9 @@ def _sequences(length, spec):
 
 def test_build_sequences_hand_enumerated():
     assert cumulative.build_sequences is window_bounds
-    spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5, sequence_count=2)
-    seqs = _sequences(30, spec)
-    assert seqs[0] == [(0, 10), (0, 15), (0, 20)]
-    assert seqs[1] == [(5, 15), (5, 20), (5, 25)]
+    spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5)
+    seqs = _sequences(25, spec)
+    assert seqs == [[(0, 10), (0, 15), (0, 20)], [(5, 15), (5, 20), (5, 25)]]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -66,9 +65,8 @@ def test_build_sequences_hand_enumerated():
     ({"base_length": 2, "increment": 0}, "increment/stride must be >= 1 and steps >= 0"),
     ({"base_length": 2, "stride": 0}, "increment/stride must be >= 1 and steps >= 0"),
     ({"base_length": 2, "steps": -1}, "increment/stride must be >= 1 and steps >= 0"),
-    ({"base_length": 2, "sequence_count": 0}, "sequence_count must be >= 1"),
     ({"base_length": 2, "anchor_mode": "sideways"}, "unknown anchor_mode 'sideways'"),
-], ids=["base_length", "increment", "stride", "steps", "sequence_count", "anchor_mode"])
+], ids=["base_length", "increment", "stride", "steps", "anchor_mode"])
 def test_window_sequence_spec_refuses_invalid_geometry(kwargs, message):
     with pytest.raises(ValueError) as caught:
         WindowSequenceSpec(**kwargs)
@@ -95,19 +93,17 @@ def test_build_sequences_exact_boundary():
 
 
 def test_build_sequences_too_short():
+    spec = WindowSequenceSpec(base_length=10, increment=5, steps=2)
     with pytest.raises(SeriesTooShort):
-        window_bounds(19, WindowSequenceSpec(base_length=10, increment=5, steps=2))
-    with pytest.raises(SeriesTooShort):
-        window_bounds(30, WindowSequenceSpec(base_length=10, increment=5, steps=2,
-                                             stride=5, sequence_count=4))
+        window_bounds(19, spec)
+    assert len(_sequences(20, spec)) == 1
 
 
 def test_build_sequences_grow_left_shares_right_edge():
     spec = WindowSequenceSpec(base_length=10, increment=5, steps=2, stride=5,
-                              anchor_mode="grow-left", sequence_count=2)
-    seqs = _sequences(30, spec)
-    assert seqs[0] == [(10, 20), (5, 20), (0, 20)]
-    assert seqs[1] == [(15, 25), (10, 25), (5, 25)]
+                              anchor_mode="grow-left")
+    seqs = _sequences(25, spec)
+    assert seqs == [[(10, 20), (5, 20), (0, 20)], [(15, 25), (10, 25), (5, 25)]]
 
 
 @settings(max_examples=80)
@@ -584,8 +580,9 @@ def test_table_geometry_is_window_bounds(
     # The stride is a multiple of the increment plus an offset, which is
     # not a multiple when 0 < offset < increment.
     stride = multiple * increment + offset
-    spec = WindowSequenceSpec(base, increment, steps, stride, sequence_count=count,
+    spec = WindowSequenceSpec(base, increment, steps, stride,
                               anchor_mode="grow-left" if grow_left else "grow-right")
+    # ``extra`` values hold more sequences when extra >= stride.
     length = spec.span + (count - 1) * stride + extra
     r = make_returns(np.random.default_rng(count).normal(0, 0.01, length))
     binning = BinningSpec(5) if per_window else BinningSpec(5, lo=-0.01, hi=0.01)
@@ -593,7 +590,8 @@ def test_table_geometry_is_window_bounds(
     starts, ends = window_bounds(len(r), spec)
     assert spec.lengths.dtype == np.int64
     assert np.array_equal(ends - starts, np.broadcast_to(spec.lengths, starts.shape))
-    assert len(table) == count and table.spec.sequence_count == count
+    assert len(table) == (len(r) - spec.span) // stride + 1 >= count
+    assert table.spec is spec
     assert table.binning == binning and table.values.shape == starts.shape
     for got, want in zip(window_bounds(len(r), table.spec), (starts, ends)):
         assert np.array_equal(got, want)
@@ -601,7 +599,7 @@ def test_table_geometry_is_window_bounds(
     for j, sp in enumerate(table):
         assert sp.sequence_index == j
         assert (sp.span_start, sp.span_end) == (starts[j].min(), ends[j].max())
-    assert j == count - 1
+    assert j == len(table) - 1
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -684,7 +682,7 @@ def _detect_events_oracle(spectra, threshold=3.0, min_persistence=2, baseline=8,
 def _table_of(values, n_bins=18):
     # Sequence j anchored at j, window k spanning [j, j + k + 2).
     n, m = values.shape
-    spec = WindowSequenceSpec(2, 1, m - 1, sequence_count=n)
+    spec = WindowSequenceSpec(2, 1, m - 1)
     anchors = np.datetime64("2025-01-02T09:30:00") + np.arange(n) * np.timedelta64(300, "s")
     return SpectrumTable(values, anchors, BinningSpec(n_bins), spec)
 

@@ -1,13 +1,17 @@
-"""The package namespace, its settings and the README's Python example."""
+"""The package namespace, its settings and the README's Quick start and
+Python example."""
 import dataclasses
 import inspect
+import json
 import re
+import shlex
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 import entroscope
+from entroscope.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,14 +50,8 @@ SETTINGS = {
     "ShockShape": ["SINGLE_BAR", "DISPERSED_DAY"],
     "SpectrumTable": {},
     "SummaryStats": {},
-    "SynthSpec": {
-        "drift": 0.0, "volatility": 0.001, "shocks": (), "instrument_id": "synth",
-        "start_date": "2025-01-02",
-    },
-    "WindowSequenceSpec": {
-        "increment": 1, "steps": 0, "stride": 1, "sequence_count": None,
-        "anchor_mode": "grow-right",
-    },
+    "SynthSpec": {"drift": 0.0, "volatility": 0.001, "shocks": (), "instrument_id": "synth"},
+    "WindowSequenceSpec": {"increment": 1, "steps": 0, "stride": 1, "anchor_mode": "grow-right"},
     "aggregate_to_daily": {},
     "bin_returns": {},
     "bracket_windows": {},
@@ -120,3 +118,34 @@ def test_readme_python_example_runs():
     starts, ends = scope["starts"], scope["ends"]
     assert starts.shape == spectra.values.shape == (len(spectra), 4)
     assert np.array_equal(ends[0] - starts[0], spectra.spec.lengths)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    # The Quick start's bash block, in an empty directory: its heredoc
+    # writes run.json, and each entroscope line goes through ``main``.
+    quick_start = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", quick_start, re.S).group(1)
+    block = block.replace("\\\n", " ")
+    monkeypatch.chdir(tmp_path)
+    for name, text in re.findall(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", block, re.S):
+        Path(name).write_text(text, encoding="utf-8")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("entroscope ")]
+    assert [argv[0] for argv in commands] == ["synth", "ingest", "compare", "spectrum", "pmf"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+    # The one event's onset sequence holds the injection.
+    events = Path("out/demo_events.csv").read_text(encoding="utf-8").splitlines()[1:]
+    injections = Path("fixtures/demo_injections.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(events) == 1 and len(injections) == 1
+    onset, injected = (np.datetime64(row.split(",")[0].replace(" ", "T"))
+                       for row in (events[0], injections[0]))
+    config = json.loads(Path("run.json").read_text(encoding="utf-8"))
+    path = config["instruments"][0]["path"]
+    returns = entroscope.log_returns(
+        entroscope.parse_csv_file(path, entroscope.Frequency.FIVE_MINUTE, "demo")[0])
+    starts, ends = entroscope.window_bounds(
+        len(returns), entroscope.WindowSequenceSpec(**config["sequence"]))
+    (j,) = np.flatnonzero(returns.timestamps[starts[:, -1]] == onset)
+    assert returns.timestamps[starts[j, -1]] <= injected <= returns.timestamps[ends[j, -1] - 1]
