@@ -55,7 +55,7 @@ from .cumulative import (
     spectra_for_series,
 )
 from .entropy import BinnedDistribution, BinningSpec, pmf_snapshot, velleman_bins
-from .errors import EmptyInput, InsufficientBaseline, PipelineError, SeriesTooShort, TooShort
+from .errors import EmptyInput, PipelineError, TooShort
 from .ingest import (
     DEFAULT_DEDUP_RUN_LENGTH,
     Frequency,
@@ -266,8 +266,7 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 
 def _exit_code(exc: Exception) -> int:
-    insufficient = isinstance(exc, (SeriesTooShort, InsufficientBaseline, TooShort))
-    return EXIT_INSUFFICIENT if insufficient else EXIT_INPUT
+    return EXIT_INSUFFICIENT if isinstance(exc, TooShort) else EXIT_INPUT
 
 
 def _say(line: str, stream: str = "stdout") -> None:

@@ -30,6 +30,7 @@ its helpers ``_prefix_counts``, ``_stride_one_sums`` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,12 +57,9 @@ GROW_LEFT = "grow-left"
 # prefix-count matrix holds counts: a block of BLOCK_COUNTS // n_bins
 # sequences has BLOCK_COUNTS + span * n_bins of them, and (steps + 1)
 # window steps per sequence. Working memory grows with the block, never
-# with the series.
+# with the series. A block of the detector's candidates holds at most as
+# many baseline peaks (see ``_flags``).
 BLOCK_COUNTS = 1 << 15
-
-# Candidate sequences per block of the detector's baseline medians and
-# MADs: a block holds block * baseline peaks.
-BLOCK_SEQUENCES = 4096
 
 # Values per block of the per-window table: a block of
 # PER_WINDOW_BLOCK_VALUES // max(span, (steps + 1) * n_bins) sequences (at
@@ -114,24 +112,21 @@ class WindowSequenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class EntropySpectrum:
-    """Entropy values H_0..H_m of one window sequence, whose windows all
-    lie in the half-open index range [span_start, span_end)."""
+    """Entropy values H_0..H_m of one window sequence: a row of
+    ``SpectrumTable.values``. ``window_bounds`` says where its windows lie."""
 
-    sequence_index: int
-    anchor_timestamp: np.datetime64
     values: np.ndarray
-    span_start: int
-    span_end: int
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Spectra of every sequence of one series: ``values[j, k]`` is the
     entropy of window k of sequence j under ``spec``, the geometry the
-    table was computed with; ``window_bounds`` gives the windows' index
-    ranges. ``len`` and indexing (hence iteration) yield EntropySpectrum
-    rows, in anchor order; ``benchmark/tracing.py`` reads ``len(table)``
-    and ``table[0].values``."""
+    table was computed with, and ``anchor_timestamps[j]`` is sequence j's
+    anchor. ``window_bounds`` alone says where the windows lie. ``len``
+    and integer indexing (hence iteration) yield EntropySpectrum rows in
+    anchor order, ``table[j].values`` being ``values[j]``;
+    ``benchmark/tracing.py`` reads ``len(table)`` and ``table[0].values``."""
 
     values: np.ndarray
     anchor_timestamps: np.ndarray
@@ -142,11 +137,7 @@ class SpectrumTable:
         return len(self.values)
 
     def __getitem__(self, index) -> EntropySpectrum:
-        j = range(len(self))[index]
-        start = j * self.spec.stride
-        return EntropySpectrum(
-            j, self.anchor_timestamps[j], self.values[j], start, start + self.spec.span
-        )
+        return EntropySpectrum(self.values[operator.index(index)])
 
     @cached_property
     def peaks(self) -> np.ndarray:
@@ -177,8 +168,13 @@ def window_bounds(series_length: int, spec: WindowSequenceSpec) -> tuple[np.ndar
     (sequences, steps + 1), window k of sequence j being [starts[j, k],
     ends[j, k]).
 
-    Sequence j is anchored at index j*stride; its windows are strictly
-    nested. Raises SeriesTooShort when even one sequence does not fit.
+    One rule serves both anchor modes: window k of sequence j starts at
+    j * stride + offset_k and ends length_k later, where offset_k is 0
+    under grow-right (the windows share their left edge, j * stride) and
+    span - length_k under grow-left (they share their right edge, j *
+    stride + span). So the windows are strictly nested, and the widest,
+    [starts[j, -1], ends[j, -1]), holds them all. Raises SeriesTooShort
+    when even one sequence does not fit.
     """
     span = spec.span
     if series_length < span:
@@ -186,14 +182,12 @@ def window_bounds(series_length: int, spec: WindowSequenceSpec) -> tuple[np.ndar
             f"series length {series_length} cannot hold one sequence of span {span}"
         )
     count = (series_length - span) // spec.stride + 1
-    anchors = np.arange(count, dtype=np.int64)[:, None] * spec.stride
-    if spec.anchor_mode == GROW_RIGHT:
-        starts = np.repeat(anchors, spec.steps + 1, axis=1)
-        ends = anchors + spec.lengths
-    else:
-        ends = np.repeat(anchors + span, spec.steps + 1, axis=1)
-        starts = ends - spec.lengths
-    return starts, ends
+    offsets = span - spec.lengths if spec.anchor_mode == GROW_LEFT else 0 * spec.lengths
+    anchors = np.arange(count, dtype=np.int64) * spec.stride
+    # Added as (steps + 1, sequences), then copied into C order: numpy adds
+    # long rows faster than it adds a column of anchors to a short row.
+    starts = np.ascontiguousarray((anchors + offsets[:, None]).T)
+    return starts, starts + spec.lengths
 
 
 build_sequences = window_bounds  # unused here: benchmark/tracing.py wraps it by this name
@@ -421,14 +415,21 @@ def _flags(
     threshold * dispersion for every sequence screened out. The trailing
     minima come from ``_trailing_min``, in ceil(log2 baseline) passes (1
     at a baseline of 1) over contiguous slices; minima are exact, so the
-    screen is too."""
+    screen is too.
+
+    Candidates go in blocks of max(1, BLOCK_COUNTS // baseline), so that a
+    block holds at most BLOCK_COUNTS baseline peaks (or one baseline, when
+    that is longer), as a fixed-range spectrum block holds at most
+    BLOCK_COUNTS counts. Blocks only group candidates into median calls,
+    so the flags do not depend on their size."""
     n = len(peaks)
     flagged = np.zeros(n, dtype=bool)
     trailing = sliding_window_view(peaks, baseline)  # row i: peaks[i : i + baseline]
     low = _trailing_min(peaks[:-1], baseline)  # low[i]: min(trailing[i])
     candidates = baseline + np.flatnonzero(peaks[baseline:] - low > threshold * dispersion_floor)
-    for lo in range(0, len(candidates), BLOCK_SEQUENCES):
-        c = candidates[lo : lo + BLOCK_SEQUENCES]
+    block = max(1, BLOCK_COUNTS // baseline)
+    for lo in range(0, len(candidates), block):
+        c = candidates[lo : lo + block]
         window = trailing[c - baseline]
         med = np.median(window, axis=1)
         mad = MAD_TO_SIGMA * np.median(np.abs(window - med[:, None]), axis=1)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these onto exit codes: input-shaped problems exit 2,
-insufficient-data problems exit 3.
+The CLI maps these onto exit codes. Insufficient-data problems exit 3:
+``TooShort`` and its subclasses, ``SeriesTooShort`` and
+``InsufficientBaseline``, and any later error that subclasses it. Every
+other error here is input-shaped and exits 2.
 """
 
 
@@ -34,11 +36,11 @@ class EmptyWindow(PipelineError):
     """A window selected for binning contains no values."""
 
 
-class SeriesTooShort(PipelineError):
+class SeriesTooShort(TooShort):
     """Series cannot accommodate the requested window sequence."""
 
 
-class InsufficientBaseline(PipelineError):
+class InsufficientBaseline(TooShort):
     """Too few spectra to estimate the detector baseline."""
 
 

@@ -258,9 +258,11 @@ def test_criterion_4_detector_false_flags_and_recall():
         shocks = (Shock(day_index=12, magnitude_sigma=10.0, shape=ShockShape.DISPERSED_DAY),)
         r, spectra, events, log = _run_detector(seed, shocks)
         shock_ts = log[0].timestamp
+        # An onset covers the shock when its widest window holds it.
+        starts, ends = window_bounds(len(r), spectra.spec)
         for ev in events:
-            onset = spectra[ev.onset_index]
-            if r.timestamps[onset.span_start] <= shock_ts <= r.timestamps[onset.span_end - 1]:
+            j = ev.onset_index
+            if r.timestamps[starts[j, -1]] <= shock_ts <= r.timestamps[ends[j, -1] - 1]:
                 covered += 1
                 break
 

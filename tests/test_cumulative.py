@@ -26,7 +26,6 @@ from entroscope import (
 from entroscope import cumulative
 from entroscope.cumulative import (
     BLOCK_COUNTS,
-    BLOCK_SEQUENCES,
     MAD_TO_SIGMA,
     PER_WINDOW_BLOCK_VALUES,
     EventSignature,
@@ -124,12 +123,18 @@ def test_sequences_strictly_nested(base, increment, steps, stride, extra, grow_l
         anchor_mode="grow-left" if grow_left else "grow-right",
     )
     length = spec.span + extra
-    for seq in _sequences(length, spec):
+    for j, seq in enumerate(_sequences(length, spec)):
         for (a, b), (big_a, big_b) in zip(seq, seq[1:]):
             assert big_a <= a
             assert b <= big_b
             assert big_b - big_a == b - a + increment
         assert all(0 <= a < b <= length for a, b in seq)
+        # The shared edge: the anchor j * stride under grow-right, and
+        # j * stride + span under grow-left.
+        if grow_left:
+            assert all(b == j * stride + spec.span for _, b in seq)
+        else:
+            assert all(a == j * stride for a, _ in seq)
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +196,10 @@ def test_spectrum_anchor_metadata():
     r = make_returns(np.linspace(-0.01, 0.01, 30))
     seq_spec = WindowSequenceSpec(base_length=5, increment=5, steps=1, stride=10)
     spectra = spectra_for_series(r, seq_spec, BinningSpec(5))
-    assert [sp.sequence_index for sp in spectra] == [0, 1, 2]
-    assert spectra[1].anchor_timestamp == r.timestamps[10]
-    assert spectra[1].span_start == 10 and spectra[1].span_end == 20
+    assert len(spectra) == 3
+    assert spectra.anchor_timestamps[1] == r.timestamps[10]
+    starts, ends = window_bounds(len(r), seq_spec)
+    assert (starts[1, -1], ends[1, -1]) == (10, 20)
 
 
 # (anchor_mode, per-window range, n_bins, constant stretches); the
@@ -544,14 +550,12 @@ def test_spectrum_table_views():
     assert isinstance(table, SpectrumTable)
     assert len(table) == 3 and table.values.shape == (3, 3)
     views = list(table)
-    assert [sp.sequence_index for sp in views] == [0, 1, 2]
+    assert len(views) == 3
     for j, sp in enumerate(views):
         assert np.array_equal(sp.values, table.values[j])
-        assert sp.anchor_timestamp == r.timestamps[10 * j]
+        assert table.anchor_timestamps[j] == r.timestamps[10 * j]
         assert table.peaks[j] == table.values[j].max()
-    last = table[-1]
-    assert last.sequence_index == 2 and np.array_equal(last.values, table.values[2])
-    assert (last.span_start, last.span_end) == (20, 35)
+    assert np.array_equal(table[-1].values, table.values[2])
     starts, ends = window_bounds(len(r), table.spec)
     assert starts[-1].tolist() == [30, 25, 20] and ends[-1].tolist() == [35, 35, 35]
     for bad in (3, -4):
@@ -596,9 +600,10 @@ def test_table_geometry_is_window_bounds(
     for got, want in zip(window_bounds(len(r), table.spec), (starts, ends)):
         assert np.array_equal(got, want)
     assert np.array_equal(table.anchor_timestamps, r.timestamps[starts.min(axis=1)])
+    # Each sequence's widest window holds every one of its windows.
+    assert np.all(starts[:, -1:] <= starts) and np.all(ends <= ends[:, -1:])
     for j, sp in enumerate(table):
-        assert sp.sequence_index == j
-        assert (sp.span_start, sp.span_end) == (starts[j].min(), ends[j].max())
+        assert np.array_equal(sp.values, table.values[j])
     assert j == len(table) - 1
 
 
@@ -664,12 +669,11 @@ def _detect_events_oracle(spectra, threshold=3.0, min_persistence=2, baseline=8,
         if run < min_persistence:
             j += run
             continue
-        onset = spectra[j]
-        diffs = np.diff(onset.values)
+        diffs = np.diff(spectra[j].values)
         events.append(
             EventSignature(
                 onset_index=j,
-                onset_timestamp=onset.anchor_timestamp,
+                onset_timestamp=spectra.anchor_timestamps[j],
                 peak_value=float(peaks[j : j + run].max()),
                 ramp_slope=float(diffs.max()) if len(diffs) else 0.0,
                 persistence=run,
@@ -709,11 +713,13 @@ def _assert_matches_oracle(table, threshold, min_persistence, baseline, dispersi
 )
 def test_detect_matches_loop_oracle(threshold, min_persistence, baseline, dispersion_floor):
     # Peaks on a coarse grid tie often (zero MADs, equal medians); a planted
-    # run of high peaks straddles the first block boundary of the flags.
+    # run of high peaks straddles the first block boundary of the flags,
+    # whose blocks hold BLOCK_COUNTS // baseline candidates.
     rng = np.random.default_rng(19)
-    n = baseline + BLOCK_SEQUENCES + 1500
+    block = max(1, BLOCK_COUNTS // baseline)
+    n = baseline + block + 1500
     values = rng.integers(0, 6, size=(n, 3)) * 0.25
-    boundary = baseline + BLOCK_SEQUENCES
+    boundary = baseline + block
     values[boundary - 1 : boundary + 2, 1] = 5.0
     table = _table_of(values)
     want_flags, want_events = _assert_matches_oracle(
@@ -724,7 +730,7 @@ def test_detect_matches_loop_oracle(threshold, min_persistence, baseline, disper
     if threshold == 0.0:
         # every peak above its trailing minimum is a candidate: several blocks
         low = sliding_window_view(table.peaks, baseline)[:-1].min(axis=1)
-        assert np.count_nonzero(table.peaks[baseline:] > low) > BLOCK_SEQUENCES
+        assert np.count_nonzero(table.peaks[baseline:] > low) > block
 
 
 def test_detect_matches_loop_oracle_with_baseline_sequences_only():
@@ -820,10 +826,11 @@ def test_detect_single_shock_covers_injection():
     events = detect_events(spectra)
     assert len(events) == 1
     ev = events[0]
-    onset = spectra[ev.onset_index]
+    starts, ends = window_bounds(len(r), spectra.spec)
+    j = ev.onset_index  # its widest window holds every window of the onset
     shock_ts = log[0].timestamp
-    assert r.timestamps[onset.span_start] <= shock_ts
-    assert shock_ts <= r.timestamps[onset.span_end - 1]
+    assert r.timestamps[starts[j, -1]] <= shock_ts
+    assert shock_ts <= r.timestamps[ends[j, -1] - 1]
     assert ev.ramp_slope > 0
     assert ev.persistence >= 2
 
@@ -833,10 +840,11 @@ def test_detect_two_separated_shocks_in_order():
     events = detect_events(spectra)
     assert len(events) == 2
     assert events[0].onset_index < events[1].onset_index
+    starts, ends = window_bounds(len(r), spectra.spec)
     for ev, rec in zip(events, log):
-        onset = spectra[ev.onset_index]
-        assert r.timestamps[onset.span_start] <= rec.timestamp
-        assert rec.timestamp <= r.timestamps[onset.span_end - 1]
+        j = ev.onset_index
+        assert r.timestamps[starts[j, -1]] <= rec.timestamp
+        assert rec.timestamp <= r.timestamps[ends[j, -1] - 1]
 
 
 def test_detect_finds_no_rise_under_per_window_ranges():

@@ -1,5 +1,6 @@
-"""The package namespace, its settings and the README's Quick start and
-Python example."""
+"""The package namespace, its settings, its error hierarchy, its imports
+and the README's Quick start and Python example."""
+import ast
 import dataclasses
 import inspect
 import json
@@ -14,6 +15,12 @@ import entroscope
 from entroscope.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(entroscope.__file__).resolve().parent
+
+# (module, name) pairs that a module imports and never reads, each for a
+# reason: benchmark/tracing.py wraps ``cumulative.window_entropy`` by that
+# name.
+UNREAD_IMPORTS = {("cumulative", "window_entropy")}
 
 PUBLIC = {
     "AmbiguousTimestampFormat", "BeforeAfterComparison", "BinnedDistribution", "BinningSpec",
@@ -104,6 +111,33 @@ def test_public_names_are_package_attributes():
 def test_public_settings_are_pinned():
     found = {name: _settings(getattr(entroscope, name)) for name in PUBLIC}
     assert {name: s for name, s in found.items() if s is not None} == SETTINGS
+
+
+def test_insufficient_data_errors_are_too_short():
+    # The CLI exits 3 on TooShort and its subclasses, by type alone.
+    assert all(issubclass(error, entroscope.TooShort)
+               for error in (entroscope.SeriesTooShort, entroscope.InsufficientBaseline))
+
+
+def test_modules_read_every_name_they_import():
+    # An unused-import check: a name that a module imports and never reads
+    # fails, but for UNREAD_IMPORTS. ``__init__`` imports to re-export, and
+    # ``from __future__`` imports bind no name to read.
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.stem, name) for name in imported - read}
+    assert unread == UNREAD_IMPORTS
 
 
 def test_readme_python_example_runs():
