@@ -14,13 +14,14 @@ follow: ``pmf`` on ``batch-day``'s report config into ``batch-day/pmf``,
 and ``synth`` (seed ``SEED``, one shock) into ``WORK_DIR/synth/out``,
 then a daily ``synth`` (one bar per day, one shock after day 0) into
 ``WORK_DIR/synth/daily``. Then the paths no workload runs are run on the
-inputs already built (see ``VARIANTS``): grow-left sequences under both
-range policies on ``per-window``, and on ``batch-day`` nominal returns,
-daily aggregation, a ``--from-date``/``--to-date`` range, ``compare``
-with windows longer than the data, around an anchor inside it and one
-past it, and ``compare`` and ``spectrum`` at 6 bins. Each such run reads
-the workload's report config with some keys changed, written to
-``<workload>/<label>.json`` with its ``out_dir`` at ``<workload>/<label>``.
+inputs already built (see ``VARIANTS``): on ``per-window``, grow-left
+sequences under both range policies and a stride of half a day, and on
+``batch-day`` nominal returns, daily aggregation, a
+``--from-date``/``--to-date`` range, ``compare`` with windows longer than
+the data, around an anchor inside it and one past it, and ``compare`` and
+``spectrum`` at 6 bins. Each such run reads the workload's report config
+with some keys changed, written to ``<workload>/<label>.json`` with its
+``out_dir`` at ``<workload>/<label>``.
 One line is printed per command, its label being ``<command>`` or
 ``<command>/<label>``:
 
@@ -64,6 +65,9 @@ VARIANTS = {
         ("grow-left", {"sequence": {"anchor_mode": "grow-left"}}, [["spectrum"]]),
         ("grow-left-fixed", {"sequence": {"anchor_mode": "grow-left"}, "range_policy": "fixed"},
          [["spectrum"]]),
+        # A stride of half a day's 78 bars, no multiple of the increment:
+        # each window's counts are taken without a neighbour's.
+        ("no-reuse", {"sequence": {"stride": 39}}, [["spectrum"]]),
     ],
 }
 

@@ -4,10 +4,12 @@ Subcommands: ``ingest`` (normalize and clean raw CSVs), ``compare``
 (before/after entropy and dispersion table), ``spectrum`` (expanding-window
 entropy spectra, monthly profile, event list), ``pmf`` (single-day vs
 multi-day distribution snapshots under shared binning), ``synth``
-(synthetic fixtures). Batch runs are driven by one JSON config; flags
-override config values. Exit codes: 0 ok, 2 input error, 3 insufficient
-data. A malformed or missing flag, or an unknown command, exits 2 with one
-``error: <message>`` line that names the flag.
+(synthetic fixtures). Batch runs are driven by one JSON config, the one
+source of every analysis value; besides ``--config``, their flags set
+only the output directory and what no config key names (a date range, a
+day, an instrument). Exit codes: 0 ok, 2 input error, 3 insufficient
+data. A malformed, missing or unknown flag, or an unknown command, exits
+2 with one ``error: <message>`` line that names the flag.
 
 The config is type-checked as it is loaded: an unknown key, a wrongly
 typed value, a missing instrument ``id``/``path``/``frequency``, an
@@ -173,10 +175,6 @@ class RunConfig:
     out_dir: str = "out"
 
 
-# Flags that override the config value of the same name when given.
-_OVERRIDES = ("out_dir", "dt_col", "close_col", "bins", "theta")
-
-
 @functools.cache
 def _hints(cls) -> dict:
     """The type hints of a config dataclass, ``Annotated`` rules included;
@@ -249,14 +247,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    """The config of one command: flag overrides applied and checked like
-    the config values they replace, at least one instrument, and every
-    instrument path an existing file."""
+    """The config of one command, its ``out_dir`` replaced by ``--out``
+    when given: at least one instrument, and every instrument path an
+    existing file."""
     config = load_config(args.config)
-    hints = _hints(RunConfig)
-    for key in _OVERRIDES:
-        if getattr(args, key) is not None:
-            setattr(config, key, _typed(hints[key], getattr(args, key), key))
+    if args.out_dir is not None:
+        config.out_dir = args.out_dir
     if not config.instruments:
         raise ValueError("config lists no instruments")
     missing = [entry.path for entry in config.instruments if not Path(entry.path).is_file()]
@@ -727,11 +723,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="JSON run config")
-    sub.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
-    sub.add_argument("--dt-col", help="datetime column name (overrides config)")
-    sub.add_argument("--close-col", help="close column name (overrides config)")
-    sub.add_argument("--bins", type=int, help="bin count (overrides config)")
-    sub.add_argument("--theta", type=float, help="detector threshold (overrides config)")
+    sub.add_argument("--out", dest="out_dir", help="output directory (replaces out_dir)")
 
 
 @functools.cache

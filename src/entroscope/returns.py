@@ -36,7 +36,6 @@ class ReturnSeries(Stamped):
     """
 
     instrument_id: str
-    kind: ReturnKind
     frequency: Frequency
     timestamps: np.ndarray
     values: np.ndarray
@@ -58,24 +57,23 @@ def slice_values(returns: ReturnSeries, window: range) -> np.ndarray:
     return returns.values[start:stop]
 
 
-def _returns(series: PriceSeries, kind: ReturnKind, of_ratio) -> ReturnSeries:
-    """``of_ratio(close[t+1] / close[t])`` of every pair of closes, as
-    returns of ``kind``."""
+def _returns(series: PriceSeries, of_ratio) -> ReturnSeries:
+    """``of_ratio(close[t+1] / close[t])`` of every pair of closes."""
     if len(series) < 2:
         raise TooShort("need at least 2 prices")
     with np.errstate(over="ignore", divide="ignore"):  # ReturnSeries refuses what overflows
         vals = of_ratio(series.closes[1:] / series.closes[:-1])
-    return ReturnSeries(series.instrument_id, kind, series.frequency, series.timestamps[1:], vals)
+    return ReturnSeries(series.instrument_id, series.frequency, series.timestamps[1:], vals)
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:
     """values[t] = ln(close[t+1] / close[t])."""
-    return _returns(series, ReturnKind.LOG, np.log)
+    return _returns(series, np.log)
 
 
 def nominal_returns(series: PriceSeries) -> ReturnSeries:
     """values[t] = close[t+1] / close[t] - 1."""
-    return _returns(series, ReturnKind.NOMINAL, lambda ratio: ratio - 1.0)
+    return _returns(series, lambda ratio: ratio - 1.0)
 
 
 def bracket_windows(

@@ -138,7 +138,6 @@ def restrict_dates(returns, from_date, to_date):
         raise EmptyInput("no observations in requested date range")
     return ReturnSeries(
         returns.instrument_id,
-        returns.kind,
         returns.frequency,
         returns.timestamps[mask],
         returns.values[mask],

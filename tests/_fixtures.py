@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entroscope import Frequency, PriceSeries, ReturnKind, ReturnSeries
+from entroscope import Frequency, PriceSeries, ReturnSeries
 
 
 def make_daily(closes, start="2025-01-02", instrument="test") -> PriceSeries:
@@ -31,11 +31,10 @@ def make_returns(
     start="2025-01-02",
     frequency=Frequency.DAILY,
     bars_per_day=78,
-    kind=ReturnKind.LOG,
     instrument="test",
 ) -> ReturnSeries:
     if frequency is Frequency.DAILY:
         ts = (np.datetime64(start, "D") + np.arange(len(values))).astype("datetime64[s]")
     else:
         ts = intraday_timestamps(len(values), bars_per_day, start)
-    return ReturnSeries(instrument, kind, frequency, ts, np.asarray(values, dtype=float))
+    return ReturnSeries(instrument, frequency, ts, np.asarray(values, dtype=float))

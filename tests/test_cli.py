@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -267,29 +268,26 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, case, command)
     assert not (tmp_path / "out").exists()
 
 
-# Each case: config values and flags out of range, and the key the one-line
-# message must name.
+# Each case: config values out of range, and the key the one-line message
+# must name.
 OUT_OF_RANGE = {
-    "theta NaN": ({"theta": float("nan")}, [], "config.theta"),
-    "theta Infinity": ({"theta": float("inf")}, [], "config.theta"),
-    "theta negative": ({"theta": -1.0}, [], "config.theta"),
-    "theta zero": ({"theta": 0}, [], "config.theta"),
-    "window_days zero": ({"window_days": 0}, [], "config.window_days"),
-    "baseline zero": ({"baseline": 0}, [], "config.baseline"),
-    "min_persistence zero": ({"min_persistence": 0}, [], "config.min_persistence"),
-    "dedup_run_length zero": ({"dedup_run_length": 0}, [], "config.dedup_run_length"),
-    "bins zero": ({"bins": 0}, [], "config.bins"),
-    "increment zero": ({"sequence": {"increment": 0}}, [], "config.sequence.increment"),
-    "stride zero": ({"sequence": {"stride": 0}}, [], "config.sequence.stride"),
-    "base_length one": ({"sequence": {"base_length": 1}}, [], "config.sequence.base_length"),
-    "steps negative": ({"sequence": {"steps": -1}}, [], "config.sequence.steps"),
+    "theta NaN": ({"theta": float("nan")}, "config.theta"),
+    "theta Infinity": ({"theta": float("inf")}, "config.theta"),
+    "theta negative": ({"theta": -1.0}, "config.theta"),
+    "theta zero": ({"theta": 0}, "config.theta"),
+    "window_days zero": ({"window_days": 0}, "config.window_days"),
+    "baseline zero": ({"baseline": 0}, "config.baseline"),
+    "min_persistence zero": ({"min_persistence": 0}, "config.min_persistence"),
+    "dedup_run_length zero": ({"dedup_run_length": 0}, "config.dedup_run_length"),
+    "bins zero": ({"bins": 0}, "config.bins"),
+    "increment zero": ({"sequence": {"increment": 0}}, "config.sequence.increment"),
+    "stride zero": ({"sequence": {"stride": 0}}, "config.sequence.stride"),
+    "base_length one": ({"sequence": {"base_length": 1}}, "config.sequence.base_length"),
+    "steps negative": ({"sequence": {"steps": -1}}, "config.sequence.steps"),
     "stride past int64": (
-        {"sequence": {"base_length": 3, "stride": 10**30}}, [], "config.sequence.stride",
+        {"sequence": {"base_length": 3, "stride": 10**30}}, "config.sequence.stride",
     ),
-    "window_days past int64": ({"window_days": 2**63}, [], "config.window_days"),
-    "flag theta nan": ({}, ["--theta", "nan"], "theta"),
-    "flag theta negative": ({}, ["--theta", "-1"], "theta"),
-    "flag bins zero": ({}, ["--bins", "0"], "bins"),
+    "window_days past int64": ({"window_days": 2**63}, "config.window_days"),
 }
 
 
@@ -298,10 +296,10 @@ OUT_OF_RANGE = {
 ])
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, case, command):
-    extra, flags, key = OUT_OF_RANGE[case]
+    extra, key = OUT_OF_RANGE[case]
     path, _, _ = write_synth_fixture(tmp_path)
     config = write_config(tmp_path, [("synth", path, "5min")], anchor_date="2025-01-10", **extra)
-    assert main([command[0], "--config", str(config), *command[1:], *flags]) == 2
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {key}: ")
@@ -310,7 +308,7 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, case, command):
 
 def test_readme_config_reference_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Config reference", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
     reference = json.loads(re.sub(r"\s*//.*", "", block))
     path = tmp_path / "reference.json"
     path.write_text(json.dumps(reference), encoding="utf-8")
@@ -322,6 +320,13 @@ def test_readme_config_reference_loads(tmp_path):
     assert config.instruments[0].frequency is Frequency.FIVE_MINUTE
     assert config.return_kind is ReturnKind.LOG
     assert vars(config.sequence) == reference["sequence"]
+    # The documented defaults are the code's: every key is named, and all
+    # but the example instruments and anchor_date hold RunConfig's default.
+    assert list(reference) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert list(reference["sequence"]) == [f.name for f in dataclasses.fields(cli.SequenceConfig)]
+    default = cli.RunConfig()
+    for key in set(reference) - {"instruments", "anchor_date"}:
+        assert getattr(config, key) == getattr(default, key), key
 
     path.write_text(json.dumps({"theta": 3}), encoding="utf-8")
     theta = load_config(path).theta
@@ -821,8 +826,8 @@ def test_spectrum_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "spectra_for_series", too_large)
     path, _, _ = write_synth_fixture(tmp_path, seed=37)
-    config = write_config(tmp_path, [("synth", path, "5min")], sequence=SEQ_SHORT)
-    assert main(["spectrum", "--config", str(config), "--bins", "1000000"]) == 2
+    config = write_config(tmp_path, [("synth", path, "5min")], sequence=SEQ_SHORT, bins=10**6)
+    assert main(["spectrum", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "synth: error: Unable to allocate 4.37 GiB for an array\n"
     assert captured.out == "" and not (tmp_path / "out").exists()
@@ -1211,10 +1216,12 @@ def test_synth_bad_id_exits_2_with_one_line_before_any_output(tmp_path, capsys, 
 def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path)
     config = write_config(tmp_path, [("synth", path, "5min")])
-    first = ["--out", str(tmp_path / "first"), "--dt-col", "when"]
-    assert main(["ingest", "--config", str(config), *first]) == 2
+    assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "first")]) == 0
     assert main(["ingest", "--config", str(config)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out", "synth_raw.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "first", "out", "synth_raw.csv"]
+    assert (tmp_path / "first" / "synth.csv").read_bytes() == (
+        tmp_path / "out" / "synth.csv").read_bytes()
     synth = ["synth", "--seed", "1", "--days", "3", "--bars-per-day", "10"]
     assert main([*synth, "--shock", "1:5:single_bar", "--out", str(tmp_path / "s1")]) == 0
     assert main([*synth, "--out", str(tmp_path / "s2")]) == 0
@@ -1385,7 +1392,7 @@ _SHAPES = "single_bar, dispersed_day"
 FLAG_ERRORS = {
     "malformed --bins": (
         ["spectrum", "--config", "c.json", "--bins", "x"],
-        "error: argument --bins: invalid int value: 'x'",
+        "error: unrecognized arguments: --bins x",
     ),
     "missing --config": (
         ["spectrum"], "error: the following arguments are required: --config",
@@ -1540,12 +1547,13 @@ def _config(draw, dirty_frequency):
     return json.dumps(config), ids
 
 
+# The config is the one source of its keys' values: a flag of the same
+# name as one is unknown.
+_REMOVED_FLAGS = ("--dt-col", "--close-col", "--bins", "--theta")
 _COMMON_FLAGS = _options(
-    {"--out": st.sampled_from(["out", "out/flag"]), "--bins": st.sampled_from(["2", "5"]),
-     "--theta": st.sampled_from(["0.5", "2"])},
+    {"--out": st.sampled_from(["out", "out/flag"])},
     {"--dt-col": st.just("when"), "--close-col": st.just("Close"),
-     "--bins": st.sampled_from(["0", "-2", "x", "1e3", str(_BIG)]),
-     "--theta": st.sampled_from(["0", "nan", "x"])},
+     "--bins": st.sampled_from(["5", "x"]), "--theta": st.sampled_from(["0.5", "nan"])},
 )
 _COMMAND_FLAGS = {
     "ingest": st.just({}),
@@ -1654,6 +1662,8 @@ _SPACED = json.dumps({
                      None, _INPUTS, []), fault=2)
 @example(invocation=(["ingest", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
          fault=None)
+@example(invocation=(["ingest", "--config", "config.json", "--theta", "5"], _SPACED, _INPUTS,
+                     ["a", "b c"]), fault=None)
 @example(invocation=(["spectrum", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
          fault=2)
 @example(invocation=(["compare", "--config", "config.json"], _SPACED, _INPUTS, ["a", "b c"]),
@@ -1691,11 +1701,20 @@ def test_every_failure_is_an_exit_code_and_one_line_messages(invocation, fault):
             os.chdir(here)
         made = [p.relative_to(root) for p in set(root.rglob("*")) - before if p.is_file()]
     assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    removed = set(_REMOVED_FLAGS) & set(argv)
+    if removed:
+        # Refused as it is parsed, unless argparse first refuses something
+        # else: an unknown command, or a missing or malformed flag.
+        assert (code, made, len(lines)) == (2, [], 1)
+        if lines[0].startswith("error: unrecognized arguments: "):
+            assert removed <= set(lines[0].split()), lines
+        else:
+            assert lines[0].startswith(("error: argument ", "error: the following")), lines
     # Each line starts with its kind, after the id of its instrument when it
     # has one; the ids are matched literally, so they may hold spaces.
     starts = tuple(f"{name}{kind}: " for name in ["", *(f"{id}: " for id in ids)]
                    for kind in ("error", "warning"))
-    lines = err.getvalue().splitlines()
     assert all(line.startswith(starts) and "Traceback" not in line for line in lines), lines
     assert [str(w.message) for w in caught] == []  # each would print its own lines
     assert not [p for p in made if p.suffix == ".tmp"]

@@ -16,7 +16,6 @@ from entroscope import (
     Frequency,
     MalformedCsv,
     PriceSeries,
-    ReturnKind,
     ReturnSeries,
     aggregate_to_daily,
     dedup_closed_market,
@@ -209,7 +208,7 @@ def test_series_at_the_ends_of_years_0000_9999_round_trip(frequency, ends):
 _SERIES_OF = {
     "intraday prices": lambda ts: PriceSeries("t", Frequency.FIVE_MINUTE, ts, np.ones(len(ts))),
     "daily prices": lambda ts: PriceSeries("t", Frequency.DAILY, ts, np.ones(len(ts))),
-    "returns": lambda ts: ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, ts, np.ones(len(ts))),
+    "returns": lambda ts: ReturnSeries("t", Frequency.DAILY, ts, np.ones(len(ts))),
 }
 
 

@@ -1,5 +1,6 @@
-"""The package namespace, its settings, its error hierarchy, its imports
-and the README's Quick start and Python example."""
+"""The package namespace, its settings, its command-line flags, its error
+hierarchy, its imports and the README's Quick start and Python example."""
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import entroscope
-from entroscope.cli import main
+from entroscope.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(entroscope.__file__).resolve().parent
@@ -81,6 +82,17 @@ SETTINGS = {
     "window_entropy": {},
 }
 
+# The options of each command of the command-line parser, but -h/--help. A
+# change that adds or removes a flag changes this dict too; the config is
+# the one source of every value it has a key for.
+FLAGS = {
+    "ingest": {"--config", "--out"},
+    "compare": {"--config", "--out"},
+    "spectrum": {"--config", "--out", "--from-date", "--to-date"},
+    "pmf": {"--config", "--out", "--day", "--span-days", "--instrument"},
+    "synth": {"--bars-per-day", "--days", "--id", "--mu", "--out", "--seed", "--shock", "--sigma"},
+}
+
 
 def _settings(value):
     """An enum's member names, a dataclass's defaulted fields or a function's
@@ -111,6 +123,14 @@ def test_public_names_are_package_attributes():
 def test_public_settings_are_pinned():
     found = {name: _settings(getattr(entroscope, name)) for name in PUBLIC}
     assert {name: s for name, s in found.items() if s is not None} == SETTINGS
+
+
+def test_command_flags_are_pinned():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    found = {name: {option for action in parser._actions for option in action.option_strings}
+             for name, parser in commands.items()}
+    assert found == {name: flags | {"-h", "--help"} for name, flags in FLAGS.items()}
 
 
 def test_insufficient_data_errors_are_too_short():

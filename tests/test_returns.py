@@ -11,7 +11,6 @@ from entroscope import (
     Frequency,
     OutOfRange,
     PriceSeries,
-    ReturnKind,
     ReturnSeries,
     TooShort,
     bracket_windows,
@@ -37,7 +36,6 @@ def test_log_returns_frozen_value():
     # ln(1.05), high-precision reference value
     r = log_returns(make_daily([100.0, 105.0]))
     assert abs(r.values[0] - 0.048790164169432) < 1e-15
-    assert r.kind is ReturnKind.LOG
 
 
 def test_log_returns_telescope():
@@ -81,11 +79,11 @@ def test_return_series_timestamps_must_increase(order):
     r = make_returns(np.full(60, 0.01))
     ts = r.timestamps[::-1] if order == "descending" else np.repeat(r.timestamps[:30], 2)
     with pytest.raises(ValueError, match="strictly increasing"):
-        ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, ts, r.values)
+        ReturnSeries("t", Frequency.DAILY, ts, r.values)
 
 
 def _with_values(r, values):
-    return ReturnSeries(r.instrument_id, r.kind, r.frequency, r.timestamps, values)
+    return ReturnSeries(r.instrument_id, r.frequency, r.timestamps, values)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -114,7 +112,7 @@ def _price(timestamps, values):
 
 
 def _return(timestamps, values):
-    return ReturnSeries("t", ReturnKind.LOG, Frequency.DAILY, timestamps, values)
+    return ReturnSeries("t", Frequency.DAILY, timestamps, values)
 
 
 @pytest.mark.parametrize("make, field, own", [
@@ -245,7 +243,7 @@ def _calendar(draw):
     # Few distinct values, so that spans of equal returns occur.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.integers(-3, 4, len(ts)) / 100
-    return ReturnSeries("cal", ReturnKind.LOG, Frequency.FIVE_MINUTE, ts, values), offsets
+    return ReturnSeries("cal", Frequency.FIVE_MINUTE, ts, values), offsets
 
 
 def _date(data, offsets):

@@ -53,6 +53,7 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ["onset-bar", "spectrum", "exit=0"], ["per-window", "spectrum", "exit=0"],
         ["per-window", "spectrum/grow-left", "exit=0"],
         ["per-window", "spectrum/grow-left-fixed", "exit=0"],
+        ["per-window", "spectrum/no-reuse", "exit=0"],
         ["synth", "synth", "exit=0"], ["synth", "synth/daily", "exit=0"],
     ]
     files = dict(line.split() for line in lines if " exit=" not in line)
@@ -77,6 +78,7 @@ def test_output_digest_lines_every_command_and_file(tmp_path):
         ("per-window/grow-left/pe00_spectrum.csv", "per-window/report/pe00_spectrum.csv"),
         ("per-window/grow-left-fixed/pe00_spectrum.csv",
          "per-window/grow-left/pe00_spectrum.csv"),
+        ("per-window/no-reuse/pe00_spectrum.csv", "per-window/report/pe00_spectrum.csv"),
     ]:
         assert files[variant] != files[report], variant
     assert files["batch-day/report/compare.csv"] == hashlib.sha256(

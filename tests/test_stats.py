@@ -259,8 +259,8 @@ def test_compare_names_the_metric_whose_difference_is_undefined(metric):
 
 
 def _scaled(returns, scale):
-    return ReturnSeries(returns.instrument_id, returns.kind, returns.frequency,
-                        returns.timestamps, returns.values * scale)
+    return ReturnSeries(returns.instrument_id, returns.frequency, returns.timestamps,
+                        returns.values * scale)
 
 
 @pytest.mark.parametrize("scale", [4.0, 0.25, 2.0**-20])
